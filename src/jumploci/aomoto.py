@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
-    _int_rows,
     qscalar,
     qvector,
     rank_int,
@@ -36,9 +35,11 @@ class GradedAlgebraPresentation:
 
     Construction checks graded commutativity in the only place the data
     can see it: e_j * e_l + e_l * e_j = 0 and e_j * e_j = 0 in degree 2.
+    The first evaluation compiles the tensors into a sparse integer form
+    and checks square-zero symbolically there (see `_compiled_form`).
     """
 
-    __slots__ = ("dims", "mult")
+    __slots__ = ("dims", "mult", "_compiled")
 
     def __init__(self, dims, mult=()):
         dims = tuple(int(c) for c in dims)
@@ -77,6 +78,7 @@ class GradedAlgebraPresentation:
                         )
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mult", tuple(tensors))
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *_):
         raise AttributeError("GradedAlgebraPresentation is immutable")
@@ -88,6 +90,19 @@ class GradedAlgebraPresentation:
     @property
     def n(self) -> int:
         return self.dims[1] if self.top >= 1 else 0
+
+    def _compiled_form(self):
+        """The tensors as sparse integers, one (scale, rows) pair per degree.
+
+        rows[r][b] lists the pairs (j, c) with c = scale * mult[i-1][j][b][r]
+        nonzero, scale being the lcm of the denominators of tensor i, so the
+        degree-i matrix at a is sum_j a_j c / scale entrywise.  Built and
+        checked for symbolic square-zero on first use, then kept; a
+        presentation that fails the check raises on every call.
+        """
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", _compile(self))
+        return self._compiled
 
     def padded(self) -> "GradedAlgebraPresentation":
         """Append a zero graded piece on top, so the old top degree gets a
@@ -146,8 +161,8 @@ class AomotoEvaluation:
     """The complex of exact matrices at one rational point.
 
     matrices[i] maps degree i to degree i+1, rows indexed by the target
-    basis.  aomoto_matrices checks that consecutive matrices compose to
-    zero before building one of these.
+    basis.  Consecutive matrices compose to zero: the presentation was
+    checked symbolically, once, when it was first evaluated.
     """
 
     __slots__ = ("point", "matrices")
@@ -160,56 +175,42 @@ class AomotoEvaluation:
         raise AttributeError("AomotoEvaluation is immutable")
 
 
+def _integer_point(alg: GradedAlgebraPresentation, a):
+    """(ints, den) with a = ints / den, after checking the length of a."""
+    a = qvector(a)
+    if len(a) != alg.n:
+        raise ValueError(f"point length {len(a)} != c_1 = {alg.n}")
+    den = lcm(*(x.denominator for x in a))
+    return [x.numerator * (den // x.denominator) for x in a], den
+
+
+def _contract(rows, ints):
+    """The integer matrix of one compiled degree at an integer point."""
+    return [[sum(ints[j] * c for j, c in entry) for entry in row] for row in rows]
+
+
 def aomoto_matrices(alg: GradedAlgebraPresentation, a) -> AomotoEvaluation:
     """Exact matrices of multiplication by a in every degree 0..k-1.
 
     Raises if the presentation is internally inconsistent, i.e. if some
-    consecutive pair of matrices fails to compose to zero — the tensors
-    then cannot come from an associative algebra with a*a = 0.
+    consecutive pair of its linear-form matrices fails to compose to zero
+    — the tensors then cannot come from an associative algebra with
+    a*a = 0.  That check runs once per presentation, not per point.
     """
+    compiled = alg._compiled_form()
     a = qvector(a)
-    if len(a) != alg.n:
-        raise ValueError(f"point length {len(a)} != c_1 = {alg.n}")
+    ints, den = _integer_point(alg, a)
     mats = []
     if alg.top >= 1:
         mats.append(tuple((x,) for x in a))  # 1 |-> sum a_j e_j
-    for deg, tensor in enumerate(alg.mult, start=1):
-        src, dst = alg.dims[deg], alg.dims[deg + 1]
-        rows = []
-        for r in range(dst):
-            rows.append(
-                tuple(
-                    sum((a[j] * tensor[j][b][r] for j in range(alg.n)), Fraction(0))
-                    for b in range(src)
-                )
+    for scale, rows in compiled:
+        mats.append(
+            tuple(
+                tuple(Fraction(v, den * scale) for v in row)
+                for row in _contract(rows, ints)
             )
-        mats.append(tuple(rows))
-    for i in range(len(mats) - 1):
-        if _nonzero_product(mats[i + 1], mats[i]):
-            raise ValueError(
-                f"inconsistent presentation: matrices {i} and {i + 1} "
-                "do not compose to zero"
-            )
+        )
     return AomotoEvaluation(a, mats)
-
-
-def _nonzero_product(b, a):
-    if not b or not a or not a[0]:
-        return False
-    if not b[0]:
-        return False
-    for row in b:
-        for j in range(len(a[0])):
-            if sum((row[k] * a[k][j] for k in range(len(a))), Fraction(0)):
-                return True
-    return False
-
-
-def _matrix_rank(mat) -> int:
-    rows = [r for r in mat if r]
-    if not rows:
-        return 0
-    return rank_int(_int_rows(rows))
 
 
 def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
@@ -217,16 +218,23 @@ def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
 
     Requires 0 <= i <= k-1: the outgoing differential in degree i must be
     part of the data.  To rank-test the top degree itself, pad the algebra
-    with a zero piece first.
+    with a zero piece first.  Only degrees i-1 and i are built, as
+    integer matrices (a scaled to integers leaves every rank unchanged).
     """
     if not (0 <= i <= alg.top - 1):
         raise ValueError(
             f"degree out of range: i = {i}, need 0 <= i <= {alg.top - 1}"
         )
-    ev = aomoto_matrices(alg, a)
-    rank_out = _matrix_rank(ev.matrices[i])
-    rank_in = _matrix_rank(ev.matrices[i - 1]) if i >= 1 else 0
-    return alg.dims[i] - rank_in - rank_out
+    compiled = alg._compiled_form()
+    ints, _ = _integer_point(alg, a)
+
+    def rank_from(deg):
+        if deg == 0:
+            return 1 if any(ints) else 0
+        return rank_int(_contract(compiled[deg - 1][1], ints))
+
+    rank_in = rank_from(i - 1) if i >= 1 else 0
+    return alg.dims[i] - rank_in - rank_from(i)
 
 
 def resonance_member(alg: GradedAlgebraPresentation, a, i: int, d: int) -> bool:
@@ -236,11 +244,6 @@ def resonance_member(alg: GradedAlgebraPresentation, a, i: int, d: int) -> bool:
     if d == 0:
         return True
     return aomoto_betti(alg, a, i) >= d
-
-
-def resonance_member_upto(alg: GradedAlgebraPresentation, a, i: int) -> bool:
-    """Is some cohomology of degree <= i nonzero at a?"""
-    return any(aomoto_betti(alg, a, j) >= 1 for j in range(0, i + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,7 @@ def universal_aomoto(alg: GradedAlgebraPresentation):
     form in the x's and must vanish identically; a presentation that
     fails this cannot come from an algebra, and is rejected.
     """
+    alg._compiled_form()  # the symbolic square-zero check
     n = alg.n
     mats = []
     if alg.top >= 1:
@@ -275,30 +279,56 @@ def universal_aomoto(alg: GradedAlgebraPresentation):
                 )
             )
         mats.append(tuple(rows))
-    for i in range(len(mats) - 1):
-        _check_symbolic_square_zero(mats[i + 1], mats[i], n, i)
     return mats
 
 
-def _check_symbolic_square_zero(b, a, n, where):
-    """(b . a)[r][c] is a quadratic form; all its coefficients must vanish."""
-    if not b or not a or not a[0]:
-        return
+def _compile(alg: GradedAlgebraPresentation):
+    """Sparse integer tensors (see GradedAlgebraPresentation._compiled_form),
+    checked for symbolic square-zero."""
+    n = alg.n
+    compiled = []
+    for deg, tensor in enumerate(alg.mult, start=1):
+        src, dst = alg.dims[deg], alg.dims[deg + 1]
+        scale = lcm(
+            *(x.denominator for per_gen in tensor for vec in per_gen for x in vec)
+        )
+        rows = []
+        for r in range(dst):
+            row = []
+            for b in range(src):
+                coeffs = (per_gen[b][r] for per_gen in tensor)
+                row.append(tuple(
+                    (j, x.numerator * (scale // x.denominator))
+                    for j, x in enumerate(coeffs)
+                    if x
+                ))
+            rows.append(tuple(row))
+        compiled.append((scale, tuple(rows)))
+    sparse = [rows for _, rows in compiled]
+    if alg.top >= 1:
+        sparse.insert(0, tuple((((j, 1),),) for j in range(n)))
+    for where in range(len(sparse) - 1):
+        _check_symbolic_square_zero(sparse[where + 1], sparse[where], where)
+    return tuple(compiled)
+
+
+def _check_symbolic_square_zero(b, a, where):
+    """(b . a)[r][c] is a quadratic form; all its coefficients must vanish.
+
+    Entries are sparse integer linear forms; a positive common scale per
+    matrix does not change whether a coefficient vanishes.
+    """
+    ncols = len(a[0]) if a else 0
     for row in b:
-        for c in range(len(a[0])):
+        for c in range(ncols):
             # coefficient of x_j x_l, j <= l, in sum_k row[k] * a[k][c]
             quad = {}
-            for k in range(len(a)):
-                lf1, lf2 = row[k], a[k][c]
-                for j in range(n):
-                    if not lf1[j]:
-                        continue
-                    for l in range(n):
-                        if not lf2[l]:
-                            continue
-                        key = (min(j, l), max(j, l))
-                        quad[key] = quad.get(key, Fraction(0)) + lf1[j] * lf2[l]
-            if any(v for v in quad.values()):
+            for k, lf1 in enumerate(row):
+                for j, x in lf1:
+                    for l, y in a[k][c]:
+                        key = (j, l) if j <= l else (l, j)
+                        quad[key] = quad.get(key, 0) + x * y
+            if any(quad.values()):
                 raise ValueError(
                     f"inconsistent presentation: symbolic composition at degree "
                     f"{where} is nonzero"

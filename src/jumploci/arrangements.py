@@ -166,13 +166,11 @@ def local_components(arr: ProjLineArrangement) -> SubspaceArrangement:
     sum_{j in J} x_j = 0 together with x_i = 0 for every line i not
     in J; its dimension is |J| - 1.
     """
-    n = arr.n
-    comps = []
-    for mp in multiple_points(arr):
-        if mp.multiplicity < 3:
-            continue
-        comps.append(_point_subspace(n, mp.lines))
-    return SubspaceArrangement(n, comps)
+    return SubspaceArrangement(arr.n, _local_subspaces(arr.n, multiple_points(arr)))
+
+
+def _local_subspaces(n, points):
+    return [_point_subspace(n, mp.lines) for mp in points if mp.multiplicity >= 3]
 
 
 def _point_subspace(n, lines):
@@ -275,17 +273,20 @@ def braid_subarrangements(arr: ProjLineArrangement, seed=0):
     random points of the subspace and checking the rank oracle sees a
     jump there.  An uncertified candidate raises OracleError.
     """
+    points = multiple_points(arr)
+    return _braid_components(arr.n, points, _os_algebra(arr.n, points), seed)
+
+
+def _braid_components(n, points, algebra, seed):
     from itertools import combinations
 
-    points = multiple_points(arr)
-    algebra = os_algebra_deg2(arr)
     rng = random.Random(seed)
     found = []
-    for subset in combinations(range(1, arr.n + 1), 6):
+    for subset in combinations(range(1, n + 1), 6):
         pairs = _braid_pattern(points, subset)
         if pairs is None:
             continue
-        sub = _braid_subspace(arr.n, pairs)
+        sub = _braid_subspace(n, pairs)
         _certify_on(algebra, sub, rng, what=f"braid candidate {subset}")
         found.append(BraidComponent(subset, pairs, sub))
     return tuple(found)
@@ -310,7 +311,11 @@ def _certify_on(algebra, subspace, rng, what, samples=10):
 
 
 def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
-    """The full degree-1 resonance arrangement: local plus braid components.
+    """The local and braid components of the degree-1 resonance arrangement.
+
+    Only these two patterns are searched, so components of other kinds
+    (multinets on nine or more lines, as on B3) are missing from the
+    result; r1_completeness_note says when that can happen.
 
     Every component is certified on random points by the rank oracle;
     random points off the union are checked to show no jump; and the
@@ -318,10 +323,11 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     checks failing raises (OracleError for oracle disagreements).
     """
     n = arr.n
-    algebra = os_algebra_deg2(arr)
+    points = multiple_points(arr)
+    algebra = _os_algebra(n, points)
     rng = random.Random(seed)
-    comps = list(local_components(arr).components)
-    comps.extend(b.subspace for b in braid_subarrangements(arr, seed=seed))
+    comps = _local_subspaces(n, points)
+    comps.extend(b.subspace for b in _braid_components(n, points, algebra, seed))
     result = SubspaceArrangement(n, comps)
     for sub in result.components:
         _certify_on(algebra, sub, rng, what=f"component of dim {sub.dim}")
@@ -401,8 +407,12 @@ def os_algebra_deg2(arr: ProjLineArrangement):
     modulo one relation (e_i - e_j)(e_j - e_k) for every concurrent
     triple i < j < k of lines.
     """
+    return _os_algebra(arr.n, multiple_points(arr))
+
+
+def _os_algebra(n, points):
     relations = []
-    for mp in multiple_points(arr):
+    for mp in points:
         if mp.multiplicity < 3:
             continue
         lines = mp.lines
@@ -411,4 +421,4 @@ def os_algebra_deg2(arr: ProjLineArrangement):
                 for c in range(b + 1, len(lines)):
                     i, j, k = lines[a] - 1, lines[b] - 1, lines[c] - 1
                     relations.append({(i, j): Q(1), (i, k): Q(-1), (j, k): Q(1)})
-    return quotient_exterior_algebra(arr.n, relations)
+    return quotient_exterior_algebra(n, relations)

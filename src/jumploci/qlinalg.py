@@ -11,7 +11,6 @@ equal, so subspace equality is plain `==` on the objects.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -494,9 +493,3 @@ def coordinate_subspace(n, coords) -> RationalSubspace:
     if coords and (coords[0] < 1 or coords[-1] > n):
         raise ValueError("coordinate out of range")
     return RationalSubspace(n, [_unit_row(n, j - 1) for j in coords])
-
-
-def all_subsets(base):
-    base = list(base)
-    for k in range(len(base) + 1):
-        yield from itertools.combinations(base, k)

@@ -2,9 +2,11 @@
 complex, and the structural properties every presentation must satisfy."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from jumploci.aomoto import (
@@ -23,9 +25,10 @@ from jumploci.aomoto import (
     wedge_resonance,
     zero_multiplication_algebra,
 )
+from jumploci.cli import main
 from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
 
-from oracles import random_vector
+from oracles import random_vector, sympy_rank
 
 Q = Fraction
 
@@ -39,6 +42,23 @@ def _conf_t2_3():
         {(1, 4): Q(1), (1, 5): Q(-1), (2, 4): Q(-1), (2, 5): Q(1)},
     ]
     return quotient_exterior_algebra(6, rels)
+
+
+# (e1 + e2/2)(e3 - 2e4/3) is the first relation, so the plane spanned by
+# these two factors lies in the degree-1 resonance variety
+_FRACTIONAL_PLANE = (
+    (Q(1), Q(1, 2), Q(0), Q(0), Q(0)),
+    (Q(0), Q(0), Q(1), Q(-2, 3), Q(0)),
+)
+
+
+def _fractional_quotient():
+    """Five generators, two relations with non-integer coefficients."""
+    rels = [
+        {(0, 2): Q(1), (0, 3): Q(-2, 3), (1, 2): Q(1, 2), (1, 3): Q(-1, 3)},
+        {(0, 4): Q(3, 4), (3, 4): Q(5, 6), (1, 4): Q(-1, 5)},
+    ]
+    return quotient_exterior_algebra(5, rels)
 
 
 def test_genus2_surface_betti():
@@ -264,13 +284,107 @@ def test_json_round_trip():
 
 
 def test_universal_evaluation_matches_direct():
-    alg = _conf_t2_3()
-    mats = universal_aomoto(alg)
     rng = random.Random(71)
-    for _ in range(5):
-        a = random_vector(rng, 6)
-        direct = aomoto_matrices(alg, a).matrices
-        via_symbols = evaluate_universal(mats, a)
-        assert [tuple(map(tuple, m)) for m in via_symbols] == [
-            tuple(map(tuple, m)) for m in direct
+    for alg in (_conf_t2_3(), _fractional_quotient().padded()):
+        mats = universal_aomoto(alg)
+        for _ in range(5):
+            a = tuple(x / rng.randint(1, 4) for x in random_vector(rng, alg.n))
+            direct = aomoto_matrices(alg, a).matrices
+            via_symbols = evaluate_universal(mats, a)
+            assert [tuple(map(tuple, m)) for m in via_symbols] == [
+                tuple(map(tuple, m)) for m in direct
+            ]
+
+
+def _sympy_betti(alg, a, i):
+    """Betti number from dense Fraction matrices built straight from
+    alg.mult and ranked by sympy."""
+
+    def matrix(deg):
+        if deg == 0:
+            return [[x] for x in a]
+        tensor = alg.mult[deg - 1]
+        return [
+            [
+                sum((a[j] * tensor[j][b][r] for j in range(alg.n)), Q(0))
+                for b in range(alg.dims[deg])
+            ]
+            for r in range(alg.dims[deg + 1])
         ]
+
+    rank_in = sympy_rank(matrix(i - 1)) if i >= 1 else 0
+    return alg.dims[i] - rank_in - sympy_rank(matrix(i))
+
+
+def test_betti_matches_sympy_ranks_in_every_degree():
+    fractional = _fractional_quotient()
+    assert any(
+        x.denominator > 1 for per_gen in fractional.mult[0] for vec in per_gen for x in vec
+    )
+    rng = random.Random(83)
+
+    def fraction():
+        return Q(rng.randint(-6, 6), rng.randint(1, 5))
+
+    u, v = _FRACTIONAL_PLANE
+    on_plane = []
+    for _ in range(4):
+        s, t = fraction(), fraction()
+        on_plane.append(tuple(s * x + t * y for x, y in zip(u, v)))
+    assert all(aomoto_betti(fractional, a, 1) >= 1 for a in on_plane if any(a))
+    for alg, extra in (
+        (exterior_algebra(5).padded(), []),
+        (surface_algebra(3).padded(), []),
+        (fractional, on_plane),
+        (fractional.padded(), on_plane),
+    ):
+        points = [(Q(0),) * alg.n] + extra
+        points += [tuple(fraction() for _ in range(alg.n)) for _ in range(6)]
+        for a in points:
+            for i in range(alg.top):
+                assert aomoto_betti(alg, a, i) == _sympy_betti(alg, a, i), (alg, a, i)
+
+
+def _inconsistent_json():
+    """dims (1, 2, 1, 1): e1 e2 = w, then e1 w = u and e2 w = 0, so the
+    degree 1 -> 2 -> 3 composition is the nonzero form x1^2 u."""
+    return {
+        "dims": [1, 2, 1, 1],
+        "mult": [
+            {"deg": 1, "table": [[["0"], ["1"]], [["-1"], ["0"]]]},
+            {"deg": 2, "table": [[["1"]], [["0"]]]},
+        ],
+    }
+
+
+def test_inconsistent_presentation_is_rejected_at_every_point(tmp_path, capsys):
+    alg = GradedAlgebraPresentation.from_json(_inconsistent_json())
+    # at (0, 0) and (0, 1) the composed matrices vanish, yet the
+    # presentation is still rejected there
+    for a in ((0, 0), (0, 1), (1, 0), (Q(3, 2), Q(-1, 2))):
+        for i in range(alg.top):
+            with pytest.raises(ValueError, match="inconsistent presentation"):
+                aomoto_betti(alg, a, i)
+        with pytest.raises(ValueError, match="inconsistent presentation"):
+            aomoto_matrices(alg, a)
+    with pytest.raises(ValueError, match="inconsistent presentation"):
+        universal_aomoto(alg)
+
+    algebra = tmp_path / "alg.json"
+    algebra.write_text(json.dumps(_inconsistent_json()))
+    origin = tmp_path / "a.json"
+    origin.write_text(json.dumps(["0", "0"]))
+    code = main(["aomoto", "betti", "--algebra", str(algebra), "--point", str(origin)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "precondition"
+
+
+def test_evaluation_leaves_equality_and_hash_alone():
+    alg = _conf_t2_3()
+    aomoto_betti(alg, (1, -1, 0, 1, -1, 0), 1)
+    aomoto_matrices(alg.padded(), (0,) * 6)
+    fresh = _conf_t2_3()
+    assert alg == fresh and fresh == alg
+    assert hash(alg) == hash(fresh)
+    assert alg.to_json() == fresh.to_json()
+    assert alg.padded() == fresh.padded()
