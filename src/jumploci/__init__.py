@@ -56,7 +56,6 @@ from .qlinalg import RationalSubspace, SubspaceArrangement
 from .simplicial import SimplicialComplex, full_simplex
 from .toric import (
     Graph,
-    graph_connectivity,
     raag_r1,
     toric_cv,
     toric_omega_member,
@@ -107,7 +106,6 @@ __all__ = [
     "SimplicialComplex",
     "full_simplex",
     "Graph",
-    "graph_connectivity",
     "raag_r1",
     "toric_cv",
     "toric_omega_member",

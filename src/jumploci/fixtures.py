@@ -57,7 +57,6 @@ from .qlinalg import RationalSubspace, SubspaceArrangement
 from .simplicial import SimplicialComplex, full_simplex
 from .toric import (
     Graph,
-    graph_connectivity,
     raag_r1,
     toric_omega_member,
     toric_resonance,
@@ -326,7 +325,7 @@ def _path3(seed):
         "raag_r1_matches": raag_r1(g) == res,
         "omega_all_ones_line": toric_omega_member(k, 1, 1, line),
         "omega_sample_plane": toric_omega_member(k, 1, 2, plane),
-        "connectivity": graph_connectivity(g),
+        "connectivity": g.connectivity(),
     }
 
 
@@ -344,7 +343,7 @@ def _cycle4(seed):
     return {
         "resonance": _coord_json(res),
         "raag_r1_matches": raag_r1(g) == res,
-        "connectivity": graph_connectivity(g),
+        "connectivity": g.connectivity(),
         "omega_diagonal_line": toric_omega_member(k, 1, 1, diag),
         "omega_full": toric_omega_member(k, 1, 4, RationalSubspace.full(4)),
     }

@@ -4,16 +4,15 @@ A complex is stored by its facets (maximal faces); the face set is the
 downward closure and always contains the empty face.  The complex with no
 facets is the empty complex {∅}: its reduced Betti number in degree -1 is 1.
 Reduced Betti numbers are computed from augmented boundary matrices by exact
-integer rank computations, and memoized — the exhaustive sweeps revisit the
-same small links thousands of times.
+integer rank computations on faces encoded as vertex bitmasks (bit v-1 for
+vertex v).  Nothing is cached here: the toric search keeps its own memo for
+the duration of one call.
 """
 
 from __future__ import annotations
 
 import itertools
 from .qlinalg import rank_int
-
-_betti_cache: dict = {}
 
 
 class SimplicialComplex:
@@ -52,6 +51,9 @@ class SimplicialComplex:
     def __setattr__(self, *_):
         raise AttributeError("SimplicialComplex is immutable")
 
+    def __reduce__(self):
+        return (SimplicialComplex, (self.facets, self.n))
+
     def vertices(self) -> tuple:
         return tuple(sorted(set().union(*self.facets))) if self.facets else ()
 
@@ -70,6 +72,11 @@ class SimplicialComplex:
         """The k-skeleton (all faces with at most k+1 vertices)."""
         faces = [f for f in self.faces if 0 < len(f) <= k + 1]
         return SimplicialComplex(faces, n=self.n)
+
+    def face_masks(self) -> tuple:
+        """Every face as a vertex bitmask (bit v-1 for vertex v), ascending;
+        the empty face is 0."""
+        return tuple(sorted(sum(1 << (v - 1) for v in f) for f in self.faces))
 
     def one_skeleton_edges(self):
         return tuple(sorted(tuple(sorted(f)) for f in self.faces if len(f) == 2))
@@ -115,21 +122,23 @@ def link_in_induced(k: SimplicialComplex, sigma, w) -> SimplicialComplex:
     return SimplicialComplex(faces, n=k.n)
 
 
-def _boundary_matrix(by_dim, d):
-    """Augmented boundary matrix ∂_d : C_d -> C_{d-1} as integer rows.
+def _boundary_matrix(lower, upper):
+    """Augmented boundary matrix from the bitmask faces `upper` (columns) to
+    the faces one smaller, `lower` (rows), as integer rows.
 
-    Row per (d-1)-face, column per d-face; C_{-1} is spanned by the empty
-    face, so ∂_0 is the augmentation map.
+    Dropping the vertex in sorted position p carries the sign (-1)^p; the
+    empty face 0 spans degree -1, so the 0-faces map to it by augmentation.
     """
-    lower = by_dim.get(d - 1, [])
-    upper = by_dim.get(d, [])
-    index = {f: i for i, f in enumerate(lower)}
+    index = {f: r for r, f in enumerate(lower)}
     rows = [[0] * len(upper) for _ in lower]
     for j, face in enumerate(upper):
-        verts = sorted(face)
-        for pos in range(len(verts)):
-            sub = frozenset(verts[:pos] + verts[pos + 1 :])
-            rows[index[sub]][j] = -1 if pos % 2 else 1
+        sign = 1
+        rest = face
+        while rest:
+            low = rest & -rest
+            rows[index[face ^ low]][j] = sign
+            sign = -sign
+            rest ^= low
     return rows
 
 
@@ -139,50 +148,38 @@ def reduced_betti(k: SimplicialComplex, i: int) -> int:
     The empty complex {∅} has reduced Betti 1 in degree -1; any nonempty
     complex has 0 there.
     """
-    return reduced_betti_faces(k.faces, i)
+    return reduced_betti_faces(k.face_masks(), i)
 
 
-def reduced_betti_faces(faces: frozenset, i: int) -> int:
-    """reduced_betti on a raw downward-closed face set (∅ included).
-
-    The exhaustive sweeps build thousands of small links; keying the Betti
-    cache on the face set itself lets identical links found inside different
-    complexes share one computation.
+def reduced_betti_faces(faces, i: int) -> int:
+    """reduced_betti on a raw downward-closed face set of vertex bitmasks
+    (the empty face 0 included), so that links need not be built as
+    complexes.  Each call ranks the two boundary matrices around degree i
+    afresh; callers that revisit the same link memoize it themselves.
     """
     if i < -1:
         return 0
-    key = (faces, i)
-    hit = _betti_cache.get(key)
-    if hit is not None:
-        return hit
-    by_dim: dict[int, list] = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    for fs in by_dim.values():
-        fs.sort(key=sorted)
-    c_i = len(by_dim.get(i, []))
-    if c_i == 0:
-        _betti_cache[key] = 0
+    cells = [f for f in faces if f.bit_count() == i + 1]
+    if not cells:
         return 0
-    rank_down = rank_int(_boundary_matrix(by_dim, i)) if i >= 0 else 0
-    rank_up = rank_int(_boundary_matrix(by_dim, i + 1))
-    b = c_i - rank_down - rank_up
-    _betti_cache[key] = b
-    return b
+    rank_down = 0
+    if i >= 0:
+        lower = [f for f in faces if f.bit_count() == i]
+        rank_down = rank_int(_boundary_matrix(lower, cells))
+    upper = [f for f in faces if f.bit_count() == i + 2]
+    rank_up = rank_int(_boundary_matrix(cells, upper))
+    return len(cells) - rank_down - rank_up
 
 
-def induced_faces(k: SimplicialComplex, w: frozenset) -> frozenset:
-    """Face set of the induced subcomplex on W, without building the object."""
-    return frozenset(f for f in k.faces if f <= w)
+def link_faces(link, w: int) -> frozenset:
+    """Face set of lk_{K_W}(sigma), as bitmasks, from `link` = lk_K(sigma).
 
-
-def link_faces(k: SimplicialComplex, sigma: frozenset, w: frozenset) -> frozenset:
-    """Face set of lk_{K_W}(sigma), without building the object.
-
-    Assumes sigma is a face disjoint from W (the callers in the toric sweep
-    guarantee it); use link_in_induced for the validated route.
+    For sigma disjoint from W the link inside the induced subcomplex K_W is
+    the induced subcomplex of lk_K(sigma) on W: the faces of `link` inside
+    the bitmask W.  Use link_in_induced for the validated route.
     """
-    return frozenset(f - sigma for f in k.faces if sigma <= f and (f - sigma) <= w)
+    outside = ~w
+    return frozenset(t for t in link if not t & outside)
 
 
 def reduced_betti_all(k: SimplicialComplex) -> dict[int, int]:

@@ -10,10 +10,16 @@ locus iff
         dim H~_{i-1-|sigma|}( lk_{K_W}(sigma) )   >=   d,
 
 where the link is taken inside the induced subcomplex on W and sigma = ∅
-contributes the induced subcomplex itself.  Everything here is exhaustive
-exact computation over the 2^n subsets; the graph layer (right-angled Artin
-groups = 1-dimensional K) has its own direct combinatorial route, which the
-test suite plays against the homological one.
+contributes the induced subcomplex itself.
+
+The loci are Zariski-closed, so if Q^W lies in one, so does Q^{W'} for every
+W' ⊆ W: the passing vertex sets are closed under taking subsets.
+toric_resonance therefore searches them level by level from the empty set
+(as Apriori does for frequent item sets), testing a set only once every
+subset one vertex smaller has passed, and keeps only the maximal ones.  All
+arithmetic is exact.  The graph layer (right-angled Artin groups =
+1-dimensional K) has its own direct combinatorial route, which the test
+suite plays against the homological one.
 """
 
 from __future__ import annotations
@@ -28,12 +34,7 @@ from .qlinalg import (
     coordinate_subspace,
     rank_int,
 )
-from .simplicial import (
-    SimplicialComplex,
-    induced_faces,
-    link_faces,
-    reduced_betti_faces,
-)
+from .simplicial import SimplicialComplex, link_faces, reduced_betti_faces
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +70,9 @@ class CoordinateArrangement:
 
     def __setattr__(self, *_):
         raise AttributeError("CoordinateArrangement is immutable")
+
+    def __reduce__(self):
+        return (CoordinateArrangement, (self.n, self.subsets, self.contains_origin))
 
     def to_subspaces(self) -> SubspaceArrangement:
         return SubspaceArrangement(
@@ -153,6 +157,15 @@ class Graph:
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return (Graph, (self.n, self.edges))
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
     @classmethod
     def from_one_skeleton(cls, k: SimplicialComplex) -> "Graph":
         return cls(k.n, k.one_skeleton_edges())
@@ -216,10 +229,6 @@ class Graph:
         return n - 1
 
 
-def graph_connectivity(g: Graph) -> int:
-    return g.connectivity()
-
-
 def raag_r1(g: Graph) -> CoordinateArrangement:
     """Degree-1 resonance of the right-angled Artin group of the graph:
     the maximal vertex subsets inducing a disconnected subgraph."""
@@ -280,6 +289,9 @@ def toric_resonance(k: SimplicialComplex, i: int, d: int) -> CoordinateArrangeme
 
     Returns the maximal vertex subsets W with Q^W inside the locus, plus the
     origin flag (the empty subset's test is d <= number of size-i faces).
+    If the empty set fails nothing passes; if the full vertex set passes it
+    is the only maximal set.  Otherwise the passing sets are searched
+    bottom-up, one size at a time.
     """
     if i < 0:
         raise ValueError("degree must be >= 0")
@@ -287,27 +299,66 @@ def toric_resonance(k: SimplicialComplex, i: int, d: int) -> CoordinateArrangeme
         raise ValueError("depth must be >= 1")
     _require_toric(k)
     n = k.n
-    verts = range(1, n + 1)
-    small = [f for f in k.faces if len(f) <= i]
-    passing = []
-    origin = False
-    for mask in range(1 << n):
-        w = frozenset(v for v in verts if mask >> (v - 1) & 1)
+    faces = k.face_masks()
+    # per face sigma with |sigma| <= i: lk_K(sigma), its vertex union and
+    # the homology degree it contributes in
+    links = []
+    for sigma in faces:
+        size = sigma.bit_count()
+        if size > i:
+            continue
+        link = tuple(f ^ sigma for f in faces if f & sigma == sigma)
+        span = 0
+        for tau in link:
+            span |= tau
+        links.append((sigma, link, span, i - 1 - size))
+    # lk_{K_W}(sigma) depends on W only through W & span
+    memo = {}
+
+    def passes(w):
         total = 0
-        for sigma in small:
+        for sigma, link, span, degree in links:
             if sigma & w:
                 continue
-            total += reduced_betti_faces(
-                link_faces(k, sigma, w), i - 1 - len(sigma)
-            )
+            key = (sigma, w & span)
+            b = memo.get(key)
+            if b is None:
+                b = memo[key] = reduced_betti_faces(link_faces(link, w), degree)
+            total += b
             if total >= d:
-                break
-        if total >= d:
-            if w:
-                passing.append(tuple(sorted(w)))
-            else:
-                origin = True
-    return CoordinateArrangement(n, passing, contains_origin=origin)
+                return True
+        return False
+
+    full = (1 << n) - 1
+    if not passes(0):
+        return CoordinateArrangement(n, (), contains_origin=False)
+    if passes(full):
+        return CoordinateArrangement(n, [_mask_to_subset(full)])
+    # level holds the passing sets of one size.  A candidate one vertex
+    # larger is built once, from itself minus its highest vertex, and tested
+    # only if all its subsets one vertex smaller passed.  A passing set is
+    # maximal when no passing set one vertex larger contains it.
+    maximal = []
+    level = {0}
+    while level:
+        grown = set()
+        for w in level:
+            for v in range(w.bit_length(), n):
+                c = w | 1 << v
+                if c != full and all(c ^ b in level for b in _bits(c)) and passes(c):
+                    grown.add(c)
+        covered = {c ^ b for c in grown for b in _bits(c)}
+        maximal.extend(w for w in level if w not in covered)
+        level = grown
+    return CoordinateArrangement(n, [_mask_to_subset(w) for w in maximal])
+
+
+def _bits(mask: int):
+    """The single-bit masks of the set bits of mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def toric_cv(k: SimplicialComplex, i: int, d: int) -> CoordinateArrangement:

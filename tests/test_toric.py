@@ -1,13 +1,16 @@
 """Coordinate-subspace loci of toric complexes, plus graph invariants."""
 
+import copy
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
 from jumploci.qlinalg import RationalSubspace
 from jumploci.simplicial import SimplicialComplex, full_simplex
 from jumploci.toric import (
+    CoordinateArrangement,
     Graph,
-    graph_connectivity,
     omega_vanishing_bound,
     raag_r1,
     toric_cv,
@@ -15,7 +18,7 @@ from jumploci.toric import (
     toric_resonance,
 )
 
-from oracles import all_complexes, random_subspace_basis
+from oracles import all_complexes, random_subspace_basis, toric_resonance_sweep
 
 Q = Fraction
 
@@ -76,15 +79,15 @@ def test_raag_resonance_known_graphs():
 
 
 def test_connectivity_values():
-    assert graph_connectivity(Graph(3, [(1, 2), (2, 3)])) == 1
-    assert graph_connectivity(Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) == 2
+    assert Graph(3, [(1, 2), (2, 3)]).connectivity() == 1
+    assert Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]).connectivity() == 2
     assert (
-        graph_connectivity(Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]))
+        Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]).connectivity()
         == 3
     )
-    assert graph_connectivity(Graph(3, [(1, 2)])) == 0
-    assert graph_connectivity(Graph(1, [])) == 0
-    assert graph_connectivity(Graph(2, [(1, 2)])) == 1
+    assert Graph(3, [(1, 2)]).connectivity() == 0
+    assert Graph(1, []).connectivity() == 0
+    assert Graph(2, [(1, 2)]).connectivity() == 1
 
 
 def test_vanishing_bound_excludes_complete_graphs():
@@ -122,3 +125,67 @@ def test_validation():
         assert False, "ambient vertex missing from the complex must raise"
     except ValueError:
         pass
+
+
+def _agrees_with_sweep(k, i, d):
+    arr = toric_resonance(k, i, d)
+    assert (arr.subsets, arr.contains_origin) == toric_resonance_sweep(k, i, d), (k, i, d)
+
+
+def test_search_matches_sweep_on_every_complex_up_to_four_vertices():
+    for n in range(0, 5):
+        for k in all_complexes(n, SimplicialComplex):
+            for i, d in itertools.product(range(4), range(1, 4)):
+                _agrees_with_sweep(k, i, d)
+
+
+def _random_complex(rng, n, dim):
+    """Random facets of dimension dim (some of them shrunk) on n vertices,
+    plus every vertex."""
+    facets = [(v,) for v in range(1, n + 1)]
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        facets.append(rng.sample(range(1, n + 1), rng.randint(2, dim + 1)))
+    return SimplicialComplex(facets, n)
+
+
+def test_search_matches_sweep_on_random_complexes():
+    rng = random.Random(2009)
+    for n in (6, 7, 8, 9):
+        for dim in (2, 3):
+            k = _random_complex(rng, n, dim)
+            for i, d in ((1, 1), (1, 2), (2, 3), (3, 2)):
+                _agrees_with_sweep(k, i, d)
+
+
+def test_search_shortcuts():
+    # two isolated points: V itself passes in degree 1 and is the only piece
+    points = SimplicialComplex([(1,), (2,)], 2)
+    assert toric_resonance(points, 1, 1) == CoordinateArrangement(2, [(1, 2)])
+    _agrees_with_sweep(points, 1, 1)
+    # a hollow triangle has three 1-faces: the origin passes at depth 3 in
+    # degree 2, V passes at depth 1 (the circle), and ∅ fails at depth 4
+    circle = SimplicialComplex([(1, 2), (2, 3), (1, 3)], 3)
+    assert toric_resonance(circle, 2, 1).subsets == ((1, 2, 3),)
+    empty = toric_resonance(circle, 2, 4)
+    assert (empty.subsets, empty.contains_origin) == ((), False)
+    for d in (1, 3, 4):
+        _agrees_with_sweep(circle, 2, d)
+
+
+def test_value_classes_survive_pickle_and_deepcopy():
+    k = SimplicialComplex([(1, 2), (2, 3), (3, 4), (1, 4), (2, 4, 5)], 5)
+    values = [
+        k,
+        SimplicialComplex((), 0),
+        Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+        toric_resonance(k, 1, 1),
+        CoordinateArrangement(3, [], contains_origin=False),
+    ]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+    # the uncached computation on an unpickled complex gives the same locus
+    twin = pickle.loads(pickle.dumps(k))
+    for i, d in ((1, 1), (2, 1), (2, 2)):
+        assert toric_resonance.__wrapped__(twin, i, d) == toric_resonance(k, i, d)
