@@ -9,21 +9,28 @@ identity live in this module:
   the partitions of S into blocks with zero coefficient sum; each such
   partition contributes the rational subspace cut out by the differences of
   exponent vectors within blocks, and the cone is the union of the maximal
-  contributions.
+  contributions.  Only the finest such partitions matter: a coarser
+  partition imposes more equations, so its subspace lies inside that of any
+  partition refining it, and every admissible partition is refined by one
+  whose blocks are minimal zero-sum sets.  The partitions are enumerated as
+  exact covers of S by zero-sum subsets, on bitmasks, so inadmissible
+  partitions are never visited.
 
 * the classical tangent cone — for a hypersurface, the zero set of the
   lowest-degree homogeneous part of f(z + 1), after clearing monomial units.
+  Only the low-degree end of f(z + 1) is expanded.
 
 The module also evaluates rank-1 twisted homology for chain complexes over
 the one-variable Laurent ring, which is a PID, so determinantal gcds give
-honest defining polynomials.
+honest defining polynomials.  One-variable inputs whose degree span exceeds
+`DEGREE_LIMIT` are refused before they reach sympy.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 
 from .qlinalg import (
     RationalSubspace,
@@ -33,6 +40,9 @@ from .qlinalg import (
 )
 
 SUPPORT_LIMIT = 10
+# Largest degree span (top exponent minus bottom exponent) of a one-variable
+# polynomial handed to sympy; x^1000 - 1 factors in about half a second.
+DEGREE_LIMIT = 1000
 
 
 class LaurentPolynomial:
@@ -67,6 +77,9 @@ class LaurentPolynomial:
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPolynomial is immutable")
+
+    def __reduce__(self):
+        return (LaurentPolynomial, (self.n_vars, self.terms))
 
     # -- basics ------------------------------------------------------------
 
@@ -143,17 +156,6 @@ class LaurentPolynomial:
             return other
         return LaurentPolynomial.constant(self.n_vars, other)
 
-    def min_degree(self):
-        """Smallest total degree present, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
-
-    def homogeneous_part(self, d):
-        return LaurentPolynomial(
-            self.n_vars, {e: c for e, c in self.terms.items() if sum(e) == d}
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, LaurentPolynomial)
@@ -217,6 +219,9 @@ class AdmissiblePartition:
     def __setattr__(self, *_):
         raise AttributeError("AdmissiblePartition is immutable")
 
+    def __reduce__(self):
+        return (AdmissiblePartition, (self.n_vars, self.blocks))
+
     def direction_subspace(self) -> RationalSubspace:
         """Kernel of {(a - b) . z = 0 : a, b in a common block}."""
         eqs = []
@@ -240,40 +245,69 @@ class AdmissiblePartition:
         return f"AdmissiblePartition({list(map(list, self.blocks))})"
 
 
-def _set_partitions(items):
-    """All partitions of a list, as lists of lists (standard recursion)."""
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[head] + part[i]] + part[i + 1 :]
-        yield [[head]] + part
-
-
-def admissible_partitions(f: LaurentPolynomial):
-    """All partitions of the support of f into zero-sum blocks.
+def admissible_partitions(f: LaurentPolynomial, finest=False):
+    """The partitions of the support of f into zero-sum blocks.
 
     The whole-support sum is the sum of the block sums, so the output is
-    empty unless f(1) = 0.  Support size is capped: the enumeration is
-    exponential and meant for the desk-scale inputs everything else here
-    works with.
+    empty unless f(1) = 0.  With `finest`, only partitions into minimal
+    zero-sum blocks (no nonempty proper subset sums to zero) are returned.
+    These are the finest admissible partitions: splitting a zero-sum block
+    at a zero-sum subset leaves two zero-sum blocks, so every admissible
+    partition is refined by one of them.  That is all the exponential
+    tangent cone needs.
+
+    The support is indexed by bits.  All 2^s subset sums are computed once,
+    each from the sum without its lowest bit; the partitions are the exact
+    covers of the full mask by zero-sum masks, built by always covering the
+    lowest uncovered bit next, so no inadmissible partition is visited.
+    Support size is capped, because the number of admissible partitions can
+    still grow exponentially with it.
     """
     if f.is_zero():
         raise ValueError("admissible partitions are undefined for the zero polynomial")
     support = f.support()
-    if len(support) > SUPPORT_LIMIT:
+    s = len(support)
+    if s > SUPPORT_LIMIT:
         raise ValueError(
-            f"support too large: {len(support)} monomials exceeds the "
+            f"support too large: {s} monomials exceeds the "
             f"enumeration limit of {SUPPORT_LIMIT}"
         )
     if f.value_at_one() != 0:
         return []
-    out = []
-    for part in _set_partitions(list(support)):
-        if all(sum(f.terms[a] for a in block) == 0 for block in part):
-            out.append(AdmissiblePartition(f.n_vars, part))
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    coeffs = [int(c * scale) for c in f.terms.values()]
+    sums = [0] * (1 << s)
+    for mask in range(1, 1 << s):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + coeffs[low.bit_length() - 1]
+    # A submask is numerically smaller, so in increasing order a zero-sum
+    # mask is minimal exactly when it contains no minimal one found before.
+    blocks = []
+    for mask in range(1, 1 << s):
+        if sums[mask] == 0 and not (
+            finest and any(b & mask == b for b in blocks)
+        ):
+            blocks.append(mask)
+    by_low = {}
+    for b in blocks:
+        by_low.setdefault(b & -b, []).append(b)
+
+    def covers(rest):
+        if not rest:
+            yield ()
+            return
+        for b in by_low.get(rest & -rest, ()):
+            if b & rest == b:
+                for tail in covers(rest ^ b):
+                    yield (b,) + tail
+
+    out = [
+        AdmissiblePartition(
+            f.n_vars,
+            [[support[i] for i in range(s) if b >> i & 1] for b in cover],
+        )
+        for cover in covers((1 << s) - 1)
+    ]
     out.sort(key=lambda p: p.blocks)
     return out
 
@@ -283,7 +317,8 @@ def _exp_tangent_cone_single(f: LaurentPolynomial) -> SubspaceArrangement:
         # the zero polynomial vanishes on the whole torus
         return SubspaceArrangement(f.n_vars, [RationalSubspace.full(f.n_vars)])
     return SubspaceArrangement(
-        f.n_vars, [p.direction_subspace() for p in admissible_partitions(f)]
+        f.n_vars,
+        [p.direction_subspace() for p in admissible_partitions(f, finest=True)],
     )
 
 
@@ -291,11 +326,13 @@ def exp_tangent_cone(polys) -> SubspaceArrangement:
     """Exponential tangent cone of the common zero set of the given
     Laurent polynomials, as a maximal-pruned union of rational subspaces.
 
-    One polynomial: union of the subspaces certified by its admissible
-    partitions.  Several: the cone of an intersection is the intersection
-    of the cones, so the per-polynomial arrangements are intersected
-    pairwise.  The list must be nonempty — the ambient dimension is read
-    off the entries.
+    One polynomial: union of the subspaces certified by its finest
+    admissible partitions.  A coarser partition only adds equations, so its
+    subspace lies inside that of a finest partition refining it, and the
+    maximal components are the same as over all admissible partitions.
+    Several: the cone of an intersection is the intersection of the cones,
+    so the per-polynomial arrangements are intersected pairwise.  The list
+    must be nonempty — the ambient dimension is read off the entries.
     """
     polys = list(polys)
     if not polys:
@@ -345,42 +382,52 @@ def hypersurface_tc1(f: LaurentPolynomial) -> LaurentPolynomial:
     ideal, because the ideal is principal and initial forms of a domain
     multiply.  A nonzero constant output means f(1) != 0, i.e. the
     hypersurface misses the identity and the cone is empty.
+
+    The output is normalized, so f is first scaled to integer coefficients,
+    and f(z + 1) is expanded only up to a degree cap, doubled until a
+    nonzero part appears below it.
     """
     if f.is_zero():
         raise ValueError("tangent cone of the zero polynomial is undefined")
     n = f.n_vars
     shifts = [min(e[i] for e in f.terms) for i in range(n)]
-    cleared = {
-        tuple(e[i] - shifts[i] for i in range(n)): c for e, c in f.terms.items()
-    }
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    cleared = [
+        (tuple(e[i] - shifts[i] for i in range(n)), int(c * scale))
+        for e, c in f.terms.items()
+    ]
+    cap = 1
+    while True:
+        low = _shifted_low_part(cleared, n, cap)
+        if low:
+            break
+        cap *= 2
+    return _normalize_homogeneous(LaurentPolynomial(n, low))
 
-    # expand f~(z + 1) one variable at a time via binomial rows
+
+def _shifted_low_part(cleared, n, cap):
+    """Lowest-degree part of sum c * (z + 1)^a over the (a, c) pairs, if it
+    has degree at most cap; else {}.  Only terms of degree <= cap are built."""
     expanded = {}
-    for expo, coeff in cleared.items():
+    for expo, coeff in cleared:
         partials = {(0,) * n: coeff}
-        for i in range(n):
-            k = expo[i]
+        for i, k in enumerate(expo):
             if k == 0:
                 continue
-            binom = _binomial_row(k)
             nxt = {}
             for base, c in partials.items():
-                for j, b in enumerate(binom):
+                room = cap - sum(base)
+                for j in range(min(k, room) + 1):
                     key = base[:i] + (base[i] + j,) + base[i + 1 :]
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * b
+                    nxt[key] = nxt.get(key, 0) + c * comb(k, j)
             partials = nxt
         for key, c in partials.items():
-            expanded[key] = expanded.get(key, Fraction(0)) + c
-    g = LaurentPolynomial(n, expanded)
-    low = g.min_degree()
-    return _normalize_homogeneous(g.homogeneous_part(low))
-
-
-def _binomial_row(k):
-    row = [1]
-    for j in range(k):
-        row.append(row[-1] * (k - j) // (j + 1))
-    return row
+            expanded[key] = expanded.get(key, 0) + c
+    nonzero = [(e, c) for e, c in expanded.items() if c]
+    if not nonzero:
+        return {}
+    low = min(sum(e) for e, _ in nonzero)
+    return {e: c for e, c in nonzero if sum(e) == low}
 
 
 def _substitute_linear(form: LaurentPolynomial, vectors):
@@ -411,11 +458,20 @@ def _linear_factor_kernels(tc: LaurentPolynomial):
     the list of their kernels (hyperplanes); otherwise None.
 
     Factoring is delegated to sympy, imported lazily so that plain cone
-    computations never pay the import cost.
+    computations never pay the import cost.  A constant has no factors and
+    a linear form is its own factorization; neither reaches sympy.
     """
+    n = tc.n_vars
+    if tc.is_constant():
+        return []
+    if all(sum(e) == 1 for e in tc.terms):
+        row = [Fraction(0)] * n
+        for expo, coeff in tc.terms.items():
+            row[expo.index(1)] = coeff
+        return [RationalSubspace.from_equations(n, [row])]
+
     import sympy
 
-    n = tc.n_vars
     syms = sympy.symbols(f"z1:{n + 1}") if n else ()
     expr = sympy.Integer(0)
     for expo, coeff in tc.terms.items():
@@ -494,6 +550,15 @@ class LinkCV1:
 
     def __setattr__(self, *_):
         raise AttributeError("LinkCV1 is immutable")
+
+    def __reduce__(self):
+        return (LinkCV1, (self.delta,))
+
+    def __eq__(self, other):
+        return isinstance(other, LinkCV1) and self.delta == other.delta
+
+    def __hash__(self):
+        return hash(self.delta)
 
     def tau1(self) -> SubspaceArrangement:
         """Exponential tangent cone of the whole locus.  The identity
@@ -586,6 +651,16 @@ def cyclotomic_index(poly: LaurentPolynomial):
     return None
 
 
+def _check_degree_span(poly: LaurentPolynomial):
+    """Refuse a one-variable polynomial too long for sympy to factor."""
+    exps = [e[0] for e in poly.terms]
+    span = max(exps) - min(exps) if exps else 0
+    if span > DEGREE_LIMIT:
+        raise ValueError(
+            f"degree span too large: {span} exceeds the limit of {DEGREE_LIMIT}"
+        )
+
+
 def _one_var_int_poly(poly: LaurentPolynomial) -> LaurentPolynomial:
     """Shift by a unit so exponents start at 0, then make the coefficients
     coprime integers with positive leading coefficient."""
@@ -614,10 +689,15 @@ def factor_one_variable(poly: LaurentPolynomial):
     """Irreducible factorization over Q of a one-variable Laurent
     polynomial (modulo monomial units), with cyclotomic factors named and
     their torsion characters listed as fractions j/k in [0, 1)."""
-    import sympy
-
     if poly.n_vars != 1:
         raise ValueError("one variable expected")
+    if poly.is_zero():
+        raise ValueError("the zero polynomial has no factorization")
+    if poly.is_constant():
+        return []
+    _check_degree_span(poly)
+    import sympy
+
     norm = _one_var_int_poly(poly)
     t = sympy.Symbol("t")
     expr = sum(
@@ -691,6 +771,18 @@ class EquivariantChainComplex1:
 
     def __setattr__(self, *_):
         raise AttributeError("EquivariantChainComplex1 is immutable")
+
+    def __reduce__(self):
+        return (EquivariantChainComplex1, (self.ranks, self.boundaries))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, EquivariantChainComplex1)
+            and (self.ranks, self.boundaries) == (other.ranks, other.boundaries)
+        )
+
+    def __hash__(self):
+        return hash((self.ranks, self.boundaries))
 
     def top(self):
         return len(self.ranks) - 1
@@ -795,6 +887,8 @@ def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPo
         return LaurentPolynomial.constant(1, 1)
     down = chain.boundary(i)        # out of degree i
     up = chain.boundary(i + 1)      # out of degree i + 1
+    for entry in itertools.chain(*down, *up):
+        _check_degree_span(entry)
     result = LaurentPolynomial.constant(1, 1)
     for r in range(budget + 1):
         s = budget - r

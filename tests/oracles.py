@@ -10,6 +10,7 @@ paths agree.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from sympy import ZZ
@@ -233,3 +234,35 @@ def toric_resonance_sweep(k, i, d):
                 origin = True
     maximal = [w for w in passing if not any(w < v for v in passing)]
     return tuple(sorted(tuple(sorted(w)) for w in maximal)), origin
+
+
+def tc1_sympy(n, terms):
+    """Classical tangent-cone form of f = sum c * t^a (n >= 1 variables), by
+    sympy: clear negative exponents, expand f(z + 1), keep the part of lowest
+    total degree and scale it to coprime integers whose first term, in
+    exponent order, is positive.  Returns {exponent tuple: Fraction}."""
+    zs = sympy.symbols(f"z1:{n + 1}")
+    shifts = [min(e[i] for e in terms) for i in range(n)]
+    shifted = [sympy.Poly(z + 1, *zs, domain="QQ") for z in zs]
+    poly = sympy.Poly(0, *zs, domain="QQ")
+    for e, c in terms.items():
+        term = sympy.Poly(
+            sympy.Rational(c.numerator, c.denominator), *zs, domain="QQ"
+        )
+        for lin, a, s in zip(shifted, e, shifts):
+            term *= lin ** (a - s)
+        poly += term
+    low = min(sum(m) for m in poly.monoms())
+    part = sorted(
+        (tuple(m), Fraction(int(c.p), int(c.q)))
+        for m, c in zip(poly.monoms(), poly.coeffs())
+        if sum(m) == low
+    )
+    denom = 1
+    for _, c in part:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    num = 0
+    for _, c in part:
+        num = gcd(num, int(c * denom))
+    scale = Fraction(denom, num) * (1 if part[0][1] > 0 else -1)
+    return {m: c * scale for m, c in part}

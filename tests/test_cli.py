@@ -1,6 +1,7 @@
 """The command-line interface, run in-process through main()."""
 
 import json
+import time
 
 import pytest
 
@@ -210,6 +211,51 @@ def test_precondition_errors_exit_2(tmp_path, capsys):
     code, out = run_cli(capsys, "cv", "witness", "--model", witness_file)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "precondition"
+
+
+HUGE_DEGREE = {
+    "n_vars": 1,
+    "terms": [
+        {"exponents": [1000000000], "coeff": "1"},
+        {"exponents": [0], "coeff": "-1"},
+    ],
+}
+
+
+def test_huge_exponent_tangent_cone_is_immediate(tmp_path, capsys):
+    poly = write_json(tmp_path, "f.json", HUGE_DEGREE)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "tcone", "--poly", poly)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["tc1"]["terms"] == [{"coeff": "1", "exponents": [1]}]
+    assert rep["tau1"]["trivial"] is True
+    assert rep["equal"] is True
+
+
+def test_oversized_inputs_exit_2(tmp_path, capsys):
+    poly = write_json(tmp_path, "f.json", HUGE_DEGREE)
+    code, out = run_cli(capsys, "linkcv", "--poly", poly)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "precondition" and "degree span" in err["message"]
+
+    chain = write_json(
+        tmp_path, "c.json", {"ranks": [1, 1], "boundaries": [[[HUGE_DEGREE]]]}
+    )
+    code, out = run_cli(capsys, "cvchain", "--chain", chain)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "precondition" and "degree span" in err["message"]
+
+    terms = [{"exponents": [k], "coeff": "1"} for k in range(1, 11)]
+    terms.append({"exponents": [0], "coeff": "-10"})
+    poly = write_json(tmp_path, "g.json", {"n_vars": 1, "terms": terms})
+    code, out = run_cli(capsys, "tcone", "--poly", poly)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "precondition" and "support too large" in err["message"]
 
 
 def test_parse_errors_exit_3(tmp_path, capsys):

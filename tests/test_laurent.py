@@ -1,10 +1,16 @@
 """Laurent-polynomial loci: exponential and classical tangent cones,
 link polynomials, rank-one chain complexes."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
+import pytest
+
 from jumploci.laurent import (
+    SUPPORT_LIMIT,
+    AdmissiblePartition,
     EquivariantChainComplex1,
     LaurentPolynomial,
     admissible_partitions,
@@ -14,9 +20,9 @@ from jumploci.laurent import (
     hypersurface_tc1,
     link_cv1,
 )
-from jumploci.qlinalg import RationalSubspace
+from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
 
-from oracles import random_laurent_terms, rg_partitions
+from oracles import random_laurent_terms, rg_partitions, tc1_sympy
 
 Q = Fraction
 
@@ -44,21 +50,71 @@ def test_json_round_trip():
     assert again == f
 
 
+def _zero_sum_free(f, block):
+    """No nonempty proper subset of the block has coefficient sum zero."""
+    for mask in range(1, (1 << len(block)) - 1):
+        if sum(f.terms[e] for i, e in enumerate(block) if mask >> i & 1) == 0:
+            return False
+    return True
+
+
+def _check_against_partition_oracle(f):
+    """admissible_partitions (all and finest) and exp_tangent_cone against
+    a filter over every set partition of the support."""
+    admissible = [
+        blocks
+        for blocks in rg_partitions(sorted(f.support()))
+        if all(sum(f.terms[e] for e in blk) == 0 for blk in blocks)
+    ]
+
+    def as_set(partitions):
+        return {frozenset(frozenset(blk) for blk in p) for p in partitions}
+
+    got = admissible_partitions(f)
+    assert as_set(p.blocks for p in got) == as_set(admissible)
+    finest = [p for p in admissible if all(_zero_sum_free(f, b) for b in p)]
+    got_finest = admissible_partitions(f, finest=True)
+    assert as_set(p.blocks for p in got_finest) == as_set(finest)
+    assert got_finest == [p for p in got if p in got_finest]
+    expect = SubspaceArrangement(
+        f.n_vars,
+        [AdmissiblePartition(f.n_vars, p).direction_subspace() for p in admissible],
+    )
+    assert exp_tangent_cone([f]) == expect
+
+
 def test_admissible_partitions_against_partition_oracle():
     rng = random.Random(13)
     for _ in range(25):
         n = rng.randint(1, 3)
-        f = P(n, random_laurent_terms(rng, n, 5))
-        support = sorted(f.support())
-        expect = set()
-        for blocks in rg_partitions(support):
-            if all(sum(f.terms[e] for e in blk) == 0 for blk in blocks):
-                expect.add(frozenset(frozenset(blk) for blk in blocks))
-        got = {
-            frozenset(frozenset(blk) for blk in p.blocks)
-            for p in admissible_partitions(f)
-        }
-        assert got == expect
+        _check_against_partition_oracle(P(n, random_laurent_terms(rng, n, 5)))
+    # small coefficients give many zero-sum blocks, and fractional ones
+    # exercise the scaling to integers
+    rng = random.Random(14)
+    for size in (7, 8, 9, 9, 10):
+        n = rng.randint(2, 4)
+        support = set()
+        while len(support) < size:
+            support.add(tuple(rng.randint(-2, 2) for _ in range(n)))
+        support = sorted(support)
+        unit = Q(1, rng.choice((1, 3)))
+        coeffs = [unit * rng.choice((-2, -1, 1, 2)) for _ in support[:-1]]
+        if sum(coeffs) == 0:
+            coeffs[0] += unit
+        coeffs.append(-sum(coeffs))
+        f = P(n, dict(zip(support, coeffs)))
+        assert len(f.support()) == size
+        _check_against_partition_oracle(f)
+
+
+def test_support_above_the_limit_is_refused():
+    terms = {(k,): Q(1) for k in range(1, SUPPORT_LIMIT + 1)}
+    f = P(1, {(0,): Q(-SUPPORT_LIMIT), **terms})
+    assert len(f.support()) == SUPPORT_LIMIT + 1 and f.value_at_one() == 0
+    with pytest.raises(ValueError, match="support too large"):
+        admissible_partitions(f)
+    with pytest.raises(ValueError, match="support too large"):
+        compare_tangent_cones(f)
 
 
 def test_chain_link_cones():
@@ -168,6 +224,57 @@ def test_chain_validation():
         assert False, "boundary shape mismatch must raise"
     except ValueError:
         pass
+
+
+def test_tc1_against_sympy_expansion():
+    t1m1 = P(2, {(1, 0): Q(1), (0, 0): Q(-1)})
+    t2m1 = P(2, {(0, 1): Q(1), (0, 0): Q(-1)})
+    cases = [
+        t1m1 * t1m1 * t1m1 * t1m1 * t1m1 * t2m1 * t2m1 * t2m1,
+        P(1, {(0,): Q(1)}),
+        P(1, {(-3,): Q(2, 3), (2,): Q(-2, 3)}),
+    ]
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        f = P(n, {(0,) * n: Q(rng.randint(1, 4), rng.randint(1, 3))})
+        for _ in range(rng.randint(1, 2)):
+            g = P(
+                n,
+                {
+                    tuple(rng.randint(-2, 2) for _ in range(n)): Q(
+                        rng.randint(-3, 3), rng.randint(1, 3)
+                    )
+                    for _ in range(rng.randint(1, 3))
+                },
+            )
+            g = g - g.value_at_one() if rng.random() < 0.7 else g
+            if g.is_zero():
+                continue
+            for _ in range(rng.randint(1, 3)):
+                f = f * g
+        cases.append(f)
+    for f in cases:
+        assert hypersurface_tc1(f).terms == tc1_sympy(f.n_vars, f.terms), f
+    assert hypersurface_tc1(cases[0]).terms == {(5, 3): Q(1)}
+
+
+def test_laurent_values_survive_pickle_and_deepcopy():
+    f = P(3, {(1, 0, 0): Q(1), (0, 1, -1): Q(2, 3), (1, 1, 0): Q(-5, 3)})
+    t = P(1, {(1,): Q(1), (0,): Q(-1)})
+    values = [
+        f,
+        P(2, {}),
+        admissible_partitions(f)[0],
+        link_cv1(f),
+        EquivariantChainComplex1((1, 1, 1), ([[t]], [[P(1, {})]])),
+    ]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+    twin = pickle.loads(pickle.dumps(f))
+    assert compare_tangent_cones(twin) == compare_tangent_cones(f)
 
 
 def test_tc1_of_a_product_multiplies_initial_forms():
