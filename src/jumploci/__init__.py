@@ -10,105 +10,66 @@ projective line arrangements (`arrangements`).  `fixtures` holds the
 worked examples; `cli` is the command-line front end.
 """
 
-from .aomoto import (
-    GradedAlgebraPresentation,
-    aomoto_betti,
-    quotient_exterior_algebra,
-    resonance_member,
-)
-from .arrangements import (
-    OracleError,
-    ProjLineArrangement,
-    braid_subarrangements,
-    local_components,
-    multiple_points,
-    omega_bounds,
-    os_algebra_deg2,
-    r1_arrangement,
-    r1_completeness_note,
-)
-from .cvmodel import (
-    CVModel,
-    TranslatedTorus,
-    classify_straightness,
-    model_tau1,
-    omega_exact_straight,
-    omega_member,
-    omega_upper_bound,
-    plucker2,
-    schubert_codim,
-    sigma_member,
-    strictness_witness,
-)
-from .fixtures import fixture_list, fixture_names, run_fixture
-from .laurent import (
-    EquivariantChainComplex1,
-    LaurentPolynomial,
-    LinkCV1,
-    admissible_partitions,
-    compare_tangent_cones,
-    cv_rank1_chain,
-    exp_tangent_cone,
-    hypersurface_tc1,
-    link_cv1,
-)
-from .qlinalg import RationalSubspace, SubspaceArrangement
-from .simplicial import SimplicialComplex, full_simplex
-from .toric import (
-    Graph,
-    raag_r1,
-    toric_cv,
-    toric_omega_member,
-    toric_resonance,
-)
+import importlib
+
+# Each public name and the submodule that defines it.  Submodules load on
+# first use, so a command-line run imports only the modules it needs.
+_EXPORTS = {
+    "GradedAlgebraPresentation": "aomoto",
+    "aomoto_betti": "aomoto",
+    "quotient_exterior_algebra": "aomoto",
+    "resonance_member": "aomoto",
+    "OracleError": "arrangements",
+    "ProjLineArrangement": "arrangements",
+    "braid_subarrangements": "arrangements",
+    "local_components": "arrangements",
+    "multiple_points": "arrangements",
+    "omega_bounds": "arrangements",
+    "os_algebra_deg2": "arrangements",
+    "r1_arrangement": "arrangements",
+    "r1_completeness_note": "arrangements",
+    "CVModel": "cvmodel",
+    "TranslatedTorus": "cvmodel",
+    "classify_straightness": "cvmodel",
+    "model_tau1": "cvmodel",
+    "omega_exact_straight": "cvmodel",
+    "omega_member": "cvmodel",
+    "omega_upper_bound": "cvmodel",
+    "plucker2": "cvmodel",
+    "schubert_codim": "cvmodel",
+    "sigma_member": "cvmodel",
+    "strictness_witness": "cvmodel",
+    "fixture_list": "fixtures",
+    "fixture_names": "fixtures",
+    "run_fixture": "fixtures",
+    "EquivariantChainComplex1": "laurent",
+    "LaurentPolynomial": "laurent",
+    "LinkCV1": "laurent",
+    "admissible_partitions": "laurent",
+    "compare_tangent_cones": "laurent",
+    "cv_rank1_chain": "laurent",
+    "exp_tangent_cone": "laurent",
+    "hypersurface_tc1": "laurent",
+    "link_cv1": "laurent",
+    "RationalSubspace": "qlinalg",
+    "SubspaceArrangement": "qlinalg",
+    "SimplicialComplex": "simplicial",
+    "full_simplex": "simplicial",
+    "Graph": "toric",
+    "raag_r1": "toric",
+    "toric_cv": "toric",
+    "toric_omega_member": "toric",
+    "toric_resonance": "toric",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GradedAlgebraPresentation",
-    "aomoto_betti",
-    "quotient_exterior_algebra",
-    "resonance_member",
-    "OracleError",
-    "ProjLineArrangement",
-    "braid_subarrangements",
-    "local_components",
-    "multiple_points",
-    "omega_bounds",
-    "os_algebra_deg2",
-    "r1_arrangement",
-    "r1_completeness_note",
-    "CVModel",
-    "TranslatedTorus",
-    "classify_straightness",
-    "model_tau1",
-    "omega_exact_straight",
-    "omega_member",
-    "omega_upper_bound",
-    "plucker2",
-    "schubert_codim",
-    "sigma_member",
-    "strictness_witness",
-    "fixture_list",
-    "fixture_names",
-    "run_fixture",
-    "EquivariantChainComplex1",
-    "LaurentPolynomial",
-    "LinkCV1",
-    "admissible_partitions",
-    "compare_tangent_cones",
-    "cv_rank1_chain",
-    "exp_tangent_cone",
-    "hypersurface_tc1",
-    "link_cv1",
-    "RationalSubspace",
-    "SubspaceArrangement",
-    "SimplicialComplex",
-    "full_simplex",
-    "Graph",
-    "raag_r1",
-    "toric_cv",
-    "toric_omega_member",
-    "toric_resonance",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    if name in _EXPORTS.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

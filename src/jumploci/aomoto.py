@@ -12,6 +12,7 @@ here every reported number is an exact rank count over Q.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -25,6 +26,7 @@ from .qlinalg import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class GradedAlgebraPresentation:
     """Dimensions c_0..c_k plus degree-one multiplication tensors.
 
@@ -39,10 +41,12 @@ class GradedAlgebraPresentation:
     and checks square-zero symbolically there (see `_compiled_form`).
     """
 
-    __slots__ = ("dims", "mult", "_compiled")
+    dims: tuple
+    mult: tuple = ()
+    _compiled: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __init__(self, dims, mult=()):
-        dims = tuple(int(c) for c in dims)
+    def __post_init__(self):
+        dims = tuple(int(c) for c in self.dims)
         if not dims or dims[0] != 1:
             raise ValueError("dims must start with c_0 = 1")
         if any(c < 0 for c in dims):
@@ -50,7 +54,7 @@ class GradedAlgebraPresentation:
         k = len(dims) - 1
         n = dims[1] if k >= 1 else 0
         tensors = []
-        mult = tuple(mult)
+        mult = tuple(self.mult)
         if len(mult) != max(k - 1, 0):
             raise ValueError(
                 f"need {max(k - 1, 0)} multiplication tensors for top degree {k}"
@@ -78,10 +82,6 @@ class GradedAlgebraPresentation:
                         )
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mult", tuple(tensors))
-        object.__setattr__(self, "_compiled", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GradedAlgebraPresentation is immutable")
 
     @property
     def top(self) -> int:
@@ -117,19 +117,6 @@ class GradedAlgebraPresentation:
             self.dims + (0,), self.mult + (zero_tensor,)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedAlgebraPresentation)
-            and self.dims == other.dims
-            and self.mult == other.mult
-        )
-
-    def __hash__(self):
-        return hash((self.dims, self.mult))
-
-    def __repr__(self):
-        return f"GradedAlgebraPresentation(dims={self.dims})"
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
@@ -157,6 +144,7 @@ class GradedAlgebraPresentation:
         return cls(dims, mult)
 
 
+@dataclass(frozen=True, slots=True)
 class AomotoEvaluation:
     """The complex of exact matrices at one rational point.
 
@@ -165,14 +153,12 @@ class AomotoEvaluation:
     checked symbolically, once, when it was first evaluated.
     """
 
-    __slots__ = ("point", "matrices")
+    point: tuple
+    matrices: tuple
 
-    def __init__(self, point, matrices):
-        object.__setattr__(self, "point", tuple(point))
-        object.__setattr__(self, "matrices", tuple(matrices))
-
-    def __setattr__(self, *_):
-        raise AttributeError("AomotoEvaluation is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "point", tuple(self.point))
+        object.__setattr__(self, "matrices", tuple(self.matrices))
 
 
 def _integer_point(alg: GradedAlgebraPresentation, a):

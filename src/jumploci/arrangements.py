@@ -16,6 +16,7 @@ arrangements rich enough in triple points; see r1_completeness_note.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .aomoto import aomoto_betti, quotient_exterior_algebra
@@ -38,6 +39,7 @@ class OracleError(Exception):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class ProjLineArrangement:
     """Lines in P^2, each given by a rational linear form (a, b, c).
 
@@ -45,11 +47,11 @@ class ProjLineArrangement:
     numbered 1..n in input order everywhere in this module.
     """
 
-    __slots__ = ("forms",)
+    forms: tuple
 
-    def __init__(self, forms):
+    def __post_init__(self):
         cleaned = []
-        for f in forms:
+        for f in self.forms:
             f = tuple(Q(x) for x in f)
             if len(f) != 3:
                 raise ValueError("each form needs exactly 3 coefficients")
@@ -62,21 +64,9 @@ class ProjLineArrangement:
                     raise ValueError(f"forms {i + 1} and {j + 1} are proportional")
         object.__setattr__(self, "forms", tuple(cleaned))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjLineArrangement is immutable")
-
     @property
     def n(self):
         return len(self.forms)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjLineArrangement) and self.forms == other.forms
-
-    def __hash__(self):
-        return hash(self.forms)
-
-    def __repr__(self):
-        return f"ProjLineArrangement(n={self.n})"
 
     def to_json(self):
         return [[str(x) for x in f] for f in self.forms]
@@ -86,38 +76,23 @@ class ProjLineArrangement:
         return cls([[Q(x) for x in f] for f in data])
 
 
+@dataclass(frozen=True, slots=True)
 class MultiplePoint:
     """An intersection point together with the (1-based) lines through it."""
 
-    __slots__ = ("point", "lines")
+    point: tuple
+    lines: tuple
 
-    def __init__(self, point, lines):
-        lines = tuple(sorted(lines))
+    def __post_init__(self):
+        lines = tuple(sorted(self.lines))
         if len(lines) < 2:
             raise ValueError("a multiple point lies on at least two lines")
-        object.__setattr__(self, "point", tuple(Q(x) for x in point))
+        object.__setattr__(self, "point", tuple(Q(x) for x in self.point))
         object.__setattr__(self, "lines", lines)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiplePoint is immutable")
 
     @property
     def multiplicity(self):
         return len(self.lines)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiplePoint)
-            and self.point == other.point
-            and self.lines == other.lines
-        )
-
-    def __hash__(self):
-        return hash((self.point, self.lines))
-
-    def __repr__(self):
-        pt = ":".join(str(x) for x in self.point)
-        return f"MultiplePoint([{pt}], lines={self.lines})"
 
 
 def _cross(f, g):
@@ -182,6 +157,7 @@ def _point_subspace(n, lines):
     return RationalSubspace.from_equations(n, eqs)
 
 
+@dataclass(frozen=True, slots=True)
 class BraidComponent:
     """A six-line sub-arrangement with the four-triple pattern and its subspace.
 
@@ -190,21 +166,15 @@ class BraidComponent:
     the 2-dimensional resonance component they span.
     """
 
-    __slots__ = ("lines", "pairs", "subspace")
+    lines: tuple
+    pairs: tuple
+    subspace: RationalSubspace
 
-    def __init__(self, lines, pairs, subspace):
-        object.__setattr__(self, "lines", tuple(sorted(lines)))
+    def __post_init__(self):
+        object.__setattr__(self, "lines", tuple(sorted(self.lines)))
         object.__setattr__(
-            self, "pairs", tuple(sorted(tuple(sorted(p)) for p in pairs))
+            self, "pairs", tuple(sorted(tuple(sorted(p)) for p in self.pairs))
         )
-        object.__setattr__(self, "subspace", subspace)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BraidComponent is immutable")
-
-    def __repr__(self):
-        pp = "|".join(f"{a}{b}" for a, b in self.pairs)
-        return f"BraidComponent(lines={self.lines}, pairs=({pp}))"
 
 
 def _braid_pattern(points, subset):

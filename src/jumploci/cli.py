@@ -12,43 +12,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .aomoto import GradedAlgebraPresentation, aomoto_betti, resonance_member
-from .arrangements import (
-    OracleError,
-    ProjLineArrangement,
-    multiple_points,
-    omega_bounds,
-    r1_arrangement,
-    r1_completeness_note,
-)
-from .cvmodel import (
-    CVModel,
-    TranslatedTorus,
-    classify_straightness,
-    omega_member,
-    strictness_witness,
-)
-from .fixtures import (
-    _point_json,
-    _poly_json,
-    _subspace_json,
-    _coord_json,
-    fixture_list,
-    run_fixture,
-)
-from .laurent import (
-    EquivariantChainComplex1,
-    LaurentPolynomial,
-    arrangement_to_json,
-    compare_tangent_cones,
-    cv_rank1_chain,
-    exp_tangent_cone,
-    link_cv1,
-)
-from .qlinalg import RationalSubspace, SubspaceArrangement
-from .simplicial import SimplicialComplex
-from .toric import toric_cv, toric_omega_member, toric_resonance
-
 Q = Fraction
 
 
@@ -81,6 +44,8 @@ def _structure(fn, data, what):
 
 
 def _parse_poly(data):
+    from .laurent import LaurentPolynomial
+
     if isinstance(data, dict):
         return LaurentPolynomial.from_json(data["terms"], data.get("n_vars"))
     return LaurentPolynomial.from_json(data)
@@ -96,12 +61,16 @@ def _parse_poly_or_list(data):
 
 
 def _parse_complex(data):
+    from .simplicial import SimplicialComplex
+
     if isinstance(data, dict):
         return SimplicialComplex(data.get("facets", ()), data.get("n"))
     return SimplicialComplex(data)
 
 
 def _parse_subspace(data):
+    from .qlinalg import RationalSubspace
+
     if isinstance(data, dict):
         basis = data.get("basis", [])
         n = data.get("n")
@@ -116,6 +85,8 @@ def _parse_subspace(data):
 
 
 def _parse_arrangement(data):
+    from .qlinalg import RationalSubspace, SubspaceArrangement
+
     n = int(data["n"])
     comps = [
         RationalSubspace.span(n, [[Q(x) for x in row] for row in c["basis"]])
@@ -125,6 +96,8 @@ def _parse_arrangement(data):
 
 
 def _parse_chain(data):
+    from .laurent import EquivariantChainComplex1
+
     ranks = data["ranks"]
     boundaries = []
     for mat in data.get("boundaries", []):
@@ -176,23 +149,31 @@ def _error_object(kind, message):
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each imports the modules it uses, so a run loads only those
 # ---------------------------------------------------------------------------
 
 
 def _cmd_toric_res(args):
+    from .fixtures import _coord_json
+    from .toric import toric_resonance
+
     k = _structure(_parse_complex, _load_json(args.complex), "simplicial complex")
     arr = toric_resonance(k, args.degree, args.depth)
     return {"degree": args.degree, "depth": args.depth, "resonance": _coord_json(arr)}
 
 
 def _cmd_toric_cv(args):
+    from .fixtures import _coord_json
+    from .toric import toric_cv
+
     k = _structure(_parse_complex, _load_json(args.complex), "simplicial complex")
     arr = toric_cv(k, args.degree, args.depth)
     return {"degree": args.degree, "depth": args.depth, "cv": _coord_json(arr)}
 
 
 def _cmd_toric_omega(args):
+    from .toric import toric_omega_member
+
     k = _structure(_parse_complex, _load_json(args.complex), "simplicial complex")
     plane = _structure(_parse_subspace, _load_json(args.plane), "plane")
     member = toric_omega_member(k, args.degree, args.r, plane)
@@ -200,6 +181,9 @@ def _cmd_toric_omega(args):
 
 
 def _cmd_tcone(args):
+    from .fixtures import _poly_json
+    from .laurent import arrangement_to_json, compare_tangent_cones, exp_tangent_cone
+
     polys = _structure(_parse_poly_or_list, _load_json(args.poly), "polynomial")
     if len(polys) == 1:
         rep = compare_tangent_cones(polys[0])
@@ -213,6 +197,9 @@ def _cmd_tcone(args):
 
 
 def _cmd_linkcv(args):
+    from .fixtures import _poly_json
+    from .laurent import link_cv1
+
     delta = _structure(_parse_poly, _load_json(args.poly), "polynomial")
     link = link_cv1(delta)
     report = link.to_json()
@@ -227,6 +214,9 @@ def _cmd_linkcv(args):
 
 
 def _cmd_cvchain(args):
+    from .fixtures import _poly_json
+    from .laurent import cv_rank1_chain
+
     chain = _structure(_parse_chain, _load_json(args.chain), "chain complex")
     w = cv_rank1_chain(chain, args.degree, args.depth)
     return {
@@ -237,6 +227,8 @@ def _cmd_cvchain(args):
 
 
 def _cmd_cv_classify(args):
+    from .cvmodel import CVModel, classify_straightness
+
     data = _load_json(args.model)
 
     def build(d):
@@ -252,12 +244,17 @@ def _cmd_cv_classify(args):
 
 
 def _cmd_cv_omega(args):
+    from .cvmodel import CVModel, omega_member
+
     model = _structure(CVModel.from_json, _load_json(args.model), "model")
     plane = _structure(_parse_subspace, _load_json(args.plane), "plane")
     return {"member": omega_member(model, plane)}
 
 
 def _cmd_cv_witness(args):
+    from .cvmodel import TranslatedTorus, strictness_witness
+    from .fixtures import _subspace_json
+
     data = _load_json(args.model)
 
     def build(d):
@@ -274,11 +271,17 @@ def _cmd_cv_witness(args):
 
 
 def _cmd_arr_points(args):
+    from .arrangements import ProjLineArrangement, multiple_points
+    from .fixtures import _point_json
+
     arr = _structure(ProjLineArrangement.from_json, _load_json(args.forms), "forms")
     return {"points": [_point_json(p) for p in multiple_points(arr)]}
 
 
 def _cmd_arr_res1(args):
+    from .arrangements import ProjLineArrangement, r1_arrangement, r1_completeness_note
+    from .laurent import arrangement_to_json
+
     arr = _structure(ProjLineArrangement.from_json, _load_json(args.forms), "forms")
     res = r1_arrangement(arr, seed=args.seed)
     report = arrangement_to_json(res)
@@ -288,11 +291,15 @@ def _cmd_arr_res1(args):
 
 
 def _cmd_arr_omega(args):
+    from .arrangements import ProjLineArrangement, omega_bounds
+
     arr = _structure(ProjLineArrangement.from_json, _load_json(args.forms), "forms")
     return {"r": args.r, "answer": omega_bounds(arr, args.r)}
 
 
 def _cmd_aomoto_betti(args):
+    from .aomoto import GradedAlgebraPresentation, aomoto_betti
+
     alg = _structure(
         GradedAlgebraPresentation.from_json, _load_json(args.algebra), "algebra"
     )
@@ -301,6 +308,8 @@ def _cmd_aomoto_betti(args):
 
 
 def _cmd_aomoto_member(args):
+    from .aomoto import GradedAlgebraPresentation, resonance_member
+
     alg = _structure(
         GradedAlgebraPresentation.from_json, _load_json(args.algebra), "algebra"
     )
@@ -310,10 +319,14 @@ def _cmd_aomoto_member(args):
 
 
 def _cmd_fixtures_list(args):
+    from .fixtures import fixture_list
+
     return {"fixtures": fixture_list()}
 
 
 def _cmd_fixtures_run(args):
+    from .fixtures import run_fixture
+
     return run_fixture(args.name, seed=args.seed)
 
 
@@ -337,11 +350,7 @@ def _common(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def build_parser():
-    parser = _Parser(prog="jumploci", description=__doc__)
-    top = parser.add_subparsers(dest="command", required=True)
-
-    toric = top.add_parser("toric", help="toric-complex jump loci")
+def _toric_parser(toric):
     tsub = toric.add_subparsers(dest="subcommand", required=True)
     p = tsub.add_parser("res", help="resonance arrangement")
     p.add_argument("--complex", required=True)
@@ -363,24 +372,28 @@ def build_parser():
     _common(p)
     p.set_defaults(handler=_cmd_toric_omega)
 
-    p = top.add_parser("tcone", help="tangent cones of a hypersurface in the torus")
+
+def _tcone_parser(p):
     p.add_argument("--poly", required=True)
     _common(p)
     p.set_defaults(handler=_cmd_tcone)
 
-    p = top.add_parser("linkcv", help="degree-1 locus from a link polynomial")
+
+def _linkcv_parser(p):
     p.add_argument("--poly", required=True)
     _common(p)
     p.set_defaults(handler=_cmd_linkcv)
 
-    p = top.add_parser("cvchain", help="order polynomial of a rank-1 chain complex")
+
+def _cvchain_parser(p):
     p.add_argument("--chain", required=True)
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--depth", type=int, default=1)
     _common(p)
     p.set_defaults(handler=_cmd_cvchain)
 
-    cv = top.add_parser("cv", help="presented locus models")
+
+def _cv_parser(cv):
     csub = cv.add_subparsers(dest="subcommand", required=True)
     p = csub.add_parser("classify", help="straightness conditions per degree")
     p.add_argument("--model", required=True)
@@ -397,7 +410,8 @@ def build_parser():
     _common(p)
     p.set_defaults(handler=_cmd_cv_witness)
 
-    arr = top.add_parser("arr", help="line arrangements")
+
+def _arr_parser(arr):
     asub = arr.add_subparsers(dest="subcommand", required=True)
     p = asub.add_parser("points", help="intersection points with multiplicities")
     p.add_argument("--forms", required=True)
@@ -413,7 +427,8 @@ def build_parser():
     _common(p)
     p.set_defaults(handler=_cmd_arr_omega)
 
-    aom = top.add_parser("aomoto", help="rank tests on a presented algebra")
+
+def _aomoto_parser(aom):
     osub = aom.add_subparsers(dest="subcommand", required=True)
     p = osub.add_parser("betti", help="cohomology rank at a point")
     p.add_argument("--algebra", required=True)
@@ -429,7 +444,8 @@ def build_parser():
     _common(p)
     p.set_defaults(handler=_cmd_aomoto_member)
 
-    fix = top.add_parser("fixtures", help="built-in worked examples")
+
+def _fixtures_parser(fix):
     fsub = fix.add_subparsers(dest="subcommand", required=True)
     p = fsub.add_parser("list", help="names and descriptions")
     _common(p)
@@ -439,12 +455,40 @@ def build_parser():
     _common(p)
     p.set_defaults(handler=_cmd_fixtures_run)
 
+
+# Top-level commands: name -> (help, function adding the command's arguments).
+_COMMANDS = {
+    "toric": ("toric-complex jump loci", _toric_parser),
+    "tcone": ("tangent cones of a hypersurface in the torus", _tcone_parser),
+    "linkcv": ("degree-1 locus from a link polynomial", _linkcv_parser),
+    "cvchain": ("order polynomial of a rank-1 chain complex", _cvchain_parser),
+    "cv": ("presented locus models", _cv_parser),
+    "arr": ("line arrangements", _arr_parser),
+    "aomoto": ("rank tests on a presented algebra", _aomoto_parser),
+    "fixtures": ("built-in worked examples", _fixtures_parser),
+}
+
+
+def build_parser(command=None):
+    """The full parser; with `command`, the other commands are left empty.
+
+    A command line that names a command is parsed, and any error or help
+    text printed, by that command's parsers alone, so leaving the others
+    empty changes no output and saves building them.
+    """
+    parser = _Parser(prog="jumploci", description=__doc__)
+    top = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fill) in _COMMANDS.items():
+        sub = top.add_parser(name, help=help_text)
+        if command in (None, name):
+            fill(sub)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         report = args.handler(args)
     except CliParseError as e:
@@ -452,7 +496,12 @@ def main(argv=None):
             json.dumps(_error_object("parse", e), sort_keys=True) + "\n"
         )
         return 3
-    except (ValueError, OracleError) as e:
+    except Exception as e:
+        # imported here so that runs which never touch arrangements skip it
+        from .arrangements import OracleError
+
+        if not isinstance(e, (ValueError, OracleError)):
+            raise
         sys.stdout.write(
             json.dumps(_error_object("precondition", e), sort_keys=True) + "\n"
         )

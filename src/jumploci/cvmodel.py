@@ -15,6 +15,7 @@ The model is trusted as a component decomposition; nothing here tries
 to verify irreducibility or redundancy of the given pieces.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -48,6 +49,7 @@ def _reduce_mod_lattice(vector):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class TranslatedTorus:
     """One positive-or-zero dimensional piece: direction subspace + translation.
 
@@ -55,17 +57,14 @@ class TranslatedTorus:
     [0, 1), so equal cosets compare equal.
     """
 
-    __slots__ = ("direction", "q")
+    direction: RationalSubspace
+    q: tuple
 
-    def __init__(self, direction: RationalSubspace, q):
-        q = _reduce_mod_lattice(q)
-        if len(q) != direction.n:
+    def __post_init__(self):
+        q = _reduce_mod_lattice(self.q)
+        if len(q) != self.direction.n:
             raise ValueError("translation vector length must match the ambient dimension")
-        object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TranslatedTorus is immutable")
 
     @property
     def n(self):
@@ -79,20 +78,6 @@ class TranslatedTorus:
         """True iff the piece contains the identity character, i.e. q in L + Z^n."""
         return coset_in_subspace_mod_lattice(self.q, self.direction)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TranslatedTorus)
-            and self.direction == other.direction
-            and self.q == other.q
-        )
-
-    def __hash__(self):
-        return hash((self.direction, self.q))
-
-    def __repr__(self):
-        qs = ", ".join(str(x) for x in self.q)
-        return f"TranslatedTorus(dim={self.dim}, q=({qs}))"
-
     def to_json(self):
         return {
             "direction": [[str(x) for x in row] for row in self.direction.basis],
@@ -105,6 +90,7 @@ class TranslatedTorus:
         return cls(direction, [Q(x) for x in data["q"]])
 
 
+@dataclass(frozen=True, slots=True)
 class CVModel:
     """A jump locus presented as translated subtori plus isolated points.
 
@@ -115,10 +101,13 @@ class CVModel:
     on a listed component.
     """
 
-    __slots__ = ("n", "components", "isolated_points")
+    n: int
+    components: tuple = ()
+    isolated_points: tuple = ()
 
-    def __init__(self, n, components=(), isolated_points=()):
-        components = tuple(components)
+    def __post_init__(self):
+        n = self.n
+        components = tuple(self.components)
         for c in components:
             if not isinstance(c, TranslatedTorus):
                 raise TypeError("components must be TranslatedTorus instances")
@@ -129,33 +118,12 @@ class CVModel:
         components = tuple(
             sorted(components, key=lambda c: (-c.dim, c.direction.basis, c.q))
         )
-        points = sorted({_reduce_mod_lattice(p) for p in isolated_points})
+        points = sorted({_reduce_mod_lattice(p) for p in self.isolated_points})
         for p in points:
             if len(p) != n:
                 raise ValueError("isolated point length must match the ambient dimension")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "isolated_points", tuple(points))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CVModel is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CVModel)
-            and self.n == other.n
-            and self.components == other.components
-            and self.isolated_points == other.isolated_points
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.components, self.isolated_points))
-
-    def __repr__(self):
-        return (
-            f"CVModel(n={self.n}, components={len(self.components)}, "
-            f"isolated={len(self.isolated_points)})"
-        )
 
     def to_json(self):
         return {

@@ -5,67 +5,18 @@ complex, an arrangement of lines, a locus model, a graded algebra),
 runs the relevant machinery, and returns a JSON-serializable report
 with exact rational values.  They serve both as executable
 documentation and as the data behind the command-line `fixtures`
-subcommand; the test suite pins their key numbers.
+subcommand; the test suite pins their key numbers.  Each runner imports
+the modules it uses, so running one example loads only those.
 """
 
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
-
-from .aomoto import (
-    aomoto_betti,
-    exterior_algebra,
-    quotient_exterior_algebra,
-    product_resonance,
-    resonance_member,
-    s1s2_algebra,
-    s1s2_resonance,
-    surface_algebra,
-    universal_aomoto,
-    wedge_resonance,
-)
-from .arrangements import (
-    ProjLineArrangement,
-    braid_subarrangements,
-    local_components,
-    multiple_points,
-    omega_bounds,
-    os_algebra_deg2,
-    r1_arrangement,
-    r1_completeness_note,
-)
-from .cvmodel import (
-    CVModel,
-    TranslatedTorus,
-    classify_straightness,
-    model_tau1,
-    omega_member,
-    omega_upper_bound,
-    plucker2,
-    schubert_codim,
-    sigma_member,
-    strictness_witness,
-)
-from .laurent import (
-    EquivariantChainComplex1,
-    LaurentPolynomial,
-    admissible_partitions,
-    arrangement_to_json,
-    compare_tangent_cones,
-    cv_rank1_chain,
-    link_cv1,
-)
-from .qlinalg import RationalSubspace, SubspaceArrangement
-from .simplicial import SimplicialComplex, full_simplex
-from .toric import (
-    Graph,
-    raag_r1,
-    toric_omega_member,
-    toric_resonance,
-)
 
 Q = Fraction
 
 
-def _subspace_json(s: RationalSubspace):
+def _subspace_json(s):
     return {
         "n": s.n,
         "dim": s.dim,
@@ -81,7 +32,7 @@ def _coord_json(arr):
     }
 
 
-def _poly_json(p: LaurentPolynomial):
+def _poly_json(p):
     return {"n_vars": p.n_vars, "terms": p.to_json()}
 
 
@@ -93,14 +44,14 @@ def _point_json(mp):
     }
 
 
+@dataclass
 class Fixture:
-    __slots__ = ("name", "modules", "description", "runner")
+    """A worked example: the modules it exercises and its report builder."""
 
-    def __init__(self, name, modules, description, runner):
-        self.name = name
-        self.modules = tuple(modules)
-        self.description = description
-        self.runner = runner
+    name: str
+    modules: tuple
+    description: str
+    runner: Callable
 
     def run(self, seed=0):
         report = self.runner(seed)
@@ -114,7 +65,7 @@ FIXTURES = {}
 
 def _fixture(name, modules, description):
     def register(fn):
-        FIXTURES[name] = Fixture(name, modules, description, fn)
+        FIXTURES[name] = Fixture(name, tuple(modules), description, fn)
         return fn
 
     return register
@@ -153,6 +104,13 @@ def run_fixture(name, seed=0):
     "the classical cone is a plane",
 )
 def _chain_link(seed):
+    from .laurent import (
+        LaurentPolynomial,
+        admissible_partitions,
+        arrangement_to_json,
+        compare_tangent_cones,
+    )
+
     f = LaurentPolynomial(
         3,
         {
@@ -182,6 +140,8 @@ def _chain_link(seed):
     "order-6 torsion characters",
 )
 def _trefoil(seed):
+    from .laurent import LaurentPolynomial, arrangement_to_json, link_cv1
+
     delta = LaurentPolynomial(1, {(2,): 1, (1,): -1, (0,): 1})
     link = link_cv1(delta)
     factors = link.root_factors()
@@ -210,6 +170,8 @@ def _trefoil(seed):
     "constant polynomial 1: empty hypersurface, locus reduced to the identity",
 )
 def _unknot(seed):
+    from .laurent import LaurentPolynomial, arrangement_to_json, link_cv1
+
     delta = LaurentPolynomial.constant(1, 1)
     link = link_cv1(delta)
     torsion = link.torsion_model()
@@ -227,6 +189,8 @@ def _unknot(seed):
     "t1*t2 - 1: both tangent cones equal the anti-diagonal line",
 )
 def _two_components(seed):
+    from .laurent import LaurentPolynomial, arrangement_to_json, compare_tangent_cones
+
     f = LaurentPolynomial(2, {(1, 1): 1, (0, 0): -1})
     rep = compare_tangent_cones(f)
     return {
@@ -244,6 +208,16 @@ def _two_components(seed):
     "rank-1 chain-complex family over f(t): 2-straight exactly when f'(1) != 0",
 )
 def _s1s2(seed):
+    from .aomoto import aomoto_betti, s1s2_algebra, s1s2_resonance, universal_aomoto
+    from .cvmodel import classify_straightness
+    from .laurent import (
+        EquivariantChainComplex1,
+        LaurentPolynomial,
+        arrangement_to_json,
+        cv_rank1_chain,
+        link_cv1,
+    )
+
     t_minus_1 = LaurentPolynomial(1, {(1,): 1, (0,): -1})
     zero = LaurentPolynomial.zero(1)
     family = {
@@ -295,6 +269,10 @@ def _s1s2(seed):
     "every plane is a member",
 )
 def _torus3(seed):
+    from .qlinalg import RationalSubspace
+    from .simplicial import full_simplex
+    from .toric import toric_omega_member, toric_resonance
+
     k = full_simplex(3)
     line = RationalSubspace.span(3, [(1, 1, 1)])
     plane = RationalSubspace.span(3, [(1, 0, 0), (0, 1, 0)])
@@ -315,6 +293,10 @@ def _torus3(seed):
     "rank-2 members do not",
 )
 def _path3(seed):
+    from .qlinalg import RationalSubspace
+    from .simplicial import SimplicialComplex
+    from .toric import Graph, raag_r1, toric_omega_member, toric_resonance
+
     k = SimplicialComplex([(1, 2), (2, 3)])
     g = Graph(3, [(1, 2), (2, 3)])
     res = toric_resonance(k, 1, 1)
@@ -335,6 +317,10 @@ def _path3(seed):
     "4-cycle graph: two opposite-pair resonance planes, connectivity 2",
 )
 def _cycle4(seed):
+    from .qlinalg import RationalSubspace
+    from .simplicial import SimplicialComplex
+    from .toric import Graph, raag_r1, toric_omega_member, toric_resonance
+
     edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
     k = SimplicialComplex(edges)
     g = Graph(4, edges)
@@ -361,6 +347,16 @@ def _cycle4(seed):
     "matched-pair component",
 )
 def _braid(seed):
+    from .arrangements import (
+        ProjLineArrangement,
+        braid_subarrangements,
+        local_components,
+        multiple_points,
+        os_algebra_deg2,
+        r1_arrangement,
+        r1_completeness_note,
+    )
+
     arr = ProjLineArrangement(
         [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1)]
     )
@@ -391,6 +387,16 @@ def _braid(seed):
     "its incidence hyperplane in line coordinates",
 )
 def _near_pencil(seed):
+    from .arrangements import (
+        ProjLineArrangement,
+        multiple_points,
+        omega_bounds,
+        os_algebra_deg2,
+        r1_arrangement,
+    )
+    from .cvmodel import plucker2, schubert_codim, sigma_member
+    from .qlinalg import RationalSubspace
+
     arr = ProjLineArrangement([(0, 1, 0), (0, 0, 1), (0, 1, -1), (1, 0, 0)])
     res = r1_arrangement(arr, seed=seed)
     comp = res.components[0]
@@ -429,6 +435,16 @@ def _near_pencil(seed):
     "five matched-pair components",
 )
 def _deleted_b3(seed):
+    from .arrangements import (
+        ProjLineArrangement,
+        braid_subarrangements,
+        local_components,
+        multiple_points,
+        os_algebra_deg2,
+        r1_arrangement,
+        r1_completeness_note,
+    )
+
     arr = ProjLineArrangement(
         [
             (1, 0, 0),
@@ -483,6 +499,14 @@ def _deleted_b3(seed):
     "three lines in general position: double points only, empty resonance",
 )
 def _generic3(seed):
+    from .arrangements import (
+        ProjLineArrangement,
+        multiple_points,
+        omega_bounds,
+        os_algebra_deg2,
+        r1_arrangement,
+    )
+
     arr = ProjLineArrangement([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     res = r1_arrangement(arr, seed=seed)
     return {
@@ -500,6 +524,9 @@ def _generic3(seed):
 
 
 def _straight_c_data():
+    from .cvmodel import CVModel, TranslatedTorus
+    from .qlinalg import RationalSubspace, SubspaceArrangement
+
     direction = RationalSubspace.span(2, [(0, 1)])
     component = TranslatedTorus(direction, (Q(1, 2), 0))
     model = CVModel(2, [component], [(0, 0)])
@@ -514,6 +541,15 @@ def _straight_c_data():
     "1-straight, and the resonance bound is strict",
 )
 def _straight_c(seed):
+    from .cvmodel import (
+        classify_straightness,
+        model_tau1,
+        omega_member,
+        omega_upper_bound,
+    )
+    from .laurent import arrangement_to_json
+    from .qlinalg import RationalSubspace
+
     model, res = _straight_c_data()
     plane = RationalSubspace.full(2)
     return {
@@ -532,6 +568,10 @@ def _straight_c(seed):
     "trivial locus against full-plane resonance: the matching condition fails",
 )
 def _heisenberg(seed):
+    from .cvmodel import CVModel, classify_straightness, omega_member, omega_upper_bound
+    from .laurent import arrangement_to_json
+    from .qlinalg import RationalSubspace, SubspaceArrangement
+
     model = CVModel(2, (), [(0, 0)])
     res = SubspaceArrangement(2, [RationalSubspace.full(2)])
     plane = RationalSubspace.span(2, [(1, 0)])
@@ -550,6 +590,15 @@ def _heisenberg(seed):
     "the whole torus as one untranslated component: straight in degree 1",
 )
 def _full_torus_model(seed):
+    from .cvmodel import (
+        CVModel,
+        TranslatedTorus,
+        classify_straightness,
+        omega_member,
+        sigma_member,
+    )
+    from .qlinalg import RationalSubspace, SubspaceArrangement
+
     model = CVModel(2, [TranslatedTorus(RationalSubspace.full(2), (0, 0))])
     res = SubspaceArrangement(2, [RationalSubspace.full(2)])
     plane = RationalSubspace.span(2, [(1, 1)])
@@ -567,6 +616,16 @@ def _full_torus_model(seed):
     "witness search in dimension 3: the plane spanned by e3 and (1/2,1,0)",
 )
 def _witness3(seed):
+    from .cvmodel import (
+        CVModel,
+        TranslatedTorus,
+        omega_member,
+        sigma_member,
+        strictness_witness,
+    )
+    from .laurent import arrangement_to_json
+    from .qlinalg import RationalSubspace, SubspaceArrangement
+
     component = TranslatedTorus(
         RationalSubspace.span(3, [(0, 0, 1)]), (Q(1, 2), 0, 0)
     )
@@ -595,6 +654,8 @@ def _witness3(seed):
     "exterior algebra on 3 generators: exact at every nonzero point",
 )
 def _koszul3(seed):
+    from .aomoto import aomoto_betti, exterior_algebra
+
     alg = exterior_algebra(3).padded()
     a = (Q(1), Q(2), Q(-1))
     zero = (Q(0),) * 3
@@ -611,6 +672,8 @@ def _koszul3(seed):
     "genus-2 surface algebra: depth jumps of size 2g-2 away from 0",
 )
 def _genus2(seed):
+    from .aomoto import aomoto_betti, resonance_member, surface_algebra
+
     alg = surface_algebra(2)
     a = (Q(1), Q(0), Q(0), Q(0))
     b = (Q(2), Q(3), Q(-1), Q(5))
@@ -631,6 +694,8 @@ def _genus2(seed):
     "point does not",
 )
 def _torus_config3(seed):
+    from .aomoto import aomoto_betti, quotient_exterior_algebra
+
     relations = [
         {(0, 3): 1, (0, 4): -1, (1, 3): -1, (1, 4): 1},
         {(0, 3): 1, (0, 5): -1, (2, 3): -1, (2, 5): 1},
@@ -653,6 +718,10 @@ def _torus_config3(seed):
     "everything in degree 2; a wedge fills degree 1 outright",
 )
 def _product_surfaces(seed):
+    from .aomoto import product_resonance, wedge_resonance
+    from .laurent import arrangement_to_json
+    from .qlinalg import RationalSubspace, SubspaceArrangement
+
     def surface_family(g):
         n = 2 * g
         full = SubspaceArrangement(n, [RationalSubspace.full(n)])

@@ -29,6 +29,7 @@ honest defining polynomials.  One-variable inputs whose degree span exceeds
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -45,6 +46,7 @@ SUPPORT_LIMIT = 10
 DEGREE_LIMIT = 1000
 
 
+@dataclass(frozen=True, slots=True)
 class LaurentPolynomial:
     """f = sum of c_a * t^a with a in Z^n and c_a a nonzero rational.
 
@@ -52,18 +54,20 @@ class LaurentPolynomial:
     coefficients are dropped on construction, so `terms` is the support.
     """
 
-    __slots__ = ("n_vars", "terms")
+    n_vars: int
+    terms: dict = ()
 
-    def __init__(self, n_vars, terms=()):
-        if n_vars < 0:
+    def __post_init__(self):
+        if self.n_vars < 0:
             raise ValueError("number of variables must be >= 0")
         clean = {}
+        terms = self.terms
         items = terms.items() if isinstance(terms, dict) else terms
         for expo, coeff in items:
             expo = tuple(int(e) for e in expo)
-            if len(expo) != n_vars:
+            if len(expo) != self.n_vars:
                 raise ValueError(
-                    f"exponent vector {expo} has length {len(expo)}, expected {n_vars}"
+                    f"exponent vector {expo} has length {len(expo)}, expected {self.n_vars}"
                 )
             c = qscalar(coeff)
             if c != 0:
@@ -72,14 +76,11 @@ class LaurentPolynomial:
                     clean[expo] = c
                 elif expo in clean:
                     del clean[expo]
-        object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
 
-    def __setattr__(self, *_):
-        raise AttributeError("LaurentPolynomial is immutable")
-
-    def __reduce__(self):
-        return (LaurentPolynomial, (self.n_vars, self.terms))
+    def __hash__(self):
+        # `terms` is a dict, so the generated hash would fail
+        return hash((self.n_vars, tuple(self.terms.items())))
 
     # -- basics ------------------------------------------------------------
 
@@ -156,27 +157,6 @@ class LaurentPolynomial:
             return other
         return LaurentPolynomial.constant(self.n_vars, other)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPolynomial)
-            and self.n_vars == other.n_vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n_vars, tuple(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPolynomial(0)"
-        bits = []
-        for expo, coeff in self.terms.items():
-            mono = "*".join(
-                f"t{i + 1}^{e}" for i, e in enumerate(expo) if e
-            )
-            bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
-        return "LaurentPolynomial(" + " + ".join(bits) + ")"
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
@@ -198,6 +178,7 @@ class LaurentPolynomial:
 # admissible partitions and the exponential tangent cone
 
 
+@dataclass(frozen=True, slots=True)
 class AdmissiblePartition:
     """A partition of the support into blocks, each with zero coefficient sum.
 
@@ -207,20 +188,14 @@ class AdmissiblePartition:
     makes the block sums cancel along the whole one-parameter subgroup.
     """
 
-    __slots__ = ("n_vars", "blocks")
+    n_vars: int
+    blocks: tuple
 
-    def __init__(self, n_vars, blocks):
+    def __post_init__(self):
         blk = tuple(
-            tuple(sorted(tuple(int(x) for x in a) for a in b)) for b in blocks
+            tuple(sorted(tuple(int(x) for x in a) for a in b)) for b in self.blocks
         )
-        object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "blocks", tuple(sorted(blk)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("AdmissiblePartition is immutable")
-
-    def __reduce__(self):
-        return (AdmissiblePartition, (self.n_vars, self.blocks))
 
     def direction_subspace(self) -> RationalSubspace:
         """Kernel of {(a - b) . z = 0 : a, b in a common block}."""
@@ -230,19 +205,6 @@ class AdmissiblePartition:
             for other in block[1:]:
                 eqs.append(tuple(x - y for x, y in zip(other, anchor)))
         return RationalSubspace.from_equations(self.n_vars, eqs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AdmissiblePartition)
-            and self.n_vars == other.n_vars
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n_vars, self.blocks))
-
-    def __repr__(self):
-        return f"AdmissiblePartition({list(map(list, self.blocks))})"
 
 
 def admissible_partitions(f: LaurentPolynomial, finest=False):
@@ -536,29 +498,18 @@ def compare_tangent_cones(f: LaurentPolynomial) -> dict:
 # rank-1 character varieties of link complements
 
 
+@dataclass(frozen=True, slots=True)
 class LinkCV1:
     """Degree-one jump locus of a link complement, presented by the
     multivariable Alexander polynomial: the hypersurface it cuts out,
     together with the identity character, which always belongs.
     """
 
-    __slots__ = ("delta", "n_vars")
+    delta: LaurentPolynomial
+    n_vars: int = field(init=False)
 
-    def __init__(self, delta: LaurentPolynomial):
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "n_vars", delta.n_vars)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LinkCV1 is immutable")
-
-    def __reduce__(self):
-        return (LinkCV1, (self.delta,))
-
-    def __eq__(self, other):
-        return isinstance(other, LinkCV1) and self.delta == other.delta
-
-    def __hash__(self):
-        return hash(self.delta)
+    def __post_init__(self):
+        object.__setattr__(self, "n_vars", self.delta.n_vars)
 
     def tau1(self) -> SubspaceArrangement:
         """Exponential tangent cone of the whole locus.  The identity
@@ -573,9 +524,6 @@ class LinkCV1:
             # the hypersurface is empty; only the identity remains
             return SubspaceArrangement(self.n_vars, ())
         return exp_tangent_cone([self.delta])
-
-    def contains_identity(self) -> bool:
-        return True
 
     def hypersurface_contains_identity(self) -> bool:
         return (not self.delta.is_constant()) and self.delta.value_at_one() == 0
@@ -737,6 +685,7 @@ def factor_one_variable(poly: LaurentPolynomial):
 # equivariant chain complexes over the one-variable Laurent ring
 
 
+@dataclass(frozen=True, slots=True)
 class EquivariantChainComplex1:
     """A finite free chain complex over Q[t, 1/t].
 
@@ -745,14 +694,15 @@ class EquivariantChainComplex1:
     boundaries must compose to zero.
     """
 
-    __slots__ = ("ranks", "boundaries")
+    ranks: tuple
+    boundaries: tuple
 
-    def __init__(self, ranks, boundaries):
-        ranks = tuple(int(r) for r in ranks)
+    def __post_init__(self):
+        ranks = tuple(int(r) for r in self.ranks)
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be nonnegative")
         mats = []
-        for i, mat in enumerate(boundaries):
+        for i, mat in enumerate(self.boundaries):
             rows = tuple(tuple(_as_poly1(x) for x in row) for row in mat)
             target, source = ranks[i], ranks[i + 1]
             if len(rows) != target or any(len(r) != source for r in rows):
@@ -768,21 +718,6 @@ class EquivariantChainComplex1:
                 raise ValueError(f"boundaries {i + 1} and {i + 2} do not compose to zero")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", tuple(mats))
-
-    def __setattr__(self, *_):
-        raise AttributeError("EquivariantChainComplex1 is immutable")
-
-    def __reduce__(self):
-        return (EquivariantChainComplex1, (self.ranks, self.boundaries))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EquivariantChainComplex1)
-            and (self.ranks, self.boundaries) == (other.ranks, other.boundaries)
-        )
-
-    def __hash__(self):
-        return hash((self.ranks, self.boundaries))
 
     def top(self):
         return len(self.ranks) - 1
@@ -825,14 +760,14 @@ def _minor_gcd(mat, k):
     polynomial, whose zero set is everything — there are no minors left to
     impose a condition.
     """
-    import sympy
-
     if k == 0:
         return LaurentPolynomial.constant(1, 1)
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     if k > nrows or k > ncols:
         return LaurentPolynomial.zero(1)
+    import sympy
+
     t = sympy.Symbol("t")
 
     def entry_expr(p):
@@ -900,12 +835,12 @@ def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPo
 
 
 def _poly1_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    import sympy
-
     if a.is_zero():
         return b
     if b.is_zero():
         return a
+    import sympy
+
     t = sympy.Symbol("t")
 
     def to_expr(p):

@@ -11,6 +11,7 @@ equal, so subspace equality is plain `==` on the objects.
 
 from __future__ import annotations
 
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -162,6 +163,7 @@ def _unit_row(n, j):
 # subspaces
 
 
+@dataclass(frozen=True, slots=True)
 class RationalSubspace:
     """A linear subspace of Q^n, stored as its RREF canonical basis.
 
@@ -169,22 +171,21 @@ class RationalSubspace:
     compare equal exactly when they are the same subspace of the same Q^n.
     """
 
-    __slots__ = ("n", "basis", "dim")
+    n: int
+    rows: InitVar[tuple] = ()
+    basis: tuple = field(init=False)
+    dim: int = field(init=False)
 
-    def __init__(self, n: int, rows=()):
-        if n < 0:
+    def __post_init__(self, rows):
+        if self.n < 0:
             raise ValueError("ambient dimension must be >= 0")
         mat = qmatrix(rows)
         for r in mat:
-            if len(r) != n:
-                raise ValueError(f"vector length {len(r)} != ambient dimension {n}")
+            if len(r) != self.n:
+                raise ValueError(f"vector length {len(r)} != ambient dimension {self.n}")
         red, _ = rref(mat)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", red)
         object.__setattr__(self, "dim", len(red))
-
-    def __setattr__(self, *_):
-        raise AttributeError("RationalSubspace is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -248,20 +249,6 @@ class RationalSubspace:
         if self.n != other.n:
             raise ValueError(f"ambient dimensions differ: {self.n} vs {other.n}")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalSubspace)
-            and self.n == other.n
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.basis))
-
-    def __repr__(self):
-        rows = ", ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.basis)
-        return f"RationalSubspace(n={self.n}, dim={self.dim}, basis=[{rows}])"
-
 
 def _pivot_col(row):
     for j, x in enumerate(row):
@@ -292,6 +279,7 @@ def intersection_dim(u: RationalSubspace, v: RationalSubspace) -> int:
 # arrangements (finite unions of subspaces)
 
 
+@dataclass(frozen=True, slots=True)
 class SubspaceArrangement:
     """A finite union of linear subspaces of Q^n, kept as the maximal members.
 
@@ -301,24 +289,21 @@ class SubspaceArrangement:
     Components contained in other components are pruned; order is canonical.
     """
 
-    __slots__ = ("n", "components")
+    n: int
+    components: tuple = ()
 
-    def __init__(self, n: int, components=()):
+    def __post_init__(self):
         comps = []
-        for c in components:
+        for c in self.components:
             if not isinstance(c, RationalSubspace):
                 raise TypeError("components must be RationalSubspace instances")
-            if c.n != n:
+            if c.n != self.n:
                 raise ValueError("component ambient dimension mismatch")
             if c.dim > 0:
                 comps.append(c)
         comps = _prune_maximal(comps)
         comps.sort(key=lambda s: (-s.dim, s.basis))
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "components", tuple(comps))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SubspaceArrangement is immutable")
 
     def is_trivial(self) -> bool:
         return not self.components
@@ -348,24 +333,11 @@ class SubspaceArrangement:
         ]
         return SubspaceArrangement(self.n, out)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubspaceArrangement)
-            and self.n == other.n
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.components))
-
     def __iter__(self):
         return iter(self.components)
 
     def __len__(self):
         return len(self.components)
-
-    def __repr__(self):
-        return f"SubspaceArrangement(n={self.n}, {len(self.components)} components)"
 
 
 def _prune_maximal(comps):

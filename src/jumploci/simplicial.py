@@ -12,9 +12,12 @@ the duration of one call.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
+
 from .qlinalg import rank_int
 
 
+@dataclass(frozen=True, slots=True)
 class SimplicialComplex:
     """A simplicial complex given by facets over the vertex universe {1..n}.
 
@@ -22,14 +25,17 @@ class SimplicialComplex:
     faces; homology sees only actual faces.
     """
 
-    __slots__ = ("n", "facets", "faces", "_key")
+    facets: tuple = ()
+    n: int | None = None
+    faces: frozenset = field(init=False, compare=False, repr=False)
 
-    def __init__(self, facets=(), n=None):
-        fs = [frozenset(f) for f in facets]
+    def __post_init__(self):
+        fs = [frozenset(f) for f in self.facets]
         for f in fs:
             for v in f:
                 if not isinstance(v, int) or v < 1:
                     raise ValueError(f"vertices must be positive integers, got {v!r}")
+        n = self.n
         if n is None:
             n = max((max(f) for f in fs if f), default=0)
         else:
@@ -46,23 +52,12 @@ class SimplicialComplex:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facets", tuple(uniq))
         object.__setattr__(self, "faces", frozenset(faces))
-        object.__setattr__(self, "_key", (n, tuple(uniq)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SimplicialComplex is immutable")
-
-    def __reduce__(self):
-        return (SimplicialComplex, (self.facets, self.n))
 
     def vertices(self) -> tuple:
         return tuple(sorted(set().union(*self.facets))) if self.facets else ()
 
     def has_face(self, sigma) -> bool:
         return frozenset(sigma) in self.faces
-
-    def is_empty(self) -> bool:
-        """True for the empty complex {∅} (no vertices at all)."""
-        return not self.facets
 
     def dim(self) -> int:
         """Dimension of the complex; -1 for the empty complex."""
@@ -80,16 +75,6 @@ class SimplicialComplex:
 
     def one_skeleton_edges(self):
         return tuple(sorted(tuple(sorted(f)) for f in self.faces if len(f) == 2))
-
-    def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        shown = [sorted(f) for f in self.facets]
-        return f"SimplicialComplex(n={self.n}, facets={shown})"
 
 
 def full_simplex(n: int) -> SimplicialComplex:

@@ -25,15 +25,10 @@ suite plays against the homological one.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .qlinalg import (
-    RationalSubspace,
-    SubspaceArrangement,
-    _int_rows,
-    coordinate_subspace,
-    rank_int,
-)
+from .qlinalg import RationalSubspace, _int_rows, rank_int
 from .simplicial import SimplicialComplex, link_faces, reduced_betti_faces
 
 
@@ -41,6 +36,7 @@ from .simplicial import SimplicialComplex, link_faces, reduced_betti_faces
 # coordinate arrangements
 
 
+@dataclass(frozen=True, slots=True)
 class CoordinateArrangement:
     """A union of coordinate subspaces of Q^n, stored as maximal vertex sets.
 
@@ -49,35 +45,27 @@ class CoordinateArrangement:
     the empty subset would otherwise be invisible.
     """
 
-    __slots__ = ("n", "subsets", "contains_origin")
+    n: int
+    subsets: tuple = ()
+    contains_origin: bool = True
 
-    def __init__(self, n: int, subsets=(), contains_origin: bool = True):
-        sets = []
-        for w in subsets:
+    def __post_init__(self):
+        masks = set()
+        for w in self.subsets:
             w = tuple(sorted(set(w)))
             if not w:
                 continue
-            if w[0] < 1 or w[-1] > n:
-                raise ValueError(f"subset {w} out of vertex range 1..{n}")
-            sets.append(w)
-        dedup = sorted(set(sets))
-        uniq = [
-            w for w in dedup if not any(set(w) < set(v) for v in dedup)
-        ]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "subsets", tuple(uniq))
-        object.__setattr__(self, "contains_origin", bool(contains_origin))
-
-    def __setattr__(self, *_):
-        raise AttributeError("CoordinateArrangement is immutable")
-
-    def __reduce__(self):
-        return (CoordinateArrangement, (self.n, self.subsets, self.contains_origin))
-
-    def to_subspaces(self) -> SubspaceArrangement:
-        return SubspaceArrangement(
-            self.n, [coordinate_subspace(self.n, w) for w in self.subsets]
-        )
+            if w[0] < 1 or w[-1] > self.n:
+                raise ValueError(f"subset {w} out of vertex range 1..{self.n}")
+            masks.add(sum(1 << (v - 1) for v in w))
+        # Largest sets first: a set is maximal when no maximal set kept so
+        # far contains it (w & ~v == 0); a set of equal size cannot.
+        maximal = []
+        for w in sorted(masks, key=int.bit_count, reverse=True):
+            if all(w & ~v for v in maximal):
+                maximal.append(w)
+        object.__setattr__(self, "subsets", tuple(sorted(map(_mask_to_subset, maximal))))
+        object.__setattr__(self, "contains_origin", bool(self.contains_origin))
 
     def meets_subspace(self, p: RationalSubspace) -> bool:
         """Does some coordinate piece meet P in dimension >= 1?
@@ -101,45 +89,31 @@ class CoordinateArrangement:
             return self.n
         return self.n - max(len(w) for w in self.subsets)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoordinateArrangement)
-            and self.n == other.n
-            and self.subsets == other.subsets
-            and self.contains_origin == other.contains_origin
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.subsets, self.contains_origin))
-
     def __iter__(self):
         return iter(self.subsets)
 
     def __len__(self):
         return len(self.subsets)
 
-    def __repr__(self):
-        shown = [list(w) for w in self.subsets]
-        return (
-            f"CoordinateArrangement(n={self.n}, subsets={shown}, "
-            f"contains_origin={self.contains_origin})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # graphs
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """A finite simple graph on {1..n} with bitmask adjacency."""
 
-    __slots__ = ("n", "edges", "adj")
+    n: int
+    edges: tuple = ()
+    adj: tuple = field(init=False, compare=False, repr=False)
 
-    def __init__(self, n: int, edges=()):
+    def __post_init__(self):
+        n = self.n
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         seen = set()
-        for e in edges:
+        for e in self.edges:
             a, b = e
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"edge {e} out of range 1..{n}")
@@ -150,32 +124,12 @@ class Graph:
         for a, b in seen:
             adj[a - 1] |= 1 << (b - 1)
             adj[b - 1] |= 1 << (a - 1)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         object.__setattr__(self, "adj", tuple(adj))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        return (Graph, (self.n, self.edges))
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
     @classmethod
     def from_one_skeleton(cls, k: SimplicialComplex) -> "Graph":
         return cls(k.n, k.one_skeleton_edges())
-
-    def to_complex(self) -> SimplicialComplex:
-        """The graph as a 1-dimensional complex with every vertex a face."""
-        facets = [(a, b) for a, b in self.edges]
-        covered = {v for e in self.edges for v in e}
-        facets += [(v,) for v in range(1, self.n + 1) if v not in covered]
-        return SimplicialComplex(facets, n=self.n)
 
     def is_complete(self) -> bool:
         full = (1 << self.n) - 1
@@ -198,15 +152,6 @@ class Graph:
             frontier = nxt & ~seen
             seen |= nxt
         return seen & mask == mask
-
-    def induced_disconnected(self, w) -> bool:
-        """Does the induced subgraph on W have >= 2 connected components?"""
-        mask = 0
-        for v in w:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} out of range")
-            mask |= 1 << (v - 1)
-        return mask != 0 and not self._connected_mask(mask)
 
     def connectivity(self) -> int:
         """Vertex connectivity: n-1 for complete graphs, 0 when disconnected,

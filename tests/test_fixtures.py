@@ -1,8 +1,11 @@
 """The worked-example registry: coverage, determinism, serializability."""
 
 import json
+from pathlib import Path
 
 from jumploci.fixtures import fixture_list, fixture_names, run_fixture
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 REQUIRED = {
     "chain-link",
@@ -44,3 +47,12 @@ def test_unknown_fixture_raises():
         assert False, "unknown names must raise"
     except ValueError as e:
         assert "no-such-example" in str(e)
+
+
+def test_reports_match_golden_output_byte_for_byte():
+    # each golden file is the recorded stdout of `jumploci fixtures run NAME`
+    paths = sorted(GOLDEN.glob("*.json"))
+    assert paths
+    for path in paths:
+        text = json.dumps(run_fixture(path.stem, seed=0), indent=2, sort_keys=True) + "\n"
+        assert text.encode() == path.read_bytes(), path.stem

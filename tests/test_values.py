@@ -1,0 +1,90 @@
+"""The value types: frozen, hashable, and unchanged by pickle and deepcopy."""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from jumploci.aomoto import aomoto_betti, aomoto_matrices, surface_algebra
+from jumploci.arrangements import (
+    ProjLineArrangement,
+    braid_subarrangements,
+    multiple_points,
+)
+from jumploci.cvmodel import CVModel, TranslatedTorus
+from jumploci.laurent import (
+    EquivariantChainComplex1,
+    LaurentPolynomial,
+    admissible_partitions,
+    compare_tangent_cones,
+    link_cv1,
+)
+from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
+from jumploci.simplicial import SimplicialComplex
+from jumploci.toric import CoordinateArrangement, Graph, toric_resonance
+
+Q = Fraction
+BRAID = ((1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1))
+
+
+def _values():
+    k = SimplicialComplex([(1, 2), (2, 3), (3, 4), (1, 4), (2, 4, 5)], 5)
+    f = LaurentPolynomial(3, {(1, 0, 0): Q(1), (0, 1, -1): Q(2, 3), (1, 1, 0): Q(-5, 3)})
+    t = LaurentPolynomial(1, {(1,): Q(1), (0,): Q(-1)})
+    line = RationalSubspace(2, [(1, 1)])
+    torus = TranslatedTorus(line, (Q(1, 2), Q(0)))
+    arr = ProjLineArrangement(BRAID)
+    alg = surface_algebra(2)
+    aomoto_betti(alg, (1, 0, 0, 0), 1)  # fills the compiled tensors
+    return {
+        "complex": k,
+        "empty complex": SimplicialComplex((), 0),
+        "graph": Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+        "toric resonance": toric_resonance(k, 1, 1),
+        "empty coordinate arrangement": CoordinateArrangement(3, [], contains_origin=False),
+        "polynomial": f,
+        "zero polynomial": LaurentPolynomial(2, {}),
+        "admissible partition": admissible_partitions(f)[0],
+        "link locus": link_cv1(f),
+        "chain complex": EquivariantChainComplex1(
+            (1, 1, 1), ([[t]], [[LaurentPolynomial(1, {})]])
+        ),
+        "subspace": line,
+        "subspace arrangement": SubspaceArrangement(2, [line, RationalSubspace(2, [(1, -1)])]),
+        "translated torus": torus,
+        "locus model": CVModel(2, [torus], [(Q(0), Q(0))]),
+        "line arrangement": arr,
+        "multiple point": multiple_points(arr)[0],
+        "braid component": braid_subarrangements(arr)[0],
+        "evaluated algebra": alg,
+        "aomoto evaluation": aomoto_matrices(alg, (1, 2, 0, Q(1, 3))),
+    }
+
+
+def test_value_types_are_frozen_and_survive_pickle_and_deepcopy():
+    values = _values()
+    assert len({type(v) for v in values.values()}) == 16
+    for name, value in values.items():
+        assert dataclasses.is_dataclass(value), name
+        assert type(value).__dataclass_params__.frozen, name
+        field = dataclasses.fields(value)[0].name
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value), name
+            assert twin == value and hash(twin) == hash(value), name
+    # the uncached computation on an unpickled complex gives the same locus
+    k = values["complex"]
+    twin = pickle.loads(pickle.dumps(k))
+    for i, d in ((1, 1), (2, 1), (2, 2)):
+        assert toric_resonance.__wrapped__(twin, i, d) == toric_resonance(k, i, d)
+    f = values["polynomial"]
+    assert compare_tangent_cones(pickle.loads(pickle.dumps(f))) == compare_tangent_cones(f)
+    # an evaluated presentation carries its compiled tensors across
+    alg = values["evaluated algebra"]
+    twin = pickle.loads(pickle.dumps(alg))
+    for a in ((1, 0, 0, 0), (0, 0, 0, 0), (1, 2, 3, Q(1, 2))):
+        for i in (0, 1):
+            assert aomoto_betti(twin, a, i) == aomoto_betti(alg, a, i)
