@@ -182,7 +182,8 @@ def _cmd_toric_omega(args):
 
 def _cmd_tcone(args):
     from .fixtures import _poly_json
-    from .laurent import arrangement_to_json, compare_tangent_cones, exp_tangent_cone
+    from .laurent import compare_tangent_cones, exp_tangent_cone
+    from .qlinalg import arrangement_to_json
 
     polys = _structure(_parse_poly_or_list, _load_json(args.poly), "polynomial")
     if len(polys) == 1:
@@ -280,7 +281,7 @@ def _cmd_arr_points(args):
 
 def _cmd_arr_res1(args):
     from .arrangements import ProjLineArrangement, r1_arrangement, r1_completeness_note
-    from .laurent import arrangement_to_json
+    from .qlinalg import arrangement_to_json
 
     arr = _structure(ProjLineArrangement.from_json, _load_json(args.forms), "forms")
     res = r1_arrangement(arr, seed=args.seed)

@@ -104,12 +104,8 @@ def run_fixture(name, seed=0):
     "the classical cone is a plane",
 )
 def _chain_link(seed):
-    from .laurent import (
-        LaurentPolynomial,
-        admissible_partitions,
-        arrangement_to_json,
-        compare_tangent_cones,
-    )
+    from .laurent import LaurentPolynomial, admissible_partitions, compare_tangent_cones
+    from .qlinalg import arrangement_to_json
 
     f = LaurentPolynomial(
         3,
@@ -140,7 +136,8 @@ def _chain_link(seed):
     "order-6 torsion characters",
 )
 def _trefoil(seed):
-    from .laurent import LaurentPolynomial, arrangement_to_json, link_cv1
+    from .laurent import LaurentPolynomial, link_cv1
+    from .qlinalg import arrangement_to_json
 
     delta = LaurentPolynomial(1, {(2,): 1, (1,): -1, (0,): 1})
     link = link_cv1(delta)
@@ -170,7 +167,8 @@ def _trefoil(seed):
     "constant polynomial 1: empty hypersurface, locus reduced to the identity",
 )
 def _unknot(seed):
-    from .laurent import LaurentPolynomial, arrangement_to_json, link_cv1
+    from .laurent import LaurentPolynomial, link_cv1
+    from .qlinalg import arrangement_to_json
 
     delta = LaurentPolynomial.constant(1, 1)
     link = link_cv1(delta)
@@ -189,7 +187,8 @@ def _unknot(seed):
     "t1*t2 - 1: both tangent cones equal the anti-diagonal line",
 )
 def _two_components(seed):
-    from .laurent import LaurentPolynomial, arrangement_to_json, compare_tangent_cones
+    from .laurent import LaurentPolynomial, compare_tangent_cones
+    from .qlinalg import arrangement_to_json
 
     f = LaurentPolynomial(2, {(1, 1): 1, (0, 0): -1})
     rep = compare_tangent_cones(f)
@@ -213,10 +212,10 @@ def _s1s2(seed):
     from .laurent import (
         EquivariantChainComplex1,
         LaurentPolynomial,
-        arrangement_to_json,
         cv_rank1_chain,
         link_cv1,
     )
+    from .qlinalg import arrangement_to_json
 
     t_minus_1 = LaurentPolynomial(1, {(1,): 1, (0,): -1})
     zero = LaurentPolynomial.zero(1)
@@ -547,8 +546,7 @@ def _straight_c(seed):
         omega_member,
         omega_upper_bound,
     )
-    from .laurent import arrangement_to_json
-    from .qlinalg import RationalSubspace
+    from .qlinalg import RationalSubspace, arrangement_to_json
 
     model, res = _straight_c_data()
     plane = RationalSubspace.full(2)
@@ -569,8 +567,7 @@ def _straight_c(seed):
 )
 def _heisenberg(seed):
     from .cvmodel import CVModel, classify_straightness, omega_member, omega_upper_bound
-    from .laurent import arrangement_to_json
-    from .qlinalg import RationalSubspace, SubspaceArrangement
+    from .qlinalg import RationalSubspace, SubspaceArrangement, arrangement_to_json
 
     model = CVModel(2, (), [(0, 0)])
     res = SubspaceArrangement(2, [RationalSubspace.full(2)])
@@ -623,8 +620,7 @@ def _witness3(seed):
         sigma_member,
         strictness_witness,
     )
-    from .laurent import arrangement_to_json
-    from .qlinalg import RationalSubspace, SubspaceArrangement
+    from .qlinalg import RationalSubspace, SubspaceArrangement, arrangement_to_json
 
     component = TranslatedTorus(
         RationalSubspace.span(3, [(0, 0, 1)]), (Q(1, 2), 0, 0)
@@ -719,8 +715,7 @@ def _torus_config3(seed):
 )
 def _product_surfaces(seed):
     from .aomoto import product_resonance, wedge_resonance
-    from .laurent import arrangement_to_json
-    from .qlinalg import RationalSubspace, SubspaceArrangement
+    from .qlinalg import RationalSubspace, SubspaceArrangement, arrangement_to_json
 
     def surface_family(g):
         n = 2 * g

@@ -22,8 +22,13 @@ identity live in this module:
 
 The module also evaluates rank-1 twisted homology for chain complexes over
 the one-variable Laurent ring, which is a PID, so determinantal gcds give
-honest defining polynomials.  One-variable inputs whose degree span exceeds
-`DEGREE_LIMIT` are refused before they reach sympy.
+honest defining polynomials, and factors one-variable polynomials into
+cyclotomic and other irreducible pieces.  Both run in exact Z[t]
+arithmetic: Bareiss determinants, primitive remainder sequences, and
+division by cyclotomic polynomials.  sympy is imported only to factor a
+non-cyclotomic remainder of degree 2 or more, and to split a multivariate
+tangent-cone form into linear factors.  One-variable inputs whose degree
+span exceeds `DEGREE_LIMIT` are refused.
 """
 
 from __future__ import annotations
@@ -36,13 +41,15 @@ from math import comb, gcd, lcm
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
+    arrangement_to_json,
     qscalar,
     qvector,
 )
 
 SUPPORT_LIMIT = 10
 # Largest degree span (top exponent minus bottom exponent) of a one-variable
-# polynomial handed to sympy; x^1000 - 1 factors in about half a second.
+# polynomial that is factored or enters a chain complex; x^1000 - 1 factors
+# in about half a second.
 DEGREE_LIMIT = 1000
 
 
@@ -495,6 +502,195 @@ def compare_tangent_cones(f: LaurentPolynomial) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# exact arithmetic in Z[t]
+#
+# A polynomial is a list of ints, the coefficient of t^i at index i, with no
+# trailing zeros; the zero polynomial is [].
+
+
+def _zt_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _zt_sub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _zt_trim(out)
+
+
+def _zt_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zt_divmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b, over Z.  Every step must
+    divide exactly by the leading coefficient of b, which holds when b is
+    monic or divides a."""
+    r = list(a)
+    lead, nb = b[-1], len(b)
+    q = [0] * max(len(r) - nb + 1, 0)
+    while len(r) >= nb:
+        c, m = divmod(r[-1], lead)
+        if m:
+            raise ArithmeticError("inexact division in Z[t]")
+        shift = len(r) - nb
+        q[shift] = c
+        for i, y in enumerate(b):
+            r[shift + i] -= c * y
+        _zt_trim(r)
+    return q, r
+
+
+def _zt_exact_div(a, b):
+    q, r = _zt_divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division in Z[t]")
+    return q
+
+
+def _zt_primitive(a):
+    """a divided by its content and by the sign of its leading coefficient;
+    [] stays []."""
+    if not a:
+        return []
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [x // g for x in a]
+
+
+def _zt_strip(a):
+    """a with every factor t removed."""
+    k = 0
+    while k < len(a) and not a[k]:
+        k += 1
+    return a[k:]
+
+
+def _zt_gcd(a, b):
+    """Primitive gcd of a and b (positive leading coefficient), by the
+    primitive polynomial remainder sequence; the content is dropped."""
+    a, b = _zt_primitive(a), _zt_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = list(a)
+        lead, nb = b[-1], len(b)
+        while len(r) >= nb:
+            c, shift = r[-1], len(r) - nb
+            r = [x * lead for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            _zt_trim(r)
+        a, b = b, _zt_primitive(r)
+    return a
+
+
+def _zt_det(mat):
+    """Determinant of a square matrix over Z[t] by Bareiss fraction-free
+    elimination: every division by the previous pivot is exact."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    negate, prev = False, [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    negate = not negate
+                    break
+            else:
+                return []
+        pivot, pivot_row = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row, lead = m[i], m[i][k]
+            for j in range(k + 1, n):
+                num = _zt_sub(_zt_mul(row[j], pivot), _zt_mul(lead, pivot_row[j]))
+                row[j] = _zt_exact_div(num, prev) if num else []
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return [-x for x in det] if negate else det
+
+
+def _zt_from_poly(poly: LaurentPolynomial):
+    """A nonzero one-variable polynomial, shifted by a unit to start at t^0
+    and scaled to coprime integers with positive leading coefficient."""
+    return _zt_primitive(_zt_rows([[poly]])[0][0])
+
+
+def _zt_rows(mat):
+    """Each row of a one-variable Laurent matrix, multiplied by one unit
+    c * t^s that puts all of its entries in Z[t] with coprime coefficients.
+    The row's minors change by units only, so no gcd of minors moves."""
+    out = []
+    for row in mat:
+        terms = [(e[0], c) for p in row for e, c in p.terms.items()]
+        if not terms:
+            out.append([[] for _ in row])
+            continue
+        low = min(e for e, _ in terms)
+        den = lcm(*(c.denominator for _, c in terms))
+        g = gcd(*(int(c * den) for _, c in terms))
+        ints = []
+        for p in row:
+            a = [0] * (max(e[0] for e in p.terms) - low + 1) if p.terms else []
+            for e, c in p.terms.items():
+                a[e[0] - low] = int(c * den) // g
+            ints.append(a)
+        out.append(ints)
+    return out
+
+
+def _zt_to_poly(a) -> LaurentPolynomial:
+    return LaurentPolynomial(1, {(i,): Fraction(c) for i, c in enumerate(a) if c})
+
+
+def _totient(k):
+    out, m, p = k, k, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
+# every k <= 300 with Phi_k of degree at most 12: the cyclotomic factors
+# that are recognized, and divided out before anything reaches sympy
+_CYCLOTOMIC_INDICES = tuple(k for k in range(1, 301) if _totient(k) <= 12)
+_PHI = {}
+
+
+def _zt_cyclotomic_index(a):
+    return next((k for k in _CYCLOTOMIC_INDICES if _cyclotomic(k) == a), None)
+
+
+def _cyclotomic(k):
+    """Phi_k in Z[t]: t^k - 1 divided by Phi_d for every proper divisor d of
+    k.  Memoised; k is at most 300, so the memo stays small."""
+    if k not in _PHI:
+        a = [-1] + [0] * (k - 1) + [1]
+        for d in range(1, k):
+            if k % d == 0:
+                a = _zt_exact_div(a, _cyclotomic(d))
+        _PHI[k] = a
+    return _PHI[k]
+
+
+# ---------------------------------------------------------------------------
 # rank-1 character varieties of link complements
 
 
@@ -578,29 +774,13 @@ def cyclotomic_index(poly: LaurentPolynomial):
     monomial unit), or None.  Recognition runs up to degree 12, which is
     plenty for the torsion orders that show up at this scale.
     """
-    import sympy
-
     if poly.n_vars != 1:
         raise ValueError("cyclotomic recognition needs one variable")
-    norm = _one_var_int_poly(poly)
-    deg = max(e[0] for e in norm.terms)
-    if deg == 0 or deg > 12:
-        return None
-    t = sympy.Symbol("t")
-    target = sum(
-        sympy.Rational(c.numerator, c.denominator) * t ** e[0]
-        for e, c in norm.terms.items()
-    )
-    for k in range(1, 301):
-        if sympy.totient(k) != deg:
-            continue
-        if sympy.expand(sympy.cyclotomic_poly(k, t) - target) == 0:
-            return k
-    return None
+    return _zt_cyclotomic_index(_zt_from_poly(poly))
 
 
 def _check_degree_span(poly: LaurentPolynomial):
-    """Refuse a one-variable polynomial too long for sympy to factor."""
+    """Refuse a one-variable polynomial too long to factor."""
     exps = [e[0] for e in poly.terms]
     span = max(exps) - min(exps) if exps else 0
     if span > DEGREE_LIMIT:
@@ -612,31 +792,32 @@ def _check_degree_span(poly: LaurentPolynomial):
 def _one_var_int_poly(poly: LaurentPolynomial) -> LaurentPolynomial:
     """Shift by a unit so exponents start at 0, then make the coefficients
     coprime integers with positive leading coefficient."""
-    shift = min(e[0] for e in poly.terms)
-    moved = LaurentPolynomial(
-        1, {(e[0] - shift,): c for e, c in poly.terms.items()}
-    )
-    return _normalize_homogeneous_any(moved, sign_from=max(moved.terms))
+    return _zt_to_poly(_zt_from_poly(poly))
 
 
-def _normalize_homogeneous_any(f, sign_from):
-    coeffs = list(f.terms.values())
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    g = 0
-    for c in coeffs:
-        g = gcd(g, int(c * denom_lcm))
-    scale = Fraction(denom_lcm, g)
-    if f.terms[sign_from] * scale < 0:
-        scale = -scale
-    return LaurentPolynomial(f.n_vars, {e: c * scale for e, c in f.terms.items()})
+def _factor_entry(a, mult, k):
+    return {
+        "factor": _zt_to_poly(a),
+        "multiplicity": mult,
+        "cyclotomic_index": k,
+        "torsion_points": (
+            [] if k is None else [Fraction(j, k) for j in range(k) if gcd(j, k) == 1]
+        ),
+    }
 
 
 def factor_one_variable(poly: LaurentPolynomial):
     """Irreducible factorization over Q of a one-variable Laurent
     polynomial (modulo monomial units), with cyclotomic factors named and
-    their torsion characters listed as fractions j/k in [0, 1)."""
+    their torsion characters listed as fractions j/k in [0, 1).
+
+    Every Phi_k of degree at most 12 is divided out exactly, as often as it
+    divides.  A remainder of degree 1 is irreducible as it stands; only a
+    remainder of degree 2 or more is handed to sympy.  sympy splits
+    t^n - 1 and t^n + 1 straight into cyclotomic factors, but would run its
+    general factor recombination on what is left of them after the
+    division, so such a binomial goes to sympy whole.
+    """
     if poly.n_vars != 1:
         raise ValueError("one variable expected")
     if poly.is_zero():
@@ -644,39 +825,30 @@ def factor_one_variable(poly: LaurentPolynomial):
     if poly.is_constant():
         return []
     _check_degree_span(poly)
-    import sympy
-
-    norm = _one_var_int_poly(poly)
-    t = sympy.Symbol("t")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * t ** e[0]
-        for e, c in norm.terms.items()
-    )
-    _, factors = sympy.factor_list(sympy.expand(expr))
+    whole = rest = _zt_from_poly(poly)
     out = []
-    for fac, mult in factors:
-        fpoly = sympy.Poly(fac, t)
-        coeffs = {
-            (int(m[0]),): Fraction(str(c))
-            for m, c in zip(fpoly.monoms(), fpoly.coeffs())
-        }
-        lp = LaurentPolynomial(1, coeffs)
-        if lp.is_constant():
-            continue
-        k = cyclotomic_index(lp)
-        torsion = []
-        if k is not None:
-            torsion = [
-                Fraction(j, k) for j in range(k) if gcd(j, k) == 1
-            ]
-        out.append(
-            {
-                "factor": lp,
-                "multiplicity": int(mult),
-                "cyclotomic_index": k,
-                "torsion_points": torsion,
-            }
-        )
+    for k in _CYCLOTOMIC_INDICES:
+        phi = _cyclotomic(k)
+        mult = 0
+        while len(rest) >= len(phi):
+            q, r = _zt_divmod(rest, phi)
+            if r:
+                break
+            rest, mult = q, mult + 1
+        if mult:
+            out.append(_factor_entry(phi, mult, k))
+    if len(rest) == 2:
+        out.append(_factor_entry(rest, 1, None))
+    elif len(rest) > 2:
+        import sympy
+
+        if abs(whole[0]) == whole[-1] == 1 and not any(whole[1:-1]):
+            out, rest = [], whole
+        t = sympy.Symbol("t")
+        _, factors = sympy.factor_list(sympy.Poly(rest[::-1], t))
+        for fac, mult in factors:
+            a = [int(c) for c in reversed(fac.all_coeffs())]
+            out.append(_factor_entry(a, int(mult), _zt_cyclotomic_index(a)))
     out.sort(key=lambda d: sorted(d["factor"].terms.items()))
     return out
 
@@ -758,7 +930,9 @@ def _minor_gcd(mat, k):
 
     k = 0 gives the unit 1; k larger than either dimension gives the zero
     polynomial, whose zero set is everything — there are no minors left to
-    impose a condition.
+    impose a condition.  Each row is first scaled by a unit into Z[t]; the
+    minors are Bareiss determinants there, stripped of factors t, and the
+    scan stops as soon as their gcd is a constant.
     """
     if k == 0:
         return LaurentPolynomial.constant(1, 1)
@@ -766,40 +940,15 @@ def _minor_gcd(mat, k):
     ncols = len(mat[0]) if mat else 0
     if k > nrows or k > ncols:
         return LaurentPolynomial.zero(1)
-    import sympy
-
-    t = sympy.Symbol("t")
-
-    def entry_expr(p):
-        return sum(
-            sympy.Rational(c.numerator, c.denominator) * t ** e[0]
-            for e, c in p.terms.items()
-        )
-
-    acc = sympy.Integer(0)
+    ints = _zt_rows(mat)
+    acc = []
     for rows in itertools.combinations(range(nrows), k):
         for cols in itertools.combinations(range(ncols), k):
-            m = sympy.Matrix(
-                [[entry_expr(mat[r][c]) for c in cols] for r in rows]
-            )
-            acc = sympy.gcd(acc, sympy.expand(m.det()))
-            if acc == 1:
+            det = _zt_det([[ints[r][c] for c in cols] for r in rows])
+            acc = _zt_gcd(acc, _zt_strip(det))
+            if len(acc) == 1:
                 return LaurentPolynomial.constant(1, 1)
-    return _sympy_to_poly1(acc)
-
-
-def _sympy_to_poly1(expr):
-    import sympy
-
-    t = sympy.Symbol("t")
-    if expr == 0:
-        return LaurentPolynomial.zero(1)
-    poly = sympy.Poly(sympy.expand(expr), t)
-    coeffs = {
-        (int(m[0]),): Fraction(str(c))
-        for m, c in zip(poly.monoms(), poly.coeffs())
-    }
-    return _one_var_int_poly(LaurentPolynomial(1, coeffs))
+    return _zt_to_poly(acc)
 
 
 def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPolynomial:
@@ -839,30 +988,4 @@ def _poly1_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
         return b
     if b.is_zero():
         return a
-    import sympy
-
-    t = sympy.Symbol("t")
-
-    def to_expr(p):
-        return sum(
-            sympy.Rational(c.numerator, c.denominator) * t ** e[0]
-            for e, c in p.terms.items()
-        )
-
-    return _sympy_to_poly1(sympy.gcd(to_expr(a), to_expr(b)))
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers shared with the command line
-
-
-def subspace_to_json(s: RationalSubspace):
-    return {"dim": s.dim, "basis": [[str(x) for x in row] for row in s.basis]}
-
-
-def arrangement_to_json(arr: SubspaceArrangement):
-    return {
-        "n": arr.n,
-        "components": [subspace_to_json(c) for c in arr.components],
-        "trivial": arr.is_trivial(),
-    }
+    return _zt_to_poly(_zt_gcd(_zt_from_poly(a), _zt_from_poly(b)))

@@ -272,7 +272,7 @@ def subspace_intersect(u: RationalSubspace, v: RationalSubspace) -> RationalSubs
 def intersection_dim(u: RationalSubspace, v: RationalSubspace) -> int:
     """dim(U n V) without building the intersection: dim U + dim V - dim(U+V)."""
     u._check_ambient(v)
-    return u.dim + v.dim - rank(u.basis + v.basis)
+    return u.dim + v.dim - rank_int(_int_rows(u.basis + v.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +338,18 @@ class SubspaceArrangement:
 
     def __len__(self):
         return len(self.components)
+
+
+def subspace_to_json(s: RationalSubspace):
+    return {"dim": s.dim, "basis": [[str(x) for x in row] for row in s.basis]}
+
+
+def arrangement_to_json(arr: SubspaceArrangement):
+    return {
+        "n": arr.n,
+        "components": [subspace_to_json(c) for c in arr.components],
+        "trivial": arr.is_trivial(),
+    }
 
 
 def _prune_maximal(comps):

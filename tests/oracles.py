@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own linear algebra:
 ranks come from sympy, coset membership from bounded brute-force search,
 partitions from restricted-growth strings, toric resonance from a sweep
-over every vertex subset.  The tests freeze expected
+over every vertex subset, one-variable factorizations, gcds and chain
+loci from sympy's polynomial arithmetic.  The tests freeze expected
 values computed by these slow oracles and then assert the fast code
 paths agree.
 """
@@ -266,3 +267,139 @@ def tc1_sympy(n, terms):
         num = gcd(num, int(c * denom))
     scale = Fraction(denom, num) * (1 if part[0][1] > 0 else -1)
     return {m: c * scale for m, c in part}
+
+
+# ---------------------------------------------------------------------------
+# one-variable polynomials by sympy
+
+
+def normalize_poly1(poly):
+    """Shift a nonzero one-variable Laurent polynomial to start at t^0 and
+    scale it to coprime integers with positive leading coefficient."""
+    from jumploci.laurent import LaurentPolynomial
+
+    shift = min(e[0] for e in poly.terms)
+    coeffs = {e[0] - shift: c for e, c in poly.terms.items()}
+    denom = 1
+    for c in coeffs.values():
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    num = 0
+    for c in coeffs.values():
+        num = gcd(num, int(c * denom))
+    scale = Fraction(denom, num) * (1 if coeffs[max(coeffs)] > 0 else -1)
+    return LaurentPolynomial(1, {(e,): c * scale for e, c in coeffs.items()})
+
+
+def _poly1_expr(poly, t):
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator) * t ** e[0]
+            for e, c in poly.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def _poly1_from_expr(expr):
+    from jumploci.laurent import LaurentPolynomial
+
+    t = sympy.Symbol("t")
+    if expr == 0:
+        return LaurentPolynomial.zero(1)
+    poly = sympy.Poly(sympy.expand(expr), t)
+    coeffs = {
+        (int(m[0]),): Fraction(str(c)) for m, c in zip(poly.monoms(), poly.coeffs())
+    }
+    return normalize_poly1(LaurentPolynomial(1, coeffs))
+
+
+def cyclotomic_index_sympy(poly):
+    """k with poly == Phi_k up to a scalar and a unit, for degree <= 12 and
+    k <= 300, by comparison with sympy.cyclotomic_poly; else None."""
+    norm = normalize_poly1(poly)
+    deg = max(e[0] for e in norm.terms)
+    if deg == 0 or deg > 12:
+        return None
+    t = sympy.Symbol("t")
+    target = _poly1_expr(norm, t)
+    for k in range(1, 301):
+        if sympy.totient(k) == deg and sympy.expand(sympy.cyclotomic_poly(k, t) - target) == 0:
+            return k
+    return None
+
+
+def factor_one_variable_sympy(poly):
+    """The report of laurent.factor_one_variable, by sympy.factor_list on the
+    whole polynomial."""
+    from jumploci.laurent import LaurentPolynomial
+
+    if poly.is_constant():
+        return []
+    t = sympy.Symbol("t")
+    _, factors = sympy.factor_list(sympy.expand(_poly1_expr(normalize_poly1(poly), t)))
+    out = []
+    for fac, mult in factors:
+        fpoly = sympy.Poly(fac, t)
+        lp = LaurentPolynomial(
+            1,
+            {
+                (int(m[0]),): Fraction(str(c))
+                for m, c in zip(fpoly.monoms(), fpoly.coeffs())
+            },
+        )
+        k = cyclotomic_index_sympy(lp)
+        out.append(
+            {
+                "factor": lp,
+                "multiplicity": int(mult),
+                "cyclotomic_index": k,
+                "torsion_points": (
+                    [] if k is None else [Fraction(j, k) for j in range(k) if gcd(j, k) == 1]
+                ),
+            }
+        )
+    out.sort(key=lambda d: sorted(d["factor"].terms.items()))
+    return out
+
+
+def poly1_gcd_sympy(a, b):
+    """Normalized gcd of two one-variable polynomials with nonnegative
+    exponents; a zero argument returns the other one unchanged."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    t = sympy.Symbol("t")
+    return _poly1_from_expr(sympy.gcd(_poly1_expr(a, t), _poly1_expr(b, t)))
+
+
+def minor_gcd_sympy(mat, k):
+    """Normalized gcd of the k x k minors (nonnegative exponents), each
+    minor a sympy determinant."""
+    from jumploci.laurent import LaurentPolynomial
+
+    if k == 0:
+        return LaurentPolynomial.constant(1, 1)
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    if k > nrows or k > ncols:
+        return LaurentPolynomial.zero(1)
+    t = sympy.Symbol("t")
+    acc = sympy.Integer(0)
+    for rows in itertools.combinations(range(nrows), k):
+        for cols in itertools.combinations(range(ncols), k):
+            m = sympy.Matrix([[_poly1_expr(mat[r][c], t) for c in cols] for r in rows])
+            acc = sympy.gcd(acc, sympy.expand(m.det()))
+    return _poly1_from_expr(acc)
+
+
+def cv_rank1_chain_sympy(chain, i, d):
+    """laurent.cv_rank1_chain from sympy minors and gcds."""
+    from jumploci.laurent import LaurentPolynomial
+
+    budget = chain.ranks[i] - d
+    result = LaurentPolynomial.constant(1, 1)
+    for r in range(budget + 1):
+        down = minor_gcd_sympy(chain.boundary(i), r + 1)
+        up = minor_gcd_sympy(chain.boundary(i + 1), budget - r + 1)
+        result = result * poly1_gcd_sympy(down, up)
+    return result if result.is_zero() else normalize_poly1(result)

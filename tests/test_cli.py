@@ -1,10 +1,14 @@
 """The command-line interface, run in-process through main()."""
 
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import jumploci
 from jumploci.cli import main
 
 
@@ -289,3 +293,78 @@ def test_round_trip_arrangement_output(tmp_path, capsys):
 
     arr = _parse_arrangement(rep)
     assert len(arr.components) == len(rep["components"])
+
+
+def _poly1(terms):
+    return {
+        "n_vars": 1,
+        "terms": [{"exponents": [e], "coeff": c} for e, c in terms],
+    }
+
+
+def test_cvchain_accepts_laurent_entries(tmp_path, capsys):
+    chain = write_json(
+        tmp_path,
+        "c.json",
+        {"ranks": [1, 1], "boundaries": [[[_poly1([(-1, "1"), (0, "-1")])]]]},
+    )
+    code, out = run_cli(capsys, "cvchain", "--chain", chain, "--degree", "0")
+    assert code == 0
+    assert json.loads(out)["w_polynomial"] == {
+        "n_vars": 1,
+        "terms": [
+            {"coeff": "-1", "exponents": [0]},
+            {"coeff": "1", "exponents": [1]},
+        ],
+    }
+
+
+def test_one_variable_commands_do_not_import_sympy(tmp_path):
+    # a lazy import of sympy costs about 0.2 s of start-up per process
+    t_minus_1 = _poly1([(1, "1"), (0, "-1")])
+    chain = write_json(
+        tmp_path,
+        "c.json",
+        {
+            "ranks": [2, 2],
+            "boundaries": [
+                [
+                    [t_minus_1, _poly1([(-1, "2")])],
+                    [_poly1([(0, "1/2")]), _poly1([(2, "1"), (0, "-1")])],
+                ]
+            ],
+        },
+    )
+    # Phi_1^2 * Phi_3 * Phi_12 = (t - 1)^2 (t^2 + t + 1)(t^4 - t^2 + 1)
+    product = write_json(
+        tmp_path,
+        "d.json",
+        _poly1(
+            [(8, "1"), (7, "-1"), (6, "-1"), (4, "2"), (2, "-1"), (1, "-1"),
+             (0, "1")]
+        ),
+    )
+    commands = [
+        ["fixtures", "run", "trefoil"],
+        ["fixtures", "run", "s1s2"],
+        ["cvchain", "--chain", chain, "--degree", "0"],
+        ["linkcv", "--poly", product],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from jumploci.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(jumploci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -4,25 +4,39 @@ link polynomials, rank-one chain complexes."""
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
+
+import sympy
 
 from jumploci.laurent import (
     SUPPORT_LIMIT,
     AdmissiblePartition,
     EquivariantChainComplex1,
     LaurentPolynomial,
+    _poly1_gcd,
     admissible_partitions,
     compare_tangent_cones,
     cv_rank1_chain,
+    cyclotomic_index,
     exp_tangent_cone,
+    factor_one_variable,
     hypersurface_tc1,
     link_cv1,
 )
 from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
 
-from oracles import random_laurent_terms, rg_partitions, tc1_sympy
+from oracles import (
+    cv_rank1_chain_sympy,
+    cyclotomic_index_sympy,
+    factor_one_variable_sympy,
+    poly1_gcd_sympy,
+    random_laurent_terms,
+    rg_partitions,
+    tc1_sympy,
+)
 
 Q = Fraction
 
@@ -283,3 +297,122 @@ def test_tc1_of_a_product_multiplies_initial_forms():
     prod = f * g
     tc = hypersurface_tc1(prod)
     assert tc.terms == {(1, 1): Q(1)}
+
+
+def _cyclotomic_poly1(k):
+    t = sympy.Symbol("t")
+    coeffs = sympy.Poly(sympy.cyclotomic_poly(k, t), t).all_coeffs()[::-1]
+    return P(1, {(i,): Q(int(c)) for i, c in enumerate(coeffs)})
+
+
+def _random_poly1(rng, top=3, lo=0):
+    """A nonzero one-variable polynomial with small, sometimes fractional,
+    coefficients and exponents in lo..top."""
+    while True:
+        f = P(
+            1,
+            {
+                (rng.randint(lo, top),): Q(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                for _ in range(rng.randint(1, 3))
+            },
+        )
+        if not f.is_zero():
+            return f
+
+
+def _factor_report(factors):
+    return [
+        (f["factor"].to_json(), f["multiplicity"], f["cyclotomic_index"], f["torsion_points"])
+        for f in factors
+    ]
+
+
+def test_factor_one_variable_against_sympy_oracle():
+    rng = random.Random(61)
+    phis = {k: _cyclotomic_poly1(k) for k in range(1, 25)}
+    for trial in range(160):
+        f = P(1, {(rng.randint(-3, 3),): Q(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice((1, -1))})
+        for _ in range(rng.randint(0, 3)):
+            f = f * phis[rng.randint(1, 24)]
+        if trial % 2:
+            for _ in range(rng.randint(1, 2)):
+                f = f * _random_poly1(rng)
+        if trial % 40 == 0:
+            f = f * phis[17] * phis[24]
+        got = factor_one_variable(f)
+        assert _factor_report(got) == _factor_report(factor_one_variable_sympy(f)), f
+        for fac in got:
+            assert cyclotomic_index(fac["factor"]) == cyclotomic_index_sympy(fac["factor"])
+    # t^n - 1 and t^n + 1, whose quotient after the small Phi_k is a
+    # product of large cyclotomic polynomials
+    for n in (6, 17, 30, 60):
+        for f in (P(1, {(n,): Q(1), (0,): Q(-1)}), P(1, {(n + 1,): Q(2), (1,): Q(2)})):
+            assert _factor_report(factor_one_variable(f)) == _factor_report(
+                factor_one_variable_sympy(f)
+            ), f
+    start = time.perf_counter()
+    assert len(factor_one_variable(P(1, {(1000,): Q(1), (0,): Q(-1)}))) == 16
+    assert time.perf_counter() - start < 10
+    for k, phi in phis.items():
+        shifted = phi * P(1, {(rng.randint(-4, 4),): Q(-2, 3)})
+        assert cyclotomic_index(shifted) == cyclotomic_index_sympy(shifted)
+        assert cyclotomic_index(shifted) == (k if k not in (17, 19, 23) else None)
+
+
+def test_poly1_gcd_against_sympy_oracle():
+    rng = random.Random(62)
+    for _ in range(120):
+        p = _random_poly1(rng)
+        a, b = _random_poly1(rng) * p, _random_poly1(rng) * p
+        assert _poly1_gcd(a, b) == poly1_gcd_sympy(a, b), (a, b)
+
+
+def _random_chain(rng, lo=0):
+    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+    common = _random_poly1(rng, top=2) if rng.random() < 0.5 else P(1, {(0,): Q(1)})
+    mat = [
+        [
+            P(1, {}) if rng.random() < 0.25 else _random_poly1(rng, top=2, lo=lo) * common
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    return EquivariantChainComplex1((rows, cols), (mat,))
+
+
+def test_rank_one_chain_against_sympy_oracle():
+    rng = random.Random(63)
+    for _ in range(60):
+        chain = _random_chain(rng)
+        for i in (0, 1):
+            for d in (1, 2):
+                expect = cv_rank1_chain_sympy(chain, i, d)
+                assert cv_rank1_chain(chain, i, d) == expect, (chain, i, d)
+
+
+def test_rank_one_chain_accepts_laurent_entries():
+    t_inv_minus_1 = P(1, {(-1,): Q(1), (0,): Q(-1)})
+    chain = EquivariantChainComplex1((1, 1), ([[t_inv_minus_1]],))
+    assert cv_rank1_chain(chain, 0, 1) == P(1, {(0,): Q(-1), (1,): Q(1)})
+    # negative exponents, different in each row, give the locus of the
+    # matrix whose rows are shifted by units into nonnegative exponents
+    rng = random.Random(64)
+    for _ in range(30):
+        chain = _random_chain(rng, lo=-2)
+        (mat,) = chain.boundaries
+        shifted = [
+            [x * P(1, {(2,): Q(1)}) for x in row] for row in mat
+        ]
+        twin = EquivariantChainComplex1(chain.ranks, (shifted,))
+        for i in (0, 1):
+            for d in (1, 2):
+                assert cv_rank1_chain(chain, i, d) == cv_rank1_chain_sympy(twin, i, d)
+    mat = [
+        [P(1, {(-2,): Q(1), (0,): Q(-1)}), P(1, {(-1,): Q(3)})],
+        [P(1, {(1,): Q(1, 2)}), P(1, {(3,): Q(1), (1,): Q(-1)})],
+    ]
+    chain = EquivariantChainComplex1((2, 2), (mat,))
+    # det = (t^-2 - 1)(t^3 - t) - 3/2 = -(t^4 - 2 t^2 + 3/2 t + 1) / t
+    assert cv_rank1_chain(chain, 0, 1) == P(
+        1, {(0,): Q(2), (1,): Q(3), (2,): Q(-4), (4,): Q(2)}
+    )

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from jumploci.qlinalg import (
     RationalSubspace,
@@ -21,6 +22,7 @@ from jumploci.qlinalg import (
 from oracles import (
     brute_coset_hits,
     in_span,
+    integer_rank,
     meets_rank,
     random_subspace_basis,
     random_vector,
@@ -87,6 +89,26 @@ def test_sum_and_intersection_dimensions_match_rank_oracle():
         w = subspace_intersect(u, v)
         assert w.dim == intersection_dim(u, v)
         assert u.contains_subspace(w) and v.contains_subspace(w)
+
+
+def test_intersection_dim_matches_integer_rank_with_fractional_rows():
+    rng = random.Random(17)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+
+        def span():
+            rows = [
+                [Q(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(rng.randint(0, n))
+            ]
+            return RationalSubspace.span(n, rows)
+
+        u, v = span(), span()
+        stacked = [
+            [x * lcm(*(y.denominator for y in row)) for x in row]
+            for row in u.basis + v.basis
+        ]
+        assert intersection_dim(u, v) == u.dim + v.dim - integer_rank(stacked)
 
 
 def test_contains_vector_matches_sympy():
