@@ -22,6 +22,7 @@ from .qlinalg import (
     qscalar,
     qvector,
     rank_int,
+    reduce_vector,
     rref,
 )
 
@@ -391,16 +392,7 @@ def quotient_exterior_algebra(n: int, relations) -> GradedAlgebraPresentation:
         rel_rows.append(row)
     red, pivots = rref(rel_rows)
     pivot_set = set(pivots)
-    quotient_pairs = [p for b, p in enumerate(pairs) if b not in pivot_set]
-    qindex = {p: b for b, p in enumerate(quotient_pairs)}
-
-    def reduce_pair_vector(vec):
-        vec = list(vec)
-        for row, piv in zip(red, pivots):
-            f = vec[piv]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return tuple(vec[pair_index[p]] for p in quotient_pairs)
+    kept = [b for b in range(len(pairs)) if b not in pivot_set]
 
     tensor = []
     for j in range(n):
@@ -410,9 +402,10 @@ def quotient_exterior_algebra(n: int, relations) -> GradedAlgebraPresentation:
             if j != l:
                 key = (min(j, l), max(j, l))
                 vec[pair_index[key]] = Fraction(1 if j < l else -1)
-            per_gen.append(reduce_pair_vector(vec))
+            vec = reduce_vector(vec, red)
+            per_gen.append(tuple(vec[b] for b in kept))
         tensor.append(tuple(per_gen))
-    dims = (1, n, len(quotient_pairs))
+    dims = (1, n, len(kept))
     return GradedAlgebraPresentation(dims, (tuple(tensor),))
 
 

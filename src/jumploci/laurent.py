@@ -36,12 +36,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import lru_cache
+from math import comb, gcd, prod
 
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
+    _primitive,
     arrangement_to_json,
+    primitive_integer_vector,
     qscalar,
     qvector,
 )
@@ -243,8 +246,7 @@ def admissible_partitions(f: LaurentPolynomial, finest=False):
         )
     if f.value_at_one() != 0:
         return []
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    coeffs = [int(c * scale) for c in f.terms.values()]
+    coeffs = _primitive(list(f.terms.values()))
     sums = [0] * (1 << s)
     for mask in range(1, 1 << s):
         low = mask & -mask
@@ -325,21 +327,8 @@ def _normalize_homogeneous(f: LaurentPolynomial) -> LaurentPolynomial:
     first term (in exponent order) is positive."""
     if f.is_zero():
         return f
-    coeffs = list(f.terms.values())
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [c * denom_lcm for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, int(c))
-    scale = Fraction(denom_lcm, g)
-    first = next(iter(f.terms.values()))
-    if first * scale < 0:
-        scale = -scale
-    return LaurentPolynomial(
-        f.n_vars, {e: c * scale for e, c in f.terms.items()}
-    )
+    ints = primitive_integer_vector(f.terms.values())
+    return LaurentPolynomial(f.n_vars, dict(zip(f.terms, ints)))
 
 
 def hypersurface_tc1(f: LaurentPolynomial) -> LaurentPolynomial:
@@ -360,10 +349,9 @@ def hypersurface_tc1(f: LaurentPolynomial) -> LaurentPolynomial:
         raise ValueError("tangent cone of the zero polynomial is undefined")
     n = f.n_vars
     shifts = [min(e[i] for e in f.terms) for i in range(n)]
-    scale = lcm(*(c.denominator for c in f.terms.values()))
     cleared = [
-        (tuple(e[i] - shifts[i] for i in range(n)), int(c * scale))
-        for e, c in f.terms.items()
+        (tuple(e[i] - shifts[i] for i in range(n)), c)
+        for e, c in zip(f.terms, _primitive(list(f.terms.values())))
     ]
     cap = 1
     while True:
@@ -639,13 +627,12 @@ def _zt_rows(mat):
             out.append([[] for _ in row])
             continue
         low = min(e for e, _ in terms)
-        den = lcm(*(c.denominator for _, c in terms))
-        g = gcd(*(int(c * den) for _, c in terms))
+        scaled = iter(_primitive([c for _, c in terms]))
         ints = []
         for p in row:
             a = [0] * (max(e[0] for e in p.terms) - low + 1) if p.terms else []
-            for e, c in p.terms.items():
-                a[e[0] - low] = int(c * den) // g
+            for e in p.terms:
+                a[e[0] - low] = next(scaled)
             ints.append(a)
         out.append(ints)
     return out
@@ -668,26 +655,62 @@ def _totient(k):
     return out
 
 
+def _totient_preimages(d):
+    """Every k >= 1 with phi(k) = d, in increasing order.
+
+    k is a product of prime powers p^e over distinct primes p with p - 1
+    dividing d, and phi(k) is the product of the p^(e-1) * (p - 1).  Each
+    partial product is kept with the part of d it leaves to account for.
+    """
+    partial = [(1, d)]
+    for p in (q + 1 for q in range(1, d + 1) if d % q == 0 and _totient(q + 1) == q):
+        for k, rest in list(partial):
+            if rest % (p - 1) == 0:
+                rest, power = rest // (p - 1), p
+                partial.append((k * power, rest))
+                while rest % p == 0:
+                    rest, power = rest // p, power * p
+                    partial.append((k * power, rest))
+    return sorted(k for k, rest in partial if rest == 1)
+
+
 # every k <= 300 with Phi_k of degree at most 12: the cyclotomic factors
-# that are recognized, and divided out before anything reaches sympy
+# that are divided out before anything reaches sympy
 _CYCLOTOMIC_INDICES = tuple(k for k in range(1, 301) if _totient(k) <= 12)
-_PHI = {}
 
 
 def _zt_cyclotomic_index(a):
-    return next((k for k in _CYCLOTOMIC_INDICES if _cyclotomic(k) == a), None)
+    """k with a == Phi_k, or None; a must be primitive with a positive
+    leading coefficient."""
+    if len(a) < 2 or a[-1] != 1 or abs(a[0]) != 1:
+        return None
+    return next((k for k in _totient_preimages(len(a) - 1) if _cyclotomic(k) == a), None)
 
 
+@lru_cache(maxsize=128)
 def _cyclotomic(k):
-    """Phi_k in Z[t]: t^k - 1 divided by Phi_d for every proper divisor d of
-    k.  Memoised; k is at most 300, so the memo stays small."""
-    if k not in _PHI:
-        a = [-1] + [0] * (k - 1) + [1]
-        for d in range(1, k):
-            if k % d == 0:
-                a = _zt_exact_div(a, _cyclotomic(d))
-        _PHI[k] = a
-    return _PHI[k]
+    """Phi_k in Z[t], from Phi_k = prod over d | k of (t^d - 1)^mu(k/d).
+
+    For k > 1 the signs cancel and the product equals that of the power
+    series (1 - t^d)^mu(k/d), which is computed only up to t^phi(k), the
+    degree of Phi_k.  The cache holds every k that `factor_one_variable`
+    divides by and a few more.
+    """
+    if k == 1:
+        return [-1, 1]
+    deg = _totient(k)
+    primes = [p for p in range(2, k + 1) if k % p == 0 and _totient(p) == p - 1]
+    a = [1] + [0] * deg
+    for r in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, r):
+            d = k // prod(chosen)
+            if r % 2:  # divide by 1 - t^d
+                for i in range(d, deg + 1):
+                    a[i] += a[i - d]
+            else:  # multiply by 1 - t^d
+                for i in range(deg, d - 1, -1):
+                    a[i] -= a[i - d]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -771,11 +794,12 @@ def cyclotomic_index(poly: LaurentPolynomial):
     """Recognize a one-variable polynomial as a cyclotomic polynomial.
 
     Returns the index k with poly == Phi_k (up to a rational scalar and a
-    monomial unit), or None.  Recognition runs up to degree 12, which is
-    plenty for the torsion orders that show up at this scale.
+    monomial unit), or None.  Only the k with phi(k) equal to the degree are
+    tried; a degree span above `DEGREE_LIMIT` is refused.
     """
     if poly.n_vars != 1:
         raise ValueError("cyclotomic recognition needs one variable")
+    _check_degree_span(poly)
     return _zt_cyclotomic_index(_zt_from_poly(poly))
 
 
@@ -813,7 +837,8 @@ def factor_one_variable(poly: LaurentPolynomial):
 
     Every Phi_k of degree at most 12 is divided out exactly, as often as it
     divides.  A remainder of degree 1 is irreducible as it stands; only a
-    remainder of degree 2 or more is handed to sympy.  sympy splits
+    remainder of degree 2 or more is handed to sympy, and each factor it
+    returns is checked against every Phi_k of the same degree.  sympy splits
     t^n - 1 and t^n + 1 straight into cyclotomic factors, but would run its
     general factor recombination on what is left of them after the
     division, so such a binomial goes to sympy whole.

@@ -7,6 +7,13 @@ whether a rational translation vector lands back in a subspace modulo Z^n.
 
 No floats anywhere.  Two subspaces are equal iff their canonical bases are
 equal, so subspace equality is plain `==` on the objects.
+
+Every rank, RREF and kernel over Q comes from one integer elimination
+kernel, `_echelon`: rows are scaled to primitive integer rows once, and
+`rank_int`, `rref` and `nullspace` read their answers off its echelon form.
+Two eliminations stay apart because they answer different questions:
+`hermite_reduce` uses only unimodular row operations, since the row lattice
+over Z must not change, and `laurent._zt_det` eliminates over Z[t].
 """
 
 from __future__ import annotations
@@ -44,54 +51,27 @@ def qmatrix(rows) -> tuple[tuple[Fraction, ...], ...]:
 # elimination
 
 
-def rref(rows):
-    """Reduced row-echelon form.
-
-    Returns (rows, pivots): the nonzero rows of the RREF as Fraction tuples
-    and the tuple of pivot column indices.  The input is not modified.
-    """
-    mat = [list(r) for r in qmatrix(rows)]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    out = tuple(tuple(row) for row in mat[:r])
-    return out, tuple(pivots)
+def _primitive(v):
+    """Scale a vector of ints or Fractions by a positive rational to coprime
+    integers; a zero vector stays zero."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
+def _echelon(rows):
+    """Forward elimination of integer rows: (echelon rows, pivot columns).
 
-
-def rank_int(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss-style) elimination.
-
-    Hot path for the exhaustive sweeps: plain int arithmetic, no Fraction
-    objects.  Rows may be any iterable of ints.
+    Zero rows are dropped.  Each pivot row clears the column below itself
+    by integer row combinations a*row - b*pivot_row with a, b the pivot and
+    entry divided by their gcd; rows above the pivot are left alone and no
+    row is rescaled, so entries stay exact and Fraction-free.
     """
     mat = [list(r) for r in rows if any(r)]
+    pivots = []
     if not mat:
-        return 0
+        return mat, pivots
     ncols = len(mat[0])
     rk = 0
     for c in range(ncols):
@@ -112,23 +92,46 @@ def rank_int(rows) -> int:
                 g = gcd(pv, v)
                 a, b = pv // g, v // g
                 mat[i] = [a * x - b * y for x, y in zip(row, prow)]
+        pivots.append(c)
         rk += 1
         if rk == len(mat):
             break
-    return rk
+    del mat[rk:]
+    return mat, pivots
 
 
-def _int_rows(rows):
-    """Scale Fraction rows to primitive integer rows (per-row scaling)."""
-    out = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r)) if r else 1
-        ints = [int(x * den) for x in r]
-        g = gcd(*ints) if any(ints) else 1
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+def rank_int(rows) -> int:
+    """Rank of an integer matrix: the pivot count of its forward elimination.
+
+    Rows may be any iterables of ints.
+    """
+    return len(_echelon(rows)[1])
+
+
+def rref(rows):
+    """Reduced row-echelon form.
+
+    Returns (rows, pivots): the nonzero rows of the RREF as Fraction tuples
+    and the tuple of pivot column indices.  The input is not modified.  The
+    rows are scaled to primitive integers once; after forward elimination,
+    each pivot row, bottom up, clears its column in the rows above by the
+    same integer combinations, and only then is each row divided by its
+    pivot.
+    """
+    mat, pivots = _echelon([_primitive(r) for r in qmatrix(rows)])
+    for k in range(len(pivots) - 1, 0, -1):
+        prow, c = mat[k], pivots[k]
+        pv = prow[c]
+        for i in range(k):
+            v = mat[i][c]
+            if v:
+                g = gcd(pv, v)
+                a, b = pv // g, v // g
+                mat[i] = [a * x - b * y for x, y in zip(mat[i], prow)]
+    out = tuple(
+        tuple(Q(x, row[c]) for x in row) for row, c in zip(mat, pivots)
+    )
+    return out, tuple(pivots)
 
 
 def nullspace(rows, ncols=None):
@@ -136,13 +139,13 @@ def nullspace(rows, ncols=None):
 
     `ncols` is required when `rows` is empty (the kernel is then all of Q^n).
     """
-    mat = qmatrix(rows)
-    if not mat:
+    rows = [tuple(r) for r in rows]
+    if not rows:
         if ncols is None:
             raise ValueError("ncols needed for an empty matrix")
         return tuple(_unit_row(ncols, j) for j in range(ncols))
-    n = len(mat[0])
-    red, pivots = rref(mat)
+    red, pivots = rref(rows)
+    n = len(rows[0])
     pivset = set(pivots)
     free = [j for j in range(n) if j not in pivset]
     basis = []
@@ -151,8 +154,19 @@ def nullspace(rows, ncols=None):
         v[j] = Q(1)
         for i, p in enumerate(pivots):
             v[p] = -red[i][j]
-        basis.append(tuple(v))
-    return rref(basis)[0] if basis else ()
+        basis.append(v)
+    return rref(basis)[0]
+
+
+def reduce_vector(v, rows):
+    """v minus its components along RREF rows: all zero exactly when v lies
+    in their span, and otherwise the same for every vector of v + span."""
+    v = list(v)
+    for row in rows:
+        f = v[next(j for j, x in enumerate(row) if x)]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
 
 
 def _unit_row(n, j):
@@ -179,11 +193,11 @@ class RationalSubspace:
     def __post_init__(self, rows):
         if self.n < 0:
             raise ValueError("ambient dimension must be >= 0")
-        mat = qmatrix(rows)
-        for r in mat:
+        rows = [tuple(r) for r in rows]
+        for r in rows:
             if len(r) != self.n:
                 raise ValueError(f"vector length {len(r)} != ambient dimension {self.n}")
-        red, _ = rref(mat)
+        red, _ = rref(rows)
         object.__setattr__(self, "basis", red)
         object.__setattr__(self, "dim", len(red))
 
@@ -204,7 +218,7 @@ class RationalSubspace:
     @classmethod
     def from_equations(cls, n, eqs):
         """Solution space of the homogeneous system eqs . x = 0."""
-        eqs = qmatrix(eqs)
+        eqs = [tuple(e) for e in eqs]
         for e in eqs:
             if len(e) != n:
                 raise ValueError("equation length mismatch")
@@ -213,15 +227,10 @@ class RationalSubspace:
     # -- predicates --------------------------------------------------------
 
     def contains_vector(self, v) -> bool:
-        v = list(qvector(v))
+        v = qvector(v)
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        for row in self.basis:
-            p = _pivot_col(row)
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        return not any(reduce_vector(v, self.basis))
 
     def contains_subspace(self, other: "RationalSubspace") -> bool:
         self._check_ambient(other)
@@ -241,20 +250,13 @@ class RationalSubspace:
 
     def integer_equations(self):
         """Primitive integer rows spanning the annihilator (defining equations)."""
-        return tuple(tuple(r) for r in _int_rows(self.annihilator().basis))
+        return tuple(tuple(_primitive(r)) for r in self.annihilator().basis)
 
     # -- plumbing ----------------------------------------------------------
 
     def _check_ambient(self, other):
         if self.n != other.n:
             raise ValueError(f"ambient dimensions differ: {self.n} vs {other.n}")
-
-
-def _pivot_col(row):
-    for j, x in enumerate(row):
-        if x != 0:
-            return j
-    raise ValueError("zero row has no pivot")
 
 
 def subspace_sum(u: RationalSubspace, v: RationalSubspace) -> RationalSubspace:
@@ -272,7 +274,7 @@ def subspace_intersect(u: RationalSubspace, v: RationalSubspace) -> RationalSubs
 def intersection_dim(u: RationalSubspace, v: RationalSubspace) -> int:
     """dim(U n V) without building the intersection: dim U + dim V - dim(U+V)."""
     u._check_ambient(v)
-    return u.dim + v.dim - rank_int(_int_rows(u.basis + v.basis))
+    return u.dim + v.dim - rank_int(_primitive(r) for r in u.basis + v.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +460,8 @@ def coset_in_subspace_mod_lattice(q, u: RationalSubspace) -> bool:
 
 def primitive_integer_vector(v):
     """Scale a rational vector to primitive integers, first nonzero positive."""
-    v = qvector(v)
-    if not any(v):
-        return tuple(0 for _ in v)
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
+    ints = _primitive(qvector(v))
+    if next((x for x in ints if x), 0) < 0:
         ints = [-x for x in ints]
     return tuple(ints)
 

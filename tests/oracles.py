@@ -27,6 +27,30 @@ def sympy_rank(rows):
     return m.rank()
 
 
+def rref_sympy(rows):
+    """(rows, pivots) of the reduced row-echelon form, zero rows dropped,
+    from sympy.Matrix.rref over the rationals."""
+    if not rows or not rows[0]:
+        return (), ()
+    red, pivots = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).rref()
+    out = tuple(
+        tuple(Q(str(x)) for x in red.row(i)) for i in range(len(pivots))
+    )
+    return out, tuple(pivots)
+
+
+def sympy_nullspace(rows, ncols):
+    """Canonical (RREF) basis of the kernel: sympy's nullspace basis,
+    brought to reduced row-echelon form by sympy again."""
+    if not rows or not rows[0]:
+        return rref_sympy([[int(i == j) for j in range(ncols)] for i in range(ncols)])[0]
+    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+    basis = m.nullspace()
+    if not basis:
+        return ()
+    return rref_sympy([list(v) for v in basis])[0]
+
+
 def integer_rank(rows):
     """Rank of a matrix with integer entries (ints or integral Fractions),
     by sympy's DomainMatrix over ZZ: the same rank as sympy_rank, faster."""
@@ -314,15 +338,16 @@ def _poly1_from_expr(expr):
 
 
 def cyclotomic_index_sympy(poly):
-    """k with poly == Phi_k up to a scalar and a unit, for degree <= 12 and
-    k <= 300, by comparison with sympy.cyclotomic_poly; else None."""
+    """k with poly == Phi_k up to a scalar and a unit, by comparison with
+    sympy.cyclotomic_poly; else None.  phi(k) >= sqrt(k / 2), so every k
+    with phi(k) equal to the degree is at most 2 * degree^2."""
     norm = normalize_poly1(poly)
     deg = max(e[0] for e in norm.terms)
-    if deg == 0 or deg > 12:
+    if deg == 0:
         return None
     t = sympy.Symbol("t")
     target = _poly1_expr(norm, t)
-    for k in range(1, 301):
+    for k in range(1, 2 * deg * deg + 1):
         if sympy.totient(k) == deg and sympy.expand(sympy.cyclotomic_poly(k, t) - target) == 0:
             return k
     return None

@@ -1,11 +1,15 @@
 """The worked-example registry: coverage, determinism, serializability."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import jumploci
 from jumploci.fixtures import fixture_list, fixture_names, run_fixture
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = PERFBENCH / "golden"
 
 REQUIRED = {
     "chain-link",
@@ -56,3 +60,33 @@ def test_reports_match_golden_output_byte_for_byte():
     for path in paths:
         text = json.dumps(run_fixture(path.stem, seed=0), indent=2, sort_keys=True) + "\n"
         assert text.encode() == path.read_bytes(), path.stem
+
+
+def test_benchmark_tracer_resolves_every_target():
+    # `perfbench/run.py --trace 1` wraps each (module, attribute) of
+    # spans.TARGETS; a renamed or deleted target must fail here.  The
+    # wrapping rebinds module attributes, so it runs in its own interpreter.
+    script = (
+        "import importlib, spans\n"
+        "def resolve(mod, attr):\n"
+        "    obj = importlib.import_module('jumploci.' + mod)\n"
+        "    for part in attr.split('.'):\n"
+        "        obj = vars(obj)[part]\n"
+        "    return getattr(obj, '__func__', obj)\n"
+        "before = [resolve(m, a) for m, a in spans.TARGETS]\n"
+        "spans.Tracer().install()\n"
+        "after = [resolve(m, a) for m, a in spans.TARGETS]\n"
+        "print(len(before), sum(x is not y for x, y in zip(before, after)))\n"
+    )
+    src = str(Path(jumploci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=PERFBENCH,
+        env={"PYTHONPATH": f"{PERFBENCH}:{src}"},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    total, wrapped = map(int, done.stdout.split())
+    assert total > 0 and wrapped == total

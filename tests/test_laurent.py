@@ -356,7 +356,24 @@ def test_factor_one_variable_against_sympy_oracle():
     for k, phi in phis.items():
         shifted = phi * P(1, {(rng.randint(-4, 4),): Q(-2, 3)})
         assert cyclotomic_index(shifted) == cyclotomic_index_sympy(shifted)
-        assert cyclotomic_index(shifted) == (k if k not in (17, 19, 23) else None)
+        assert cyclotomic_index(shifted) == k
+
+
+def test_cyclotomic_factors_of_every_degree_are_named():
+    # Phi_17 has degree 16: all of its 16 roots are torsion characters
+    report = link_cv1(_cyclotomic_poly1(17)).torsion_model()
+    assert report["nontorsion_factors"] == []
+    assert report["model"].isolated_points == tuple(
+        (Q(j, 17),) for j in range(17)
+    )
+    # degrees 16, 16 and 24, all above the exact divisions before sympy
+    f = _cyclotomic_poly1(48) * _cyclotomic_poly1(60) * _cyclotomic_poly1(84)
+    factors = factor_one_variable(f)
+    assert sorted(fac["cyclotomic_index"] for fac in factors) == [48, 60, 84]
+    for fac in factors:
+        assert fac["multiplicity"] == 1
+        assert len(fac["torsion_points"]) == max(e[0] for e in fac["factor"].terms)
+    assert cyclotomic_index(P(1, {(17,): Q(1), (0,): Q(-1)})) is None
 
 
 def test_poly1_gcd_against_sympy_oracle():

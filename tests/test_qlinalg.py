@@ -13,8 +13,10 @@ from jumploci.qlinalg import (
     in_row_lattice,
     intersection_dim,
     meets_nontrivially,
+    nullspace,
     primitive_integer_vector,
-    rank,
+    rank_int,
+    rref,
     subspace_intersect,
     subspace_sum,
 )
@@ -26,6 +28,8 @@ from oracles import (
     meets_rank,
     random_subspace_basis,
     random_vector,
+    rref_sympy,
+    sympy_nullspace,
     sympy_rank,
 )
 
@@ -41,7 +45,56 @@ def test_rank_matches_sympy_on_random_matrices():
         ]
         width = max(len(r) for r in rows)
         rows = [r + [Q(0)] * (width - len(r)) for r in rows]
-        assert rank(rows) == sympy_rank(rows)
+        scaled = [[int(x * lcm(*(y.denominator for y in r))) for x in r] for r in rows]
+        assert rank_int(scaled) == sympy_rank(rows)
+        assert len(rref(rows)[0]) == sympy_rank(rows)
+
+
+def _random_matrix(rng):
+    """Fractional entries, often zero, zero rows, duplicated rows and the
+    empty, wide and tall shapes."""
+    shape = rng.choice(("empty", "wide", "tall", "square"))
+    if shape == "empty":
+        return [[] for _ in range(rng.randint(0, 2))]
+    small, large = rng.randint(1, 3), rng.randint(4, 8)
+    nrows, ncols = {"wide": (small, large), "tall": (large, small)}.get(
+        shape, (small + 1, small + 1)
+    )
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.15:
+            rows.append([Q(0)] * ncols)
+        elif roll < 0.3 and rows:
+            rows.append([x * rng.choice((-2, 1, 3)) for x in rng.choice(rows)])
+        else:
+            rows.append([
+                Q(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.6 else Q(0)
+                for _ in range(ncols)
+            ])
+    return rows
+
+
+def test_rref_matches_sympy_canonical_form():
+    rng = random.Random(29)
+    for _ in range(300):
+        rows = _random_matrix(rng)
+        got_rows, got_pivots = rref(rows)
+        want_rows, want_pivots = rref_sympy(rows)
+        assert got_rows == want_rows and got_pivots == want_pivots
+        assert all(type(x) is Q for row in got_rows for x in row)
+    assert rref([]) == ((), ())
+
+
+def test_nullspace_matches_sympy_after_canonicalising():
+    rng = random.Random(31)
+    for _ in range(300):
+        rows = _random_matrix(rng)
+        ncols = len(rows[0]) if rows else rng.randint(0, 4)
+        got = nullspace(rows, ncols)
+        assert got == sympy_nullspace(rows, ncols)
+        for v in got:
+            assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
 
 
 def test_span_basis_is_canonical():
