@@ -40,13 +40,6 @@ def qvector(seq) -> tuple[Fraction, ...]:
     return tuple(qscalar(x) for x in seq)
 
 
-def qmatrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    out = tuple(qvector(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -112,13 +105,17 @@ def rref(rows):
     """Reduced row-echelon form.
 
     Returns (rows, pivots): the nonzero rows of the RREF as Fraction tuples
-    and the tuple of pivot column indices.  The input is not modified.  The
-    rows are scaled to primitive integers once; after forward elimination,
-    each pivot row, bottom up, clears its column in the rows above by the
-    same integer combinations, and only then is each row divided by its
-    pivot.
+    and the tuple of pivot column indices.  The input is not modified.
+    Entries may be ints, Fractions or anything qscalar accepts; only the
+    entries that are neither int nor Fraction are coerced.  The rows are
+    scaled to primitive integers once; after forward elimination, each
+    pivot row, bottom up, clears its column in the rows above by the same
+    integer combinations, and only then is each row divided by its pivot.
     """
-    mat, pivots = _echelon([_primitive(r) for r in qmatrix(rows)])
+    rows = [[x if isinstance(x, (int, Q)) else qscalar(x) for x in r] for r in rows]
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    mat, pivots = _echelon([_primitive(r) for r in rows])
     for k in range(len(pivots) - 1, 0, -1):
         prow, c = mat[k], pivots[k]
         pv = prow[c]
@@ -208,6 +205,16 @@ class RationalSubspace:
         return cls(n, vectors)
 
     @classmethod
+    def _canonical(cls, n, basis):
+        """The subspace whose RREF basis is already `basis` (as nullspace
+        returns it), without row-reducing it again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "basis", basis)
+        object.__setattr__(s, "dim", len(basis))
+        return s
+
+    @classmethod
     def zero(cls, n):
         return cls(n, ())
 
@@ -222,7 +229,7 @@ class RationalSubspace:
         for e in eqs:
             if len(e) != n:
                 raise ValueError("equation length mismatch")
-        return cls(n, nullspace(eqs, n))
+        return cls._canonical(n, nullspace(eqs, n))
 
     # -- predicates --------------------------------------------------------
 
@@ -246,7 +253,7 @@ class RationalSubspace:
 
     def annihilator(self) -> "RationalSubspace":
         """{y : y . b = 0 for every b in this subspace} — same ambient Q^n."""
-        return RationalSubspace(self.n, nullspace(self.basis, self.n))
+        return RationalSubspace._canonical(self.n, nullspace(self.basis, self.n))
 
     def integer_equations(self):
         """Primitive integer rows spanning the annihilator (defining equations)."""
@@ -268,7 +275,7 @@ def subspace_intersect(u: RationalSubspace, v: RationalSubspace) -> RationalSubs
     """Intersection via annihilators: ann(U n V) = ann(U) + ann(V)."""
     u._check_ambient(v)
     joined = u.annihilator().basis + v.annihilator().basis
-    return RationalSubspace(u.n, nullspace(joined, u.n))
+    return RationalSubspace._canonical(u.n, nullspace(joined, u.n))
 
 
 def intersection_dim(u: RationalSubspace, v: RationalSubspace) -> int:

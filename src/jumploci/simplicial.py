@@ -3,10 +3,13 @@
 A complex is stored by its facets (maximal faces); the face set is the
 downward closure and always contains the empty face.  The complex with no
 facets is the empty complex {∅}: its reduced Betti number in degree -1 is 1.
-Reduced Betti numbers are computed from augmented boundary matrices by exact
-integer rank computations on faces encoded as vertex bitmasks (bit v-1 for
-vertex v).  Nothing is cached here: the toric search keeps its own memo for
-the duration of one call.
+Reduced Betti numbers come from the ranks of the augmented boundary maps on
+faces encoded as vertex bitmasks (bit v-1 for vertex v).  The two lowest
+ranks are combinatorial: the augmentation has rank 1 when there is a vertex,
+and the vertex-edge map has rank V - c for c connected components.  Only the
+higher boundary matrices go through exact integer elimination.  Nothing is
+cached here: the toric search keeps its own memo for the duration of one
+call.
 """
 
 from __future__ import annotations
@@ -139,21 +142,61 @@ def reduced_betti(k: SimplicialComplex, i: int) -> int:
 def reduced_betti_faces(faces, i: int) -> int:
     """reduced_betti on a raw downward-closed face set of vertex bitmasks
     (the empty face 0 included), so that links need not be built as
-    complexes.  Each call ranks the two boundary matrices around degree i
-    afresh; callers that revisit the same link memoize it themselves.
+    complexes.
+
+    b̃_i = #i-faces - rank ∂_i - rank ∂_{i+1}.  rank ∂_0 and rank ∂_1 are
+    counted (1 if there is a vertex; vertices minus connected components),
+    so degrees -1 and 0 never eliminate and degree 1 eliminates only ∂_2.
+    Each call ranks afresh; callers that revisit the same link memoize it
+    themselves.
     """
     if i < -1:
         return 0
-    cells = [f for f in faces if f.bit_count() == i + 1]
+    by_size = [[] for _ in range(i + 3)]
+    for f in faces:
+        size = f.bit_count()
+        if size <= i + 2:
+            by_size[size].append(f)
+    cells = by_size[i + 1]
     if not cells:
         return 0
-    rank_down = 0
-    if i >= 0:
-        lower = [f for f in faces if f.bit_count() == i]
-        rank_down = rank_int(_boundary_matrix(lower, cells))
-    upper = [f for f in faces if f.bit_count() == i + 2]
-    rank_up = rank_int(_boundary_matrix(cells, upper))
+    rank_down = _boundary_rank(by_size, i) if i >= 0 else 0
+    rank_up = _boundary_rank(by_size, i + 1) if by_size[i + 2] else 0
     return len(cells) - rank_down - rank_up
+
+
+def _boundary_rank(by_size, k: int) -> int:
+    """Rank of the augmented boundary map ∂_k from the faces with k+1
+    vertices, by_size[k + 1], to those with k; by_size[k + 1] is nonempty."""
+    if k == 0:
+        return 1
+    if k == 1:
+        return len(by_size[1]) - _components(by_size[1], by_size[2])
+    return rank_int(_boundary_matrix(by_size[k], by_size[k + 1]))
+
+
+def _components(vertices, edges) -> int:
+    """Connected components of the graph on the vertex bitmasks `vertices`
+    with the two-bit masks `edges`, by breadth-first search on bitmasks."""
+    adj = dict.fromkeys(vertices, 0)
+    for e in edges:
+        low = e & -e
+        adj[low] |= e ^ low
+        adj[e ^ low] |= low
+    unseen = sum(vertices)
+    count = 0
+    while unseen:
+        count += 1
+        frontier = unseen & -unseen
+        while frontier:
+            unseen ^= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low]
+                frontier ^= low
+            frontier = reach & unseen
+    return count
 
 
 def link_faces(link, w: int) -> frozenset:

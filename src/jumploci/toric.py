@@ -313,16 +313,6 @@ def toric_cv(k: SimplicialComplex, i: int, d: int) -> CoordinateArrangement:
     return toric_resonance(k, i, d)
 
 
-def _cumulative_resonance(k: SimplicialComplex, i: int) -> CoordinateArrangement:
-    subsets = []
-    origin = False
-    for j in range(i + 1):
-        arr = toric_resonance(k, j, 1)
-        subsets.extend(arr.subsets)
-        origin = origin or arr.contains_origin
-    return CoordinateArrangement(k.n, subsets, contains_origin=origin)
-
-
 def toric_omega_member(
     k: SimplicialComplex, i: int, r: int, p: RationalSubspace
 ) -> bool:
@@ -341,4 +331,4 @@ def toric_omega_member(
         raise ValueError("plane ambient dimension differs from the vertex count")
     if p.dim != r:
         raise ValueError(f"subspace has dimension {p.dim}, expected rank {r}")
-    return not _cumulative_resonance(k, i).meets_subspace(p)
+    return not any(toric_resonance(k, j, 1).meets_subspace(p) for j in range(i + 1))

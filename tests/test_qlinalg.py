@@ -1,8 +1,11 @@
 """Rational linear algebra against sympy and brute force."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
+
+import pytest
 
 from jumploci.qlinalg import (
     RationalSubspace,
@@ -86,6 +89,47 @@ def test_rref_matches_sympy_canonical_form():
     assert rref([]) == ((), ())
 
 
+def _as_other_exact_type(rng, x):
+    """x as an int, bool or 'p/q' string where it can be, else a Fraction."""
+    kinds = ["fraction", "string"]
+    if x.denominator == 1:
+        kinds.append("int")
+    if x in (0, 1):
+        kinds.append("bool")
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return int(x)
+    if kind == "bool":
+        return bool(x)
+    if kind == "string":
+        return f"{x.numerator}/{x.denominator}"
+    return x
+
+
+def test_rref_takes_mixed_exact_entries():
+    rng = random.Random(37)
+    for _ in range(200):
+        rows = _random_matrix(rng)
+        mixed = [[_as_other_exact_type(rng, x) for x in r] for r in rows]
+        got_rows, got_pivots = rref(mixed)
+        assert (got_rows, got_pivots) == rref_sympy(rows) == rref(rows)
+        assert all(type(x) is Q for row in got_rows for x in row)
+    assert rref([[True, 2, "1/2"], [Q(1, 3), False, "-2"]]) == rref_sympy(
+        [[1, 2, Q(1, 2)], [Q(1, 3), 0, -2]]
+    )
+
+
+def test_rref_rejects_floats_and_ragged_rows():
+    with pytest.raises(TypeError):
+        rref([[1, 0.5]])
+    with pytest.raises(TypeError):
+        rref([[1, 2], [Q(1, 2), 3.0]])
+    with pytest.raises(ValueError):
+        rref([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        rref([["1/2"], [1, Q(2)]])
+
+
 def test_nullspace_matches_sympy_after_canonicalising():
     rng = random.Random(31)
     for _ in range(300):
@@ -119,6 +163,22 @@ def test_annihilator_is_an_involution():
         for row in ann.basis:
             for vec in u.basis:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+def test_subspaces_built_from_a_nullspace_equal_their_rebuilt_span():
+    # from_equations, annihilator and subspace_intersect keep the nullspace
+    # basis without reducing it again; it must already be canonical
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        u = RationalSubspace.span(n, random_subspace_basis(rng, n, rng.randint(0, n)))
+        v = RationalSubspace.span(n, random_subspace_basis(rng, n, rng.randint(0, n)))
+        eqs = random_subspace_basis(rng, n, rng.randint(0, n))
+        for s in (u.annihilator(), subspace_intersect(u, v), RationalSubspace.from_equations(n, eqs)):
+            rebuilt = RationalSubspace.span(n, s.basis)
+            assert (s.n, s.basis, s.dim) == (rebuilt.n, rebuilt.basis, rebuilt.dim)
+            assert s == rebuilt and hash(s) == hash(rebuilt)
+            assert pickle.loads(pickle.dumps(s)) == s
 
 
 def test_from_equations_matches_annihilator():

@@ -9,17 +9,19 @@ from jumploci.simplicial import (
     full_simplex,
     induced,
     link_in_induced,
+    link_faces,
     reduced_betti,
     reduced_betti_all,
+    reduced_betti_faces,
 )
 
 from oracles import all_complexes, simplicial_betti_sympy
 
 
-def _faces_by_dim(k):
-    top = k.dim()
+def _faces_by_dim(faces):
+    top = max(len(f) for f in faces) - 1
     return [
-        sorted(tuple(sorted(f)) for f in k.faces if len(f) == d + 1)
+        sorted(tuple(sorted(f)) for f in faces if len(f) == d + 1)
         for d in range(top + 1)
     ]
 
@@ -49,10 +51,58 @@ def test_known_betti_numbers():
 def test_betti_matches_sympy_exhaustively_small():
     for n in range(0, 5):
         for k in all_complexes(n, SimplicialComplex):
-            expect = simplicial_betti_sympy(_faces_by_dim(k))
+            expect = simplicial_betti_sympy(_faces_by_dim(k.faces))
             got = reduced_betti_all(k)
             for d, b in expect.items():
                 assert got.get(d, 0) == b, (k, d)
+
+
+def _random_complex(rng, n):
+    """Random facets of one to four vertices on n vertices.  Some vertices
+    stay isolated, and half the complexes are split into two vertex blocks
+    that no face joins."""
+    verts = list(range(1, n + 1))
+    rng.shuffle(verts)
+    isolated = verts[: rng.randint(0, 2)]
+    rest = verts[len(isolated):]
+    cut = rng.randint(2, len(rest) - 2) if rng.random() < 0.5 else len(rest)
+    facets = [(v,) for v in isolated]
+    for block in (rest[:cut], rest[cut:]):
+        for _ in range(rng.randint(0, 2 * len(block))):
+            facets.append(rng.sample(block, rng.randint(1, min(4, len(block)))))
+    return SimplicialComplex(facets, n)
+
+
+def test_betti_matches_sympy_on_random_complexes():
+    rng = random.Random(4111)
+    complexes = [SimplicialComplex((), 7)]
+    complexes += [_random_complex(rng, rng.randint(6, 12)) for _ in range(60)]
+    assert any(k.dim() == 3 for k in complexes)
+    for k in complexes:
+        expect = simplicial_betti_sympy(_faces_by_dim(k.faces))
+        for d in range(-1, k.dim() + 2):
+            assert reduced_betti(k, d) == expect.get(d, 0), (k, d)
+
+
+def test_link_betti_matches_sympy_the_way_the_toric_search_asks():
+    # lk_{K_W}(sigma) built from lk_K(sigma) as toric_resonance builds it,
+    # against the link taken from the face sets directly
+    rng = random.Random(4127)
+    for _ in range(80):
+        n = rng.randint(6, 10)
+        k = _random_complex(rng, n)
+        faces = k.face_masks()
+        sigma = rng.choice([f for f in faces if f.bit_count() <= 2])
+        link = tuple(f ^ sigma for f in faces if f & sigma == sigma)
+        w = sum(1 << v for v in range(n) if not sigma >> v & 1 and rng.random() < 0.7)
+        sigma_set = frozenset(v + 1 for v in range(n) if sigma >> v & 1)
+        w_set = frozenset(v + 1 for v in range(n) if w >> v & 1)
+        expect = simplicial_betti_sympy(_faces_by_dim(
+            [f - sigma_set for f in k.faces if sigma_set <= f and f - sigma_set <= w_set]
+        ))
+        sub = link_faces(link, w)
+        for deg in range(-1, 3):
+            assert reduced_betti_faces(sub, deg) == expect.get(deg, 0), (k, sigma, w, deg)
 
 
 def test_euler_characteristic_is_alternating_sum():

@@ -18,7 +18,7 @@ from jumploci.toric import (
     toric_resonance,
 )
 
-from oracles import all_complexes, random_subspace_basis, toric_resonance_sweep
+from oracles import all_complexes, meets_rank, random_subspace_basis, toric_resonance_sweep
 
 Q = Fraction
 
@@ -155,6 +155,34 @@ def test_search_matches_sweep_on_random_complexes():
             k = _random_complex(rng, n, dim)
             for i, d in ((1, 1), (1, 2), (2, 3), (3, 2)):
                 _agrees_with_sweep(k, i, d)
+
+
+def test_cover_membership_matches_the_sweeps_of_every_lower_degree():
+    rng = random.Random(2011)
+    answers = set()
+    for n, dim in ((5, 2), (6, 2), (6, 3)):
+        k = _random_complex(rng, n, dim)
+        for i in (0, 1, 2):
+            pieces = [w for j in range(i + 1) for w in toric_resonance_sweep(k, j, 1)[0]]
+            for r in (1, 2, 3):
+                for _ in range(6):
+                    # a plane inside a random coordinate subspace, so that
+                    # both answers occur
+                    support = sorted(rng.sample(range(n), rng.randint(r, n)))
+                    basis = []
+                    for row in random_subspace_basis(rng, len(support), r):
+                        vec = [0] * n
+                        for j, x in zip(support, row):
+                            vec[j] = x
+                        basis.append(vec)
+                    expect = not any(
+                        meets_rank(basis, [[int(j + 1 == v) for j in range(n)] for v in w], n)
+                        for w in pieces
+                    )
+                    p = RationalSubspace.span(n, basis)
+                    assert toric_omega_member(k, i, r, p) is expect, (k, i, basis)
+                    answers.add(expect)
+    assert answers == {True, False}
 
 
 def test_search_shortcuts():
