@@ -7,7 +7,8 @@ canonical form (`qlinalg`), simplicial complexes and their toric spaces
 complexes (`laurent`), rank tests on presented graded algebras
 (`aomoto`), translated-torus models of character loci (`cvmodel`), and
 projective line arrangements (`arrangements`).  `fixtures` holds the
-worked examples; `cli` is the command-line front end.
+worked examples, `codec` the JSON wire format, and `cli` is the
+command-line front end.
 """
 
 import importlib

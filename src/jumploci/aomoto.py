@@ -118,32 +118,6 @@ class GradedAlgebraPresentation:
             self.dims + (0,), self.mult + (zero_tensor,)
         )
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return {
-            "dims": list(self.dims),
-            "mult": [
-                {
-                    "deg": i,
-                    "table": [
-                        [[str(x) for x in vec] for vec in per_gen]
-                        for per_gen in tensor
-                    ],
-                }
-                for i, tensor in enumerate(self.mult, start=1)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        dims = data["dims"]
-        by_deg = {entry["deg"]: entry["table"] for entry in data.get("mult", [])}
-        mult = [by_deg[i] for i in sorted(by_deg)]
-        if sorted(by_deg) != list(range(1, len(dims) - 1)):
-            raise ValueError("multiplication tables must cover degrees 1..k-1")
-        return cls(dims, mult)
-
 
 @dataclass(frozen=True, slots=True)
 class AomotoEvaluation:

@@ -68,13 +68,6 @@ class ProjLineArrangement:
     def n(self):
         return len(self.forms)
 
-    def to_json(self):
-        return [[str(x) for x in f] for f in self.forms]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([[Q(x) for x in f] for f in data])
-
 
 @dataclass(frozen=True, slots=True)
 class MultiplePoint:

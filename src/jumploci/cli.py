@@ -2,17 +2,18 @@
 
 Exit codes: 0 on success, 2 when a precondition is violated (the error
 is printed as a machine-readable JSON object), 3 on parse errors —
-malformed command lines or malformed input files.  All rationals are
-serialized as "p/q" strings; no floats appear in any input or output.
-Reports are byte-reproducible for a fixed command line and seed.
+malformed command lines or malformed input files.  Each handler reads
+its input files through one decoder of `codec` and builds its report
+from `codec` encoders, so the wire format lives there: rationals go out
+as "p/q" strings and come in as such strings or JSON integers, never as
+floats.  Reports are byte-reproducible for a fixed command line and seed.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-Q = Fraction
+from . import codec
 
 
 class CliParseError(Exception):
@@ -24,93 +25,19 @@ class CliParseError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path):
+def _read(path, decode, what):
+    """Load the JSON file at `path` and decode it; any failure is a parse error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as e:
         raise CliParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliParseError(f"{path} is not valid JSON: {e}") from e
-
-
-def _structure(fn, data, what):
     try:
-        return fn(data)
-    except CliParseError:
-        raise
+        return decode(data)
     except Exception as e:
         raise CliParseError(f"bad {what}: {e}") from e
-
-
-def _parse_poly(data):
-    from .laurent import LaurentPolynomial
-
-    if isinstance(data, dict):
-        return LaurentPolynomial.from_json(data["terms"], data.get("n_vars"))
-    return LaurentPolynomial.from_json(data)
-
-
-def _parse_poly_or_list(data):
-    """A polynomial file may hold one polynomial or a list of them."""
-    if isinstance(data, list) and data and isinstance(data[0], dict) and "terms" in data[0]:
-        return [_parse_poly(d) for d in data]
-    if isinstance(data, dict) and "polys" in data:
-        return [_parse_poly(d) for d in data["polys"]]
-    return [_parse_poly(data)]
-
-
-def _parse_complex(data):
-    from .simplicial import SimplicialComplex
-
-    if isinstance(data, dict):
-        return SimplicialComplex(data.get("facets", ()), data.get("n"))
-    return SimplicialComplex(data)
-
-
-def _parse_subspace(data):
-    from .qlinalg import RationalSubspace
-
-    if isinstance(data, dict):
-        basis = data.get("basis", [])
-        n = data.get("n")
-    else:
-        basis, n = data, None
-    rows = [[Q(x) for x in row] for row in basis]
-    if n is None:
-        if not rows:
-            raise CliParseError("subspace needs 'n' when the basis is empty")
-        n = len(rows[0])
-    return RationalSubspace.span(int(n), rows)
-
-
-def _parse_arrangement(data):
-    from .qlinalg import RationalSubspace, SubspaceArrangement
-
-    n = int(data["n"])
-    comps = [
-        RationalSubspace.span(n, [[Q(x) for x in row] for row in c["basis"]])
-        for c in data.get("components", [])
-    ]
-    return SubspaceArrangement(n, comps)
-
-
-def _parse_chain(data):
-    from .laurent import EquivariantChainComplex1
-
-    ranks = data["ranks"]
-    boundaries = []
-    for mat in data.get("boundaries", []):
-        boundaries.append(
-            [[_parse_poly(entry) for entry in row] for row in mat]
-        )
-    return EquivariantChainComplex1(ranks, boundaries)
-
-
-def _parse_point(data):
-    if isinstance(data, dict):
-        data = data["point"]
-    return tuple(Q(x) for x in data)
 
 
 # ---------------------------------------------------------------------------
@@ -154,167 +81,130 @@ def _error_object(kind, message):
 
 
 def _cmd_toric_res(args):
-    from .fixtures import _coord_json
     from .toric import toric_resonance
 
-    k = _structure(_parse_complex, _load_json(args.complex), "simplicial complex")
-    arr = toric_resonance(k, args.degree, args.depth)
-    return {"degree": args.degree, "depth": args.depth, "resonance": _coord_json(arr)}
+    k = _read(args.complex, codec.read_complex, "simplicial complex")
+    arr = codec.coordinate_arrangement(toric_resonance(k, args.degree, args.depth))
+    return {"degree": args.degree, "depth": args.depth, "resonance": arr}
 
 
 def _cmd_toric_cv(args):
-    from .fixtures import _coord_json
     from .toric import toric_cv
 
-    k = _structure(_parse_complex, _load_json(args.complex), "simplicial complex")
-    arr = toric_cv(k, args.degree, args.depth)
-    return {"degree": args.degree, "depth": args.depth, "cv": _coord_json(arr)}
+    k = _read(args.complex, codec.read_complex, "simplicial complex")
+    arr = codec.coordinate_arrangement(toric_cv(k, args.degree, args.depth))
+    return {"degree": args.degree, "depth": args.depth, "cv": arr}
 
 
 def _cmd_toric_omega(args):
     from .toric import toric_omega_member
 
-    k = _structure(_parse_complex, _load_json(args.complex), "simplicial complex")
-    plane = _structure(_parse_subspace, _load_json(args.plane), "plane")
+    k = _read(args.complex, codec.read_complex, "simplicial complex")
+    plane = _read(args.plane, codec.read_subspace, "plane")
     member = toric_omega_member(k, args.degree, args.r, plane)
     return {"degree": args.degree, "r": args.r, "member": member}
 
 
 def _cmd_tcone(args):
-    from .fixtures import _poly_json
     from .laurent import compare_tangent_cones, exp_tangent_cone
-    from .qlinalg import arrangement_to_json
 
-    polys = _structure(_parse_poly_or_list, _load_json(args.poly), "polynomial")
+    polys = _read(args.poly, codec.read_polynomials, "polynomial")
     if len(polys) == 1:
-        rep = compare_tangent_cones(polys[0])
-        return {
-            "tau1": arrangement_to_json(rep["tau1"]),
-            "tc1": _poly_json(rep["tc1"]),
-            "tau1_inside_tc1": rep["tau1_inside_tc1"],
-            "equal": rep["equal"],
-        }
-    return {"tau1": arrangement_to_json(exp_tangent_cone(polys))}
+        return codec.tangent_cones(compare_tangent_cones(polys[0]))
+    return {"tau1": codec.arrangement(exp_tangent_cone(polys))}
 
 
 def _cmd_linkcv(args):
-    from .fixtures import _poly_json
     from .laurent import link_cv1
 
-    delta = _structure(_parse_poly, _load_json(args.poly), "polynomial")
+    delta = _read(args.poly, codec.read_polynomial, "polynomial")
     link = link_cv1(delta)
-    report = link.to_json()
+    report = codec.link(link)
     report["hypersurface_contains_identity"] = link.hypersurface_contains_identity()
     if delta.n_vars == 1 and not delta.is_zero():
         torsion = link.torsion_model()
-        report["model"] = torsion["model"].to_json()
+        report["model"] = codec.model(torsion["model"])
         report["nontorsion_factors"] = [
-            _poly_json(p) for p in torsion["nontorsion_factors"]
+            codec.polynomial(p) for p in torsion["nontorsion_factors"]
         ]
     return report
 
 
 def _cmd_cvchain(args):
-    from .fixtures import _poly_json
     from .laurent import cv_rank1_chain
 
-    chain = _structure(_parse_chain, _load_json(args.chain), "chain complex")
+    chain = _read(args.chain, codec.read_chain, "chain complex")
     w = cv_rank1_chain(chain, args.degree, args.depth)
     return {
         "degree": args.degree,
         "depth": args.depth,
-        "w_polynomial": _poly_json(w),
+        "w_polynomial": codec.polynomial(w),
     }
 
 
 def _cmd_cv_classify(args):
-    from .cvmodel import CVModel, classify_straightness
+    from .cvmodel import classify_straightness
 
-    data = _load_json(args.model)
-
-    def build(d):
-        models, res = {}, {}
-        for entry in d["degrees"]:
-            deg = int(entry["degree"])
-            models[deg] = CVModel.from_json(entry["model"])
-            res[deg] = _parse_arrangement(entry["resonance"])
-        return models, res
-
-    models, res = _structure(build, data, "classification input")
+    models, res = _read(args.model, codec.read_classification, "classification input")
     return classify_straightness(models, res)
 
 
 def _cmd_cv_omega(args):
-    from .cvmodel import CVModel, omega_member
+    from .cvmodel import omega_member
 
-    model = _structure(CVModel.from_json, _load_json(args.model), "model")
-    plane = _structure(_parse_subspace, _load_json(args.plane), "plane")
+    model = _read(args.model, codec.read_model, "model")
+    plane = _read(args.plane, codec.read_subspace, "plane")
     return {"member": omega_member(model, plane)}
 
 
 def _cmd_cv_witness(args):
-    from .cvmodel import TranslatedTorus, strictness_witness
-    from .fixtures import _subspace_json
+    from .cvmodel import strictness_witness
 
-    data = _load_json(args.model)
-
-    def build(d):
-        n = int(d["n"])
-        component = TranslatedTorus.from_json(d["component"], n)
-        res = _parse_arrangement(d["resonance"])
-        return component, res
-
-    component, res = _structure(build, data, "witness input")
+    component, res = _read(args.model, codec.read_witness_input, "witness input")
     witness = strictness_witness(component, res, args.bound)
     if witness is None:
         return {"witness": None, "reason": "search exhausted within bound"}
-    return {"witness": _subspace_json(witness)}
+    return {"witness": codec.subspace(witness)}
 
 
 def _cmd_arr_points(args):
-    from .arrangements import ProjLineArrangement, multiple_points
-    from .fixtures import _point_json
+    from .arrangements import multiple_points
 
-    arr = _structure(ProjLineArrangement.from_json, _load_json(args.forms), "forms")
-    return {"points": [_point_json(p) for p in multiple_points(arr)]}
+    arr = _read(args.forms, codec.read_forms, "forms")
+    return {"points": [codec.multiple_point(p) for p in multiple_points(arr)]}
 
 
 def _cmd_arr_res1(args):
-    from .arrangements import ProjLineArrangement, r1_arrangement, r1_completeness_note
-    from .qlinalg import arrangement_to_json
+    from .arrangements import r1_arrangement, r1_completeness_note
 
-    arr = _structure(ProjLineArrangement.from_json, _load_json(args.forms), "forms")
+    arr = _read(args.forms, codec.read_forms, "forms")
     res = r1_arrangement(arr, seed=args.seed)
-    report = arrangement_to_json(res)
+    report = codec.arrangement(res)
     report["codim"] = res.codim()
     report["completeness_note"] = r1_completeness_note(arr)
     return report
 
 
 def _cmd_arr_omega(args):
-    from .arrangements import ProjLineArrangement, omega_bounds
+    from .arrangements import omega_bounds
 
-    arr = _structure(ProjLineArrangement.from_json, _load_json(args.forms), "forms")
+    arr = _read(args.forms, codec.read_forms, "forms")
     return {"r": args.r, "answer": omega_bounds(arr, args.r)}
 
 
 def _cmd_aomoto_betti(args):
-    from .aomoto import GradedAlgebraPresentation, aomoto_betti
+    from .aomoto import aomoto_betti
 
-    alg = _structure(
-        GradedAlgebraPresentation.from_json, _load_json(args.algebra), "algebra"
-    )
-    a = _structure(_parse_point, _load_json(args.point), "point")
+    alg = _read(args.algebra, codec.read_algebra, "algebra")
+    a = _read(args.point, codec.read_point, "point")
     return {"degree": args.degree, "betti": aomoto_betti(alg, a, args.degree)}
 
 
 def _cmd_aomoto_member(args):
-    from .aomoto import GradedAlgebraPresentation, resonance_member
+    from .aomoto import resonance_member
 
-    alg = _structure(
-        GradedAlgebraPresentation.from_json, _load_json(args.algebra), "algebra"
-    )
-    a = _structure(_parse_point, _load_json(args.point), "point")
+    alg = _read(args.algebra, codec.read_algebra, "algebra")
+    a = _read(args.point, codec.read_point, "point")
     member = resonance_member(alg, a, args.degree, args.depth)
     return {"degree": args.degree, "depth": args.depth, "member": member}
 

@@ -78,17 +78,6 @@ class TranslatedTorus:
         """True iff the piece contains the identity character, i.e. q in L + Z^n."""
         return coset_in_subspace_mod_lattice(self.q, self.direction)
 
-    def to_json(self):
-        return {
-            "direction": [[str(x) for x in row] for row in self.direction.basis],
-            "q": [str(x) for x in self.q],
-        }
-
-    @classmethod
-    def from_json(cls, data, n):
-        direction = RationalSubspace.span(n, [[Q(x) for x in row] for row in data["direction"]])
-        return cls(direction, [Q(x) for x in data["q"]])
-
 
 @dataclass(frozen=True, slots=True)
 class CVModel:
@@ -124,20 +113,6 @@ class CVModel:
                 raise ValueError("isolated point length must match the ambient dimension")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "isolated_points", tuple(points))
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "components": [c.to_json() for c in self.components],
-            "isolated": [[str(x) for x in p] for p in self.isolated_points],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        n = int(data["n"])
-        comps = [TranslatedTorus.from_json(c, n) for c in data.get("components", [])]
-        points = [[Q(x) for x in p] for p in data.get("isolated", [])]
-        return cls(n, comps, points)
 
 
 # ---------------------------------------------------------------------------

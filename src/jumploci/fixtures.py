@@ -3,45 +3,22 @@
 Each fixture builds a small input (a Laurent polynomial, a simplicial
 complex, an arrangement of lines, a locus model, a graded algebra),
 runs the relevant machinery, and returns a JSON-serializable report
-with exact rational values.  They serve both as executable
-documentation and as the data behind the command-line `fixtures`
-subcommand; the test suite pins their key numbers.  Each runner imports
-the modules it uses, so running one example loads only those.
+with exact rational values; the subspaces, arrangements, polynomials
+and models in it are written by the `codec` encoders, so a report is a
+valid input wherever the CLI reads those shapes.  They serve both as
+executable documentation and as the data behind the command-line
+`fixtures` subcommand; the test suite pins their key numbers.  Each
+runner imports the modules it uses, so running one example loads only
+those.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import codec
+
 Q = Fraction
-
-
-def _subspace_json(s):
-    return {
-        "n": s.n,
-        "dim": s.dim,
-        "basis": [[str(x) for x in row] for row in s.basis],
-    }
-
-
-def _coord_json(arr):
-    return {
-        "n": arr.n,
-        "subsets": [list(s) for s in arr.subsets],
-        "contains_origin": arr.contains_origin,
-    }
-
-
-def _poly_json(p):
-    return {"n_vars": p.n_vars, "terms": p.to_json()}
-
-
-def _point_json(mp):
-    return {
-        "point": [str(x) for x in mp.point],
-        "lines": list(mp.lines),
-        "multiplicity": mp.multiplicity,
-    }
 
 
 @dataclass
@@ -105,7 +82,6 @@ def run_fixture(name, seed=0):
 )
 def _chain_link(seed):
     from .laurent import LaurentPolynomial, admissible_partitions, compare_tangent_cones
-    from .qlinalg import arrangement_to_json
 
     f = LaurentPolynomial(
         3,
@@ -118,14 +94,10 @@ def _chain_link(seed):
             (0, 1, 1): -1,
         },
     )
-    rep = compare_tangent_cones(f)
     return {
-        "polynomial": _poly_json(f),
+        "polynomial": codec.polynomial(f),
         "admissible_partitions": len(admissible_partitions(f)),
-        "tau1": arrangement_to_json(rep["tau1"]),
-        "tc1": _poly_json(rep["tc1"]),
-        "tau1_inside_tc1": rep["tau1_inside_tc1"],
-        "equal": rep["equal"],
+        **codec.tangent_cones(compare_tangent_cones(f)),
     }
 
 
@@ -137,27 +109,26 @@ def _chain_link(seed):
 )
 def _trefoil(seed):
     from .laurent import LaurentPolynomial, link_cv1
-    from .qlinalg import arrangement_to_json
 
     delta = LaurentPolynomial(1, {(2,): 1, (1,): -1, (0,): 1})
     link = link_cv1(delta)
     factors = link.root_factors()
     torsion = link.torsion_model()
     return {
-        "delta": _poly_json(delta),
-        "tau1": arrangement_to_json(link.tau1()),
+        "delta": codec.polynomial(delta),
+        "tau1": codec.arrangement(link.tau1()),
         "hypersurface_contains_identity": link.hypersurface_contains_identity(),
         "factors": [
             {
-                "factor": _poly_json(fa["factor"]),
+                "factor": codec.polynomial(fa["factor"]),
                 "multiplicity": fa["multiplicity"],
                 "cyclotomic_index": fa["cyclotomic_index"],
                 "torsion_points": [str(x) for x in fa["torsion_points"]],
             }
             for fa in factors
         ],
-        "model": torsion["model"].to_json(),
-        "nontorsion_factors": [_poly_json(p) for p in torsion["nontorsion_factors"]],
+        "model": codec.model(torsion["model"]),
+        "nontorsion_factors": [codec.polynomial(p) for p in torsion["nontorsion_factors"]],
     }
 
 
@@ -168,16 +139,15 @@ def _trefoil(seed):
 )
 def _unknot(seed):
     from .laurent import LaurentPolynomial, link_cv1
-    from .qlinalg import arrangement_to_json
 
     delta = LaurentPolynomial.constant(1, 1)
     link = link_cv1(delta)
     torsion = link.torsion_model()
     return {
-        "delta": _poly_json(delta),
-        "tau1": arrangement_to_json(link.tau1()),
+        "delta": codec.polynomial(delta),
+        "tau1": codec.arrangement(link.tau1()),
         "hypersurface_contains_identity": link.hypersurface_contains_identity(),
-        "model": torsion["model"].to_json(),
+        "model": codec.model(torsion["model"]),
     }
 
 
@@ -188,16 +158,11 @@ def _unknot(seed):
 )
 def _two_components(seed):
     from .laurent import LaurentPolynomial, compare_tangent_cones
-    from .qlinalg import arrangement_to_json
 
     f = LaurentPolynomial(2, {(1, 1): 1, (0, 0): -1})
-    rep = compare_tangent_cones(f)
     return {
-        "polynomial": _poly_json(f),
-        "tau1": arrangement_to_json(rep["tau1"]),
-        "tc1": _poly_json(rep["tc1"]),
-        "tau1_inside_tc1": rep["tau1_inside_tc1"],
-        "equal": rep["equal"],
+        "polynomial": codec.polynomial(f),
+        **codec.tangent_cones(compare_tangent_cones(f)),
     }
 
 
@@ -215,7 +180,6 @@ def _s1s2(seed):
         cv_rank1_chain,
         link_cv1,
     )
-    from .qlinalg import arrangement_to_json
 
     t_minus_1 = LaurentPolynomial(1, {(1,): 1, (0,): -1})
     zero = LaurentPolynomial.zero(1)
@@ -241,11 +205,11 @@ def _s1s2(seed):
         verdict = classify_straightness(models, res)
         algebra = s1s2_algebra(fprime1).padded()
         out[label] = {
-            "f": _poly_json(f),
+            "f": codec.polynomial(f),
             "fprime1": str(fprime1),
-            "w_polynomials": {str(i): _poly_json(w[i]) for i in w},
-            "degree_models": {str(i): models[i].to_json() for i in models},
-            "resonance": {str(i): arrangement_to_json(res[i]) for i in res},
+            "w_polynomials": {str(i): codec.polynomial(w[i]) for i in w},
+            "degree_models": {str(i): codec.model(models[i]) for i in models},
+            "resonance": {str(i): codec.arrangement(res[i]) for i in res},
             "classification": verdict,
             "betti_at_1": [aomoto_betti(algebra, (Q(1),), i) for i in range(4)],
             "universal_matrices": [
@@ -276,9 +240,9 @@ def _torus3(seed):
     line = RationalSubspace.span(3, [(1, 1, 1)])
     plane = RationalSubspace.span(3, [(1, 0, 0), (0, 1, 0)])
     return {
-        "resonance_1_1": _coord_json(toric_resonance(k, 1, 1)),
-        "resonance_1_4": _coord_json(toric_resonance(k, 1, 4)),
-        "resonance_2_3": _coord_json(toric_resonance(k, 2, 3)),
+        "resonance_1_1": codec.coordinate_arrangement(toric_resonance(k, 1, 1)),
+        "resonance_1_4": codec.coordinate_arrangement(toric_resonance(k, 1, 4)),
+        "resonance_2_3": codec.coordinate_arrangement(toric_resonance(k, 2, 3)),
         "omega_line": toric_omega_member(k, 1, 1, line),
         "omega_plane": toric_omega_member(k, 1, 2, plane),
         "omega_full": toric_omega_member(k, 1, 3, RationalSubspace.full(3)),
@@ -302,7 +266,7 @@ def _path3(seed):
     line = RationalSubspace.span(3, [(1, 1, 1)])
     plane = RationalSubspace.span(3, [(1, 0, 0), (0, 1, 0)])
     return {
-        "resonance": _coord_json(res),
+        "resonance": codec.coordinate_arrangement(res),
         "raag_r1_matches": raag_r1(g) == res,
         "omega_all_ones_line": toric_omega_member(k, 1, 1, line),
         "omega_sample_plane": toric_omega_member(k, 1, 2, plane),
@@ -326,7 +290,7 @@ def _cycle4(seed):
     res = toric_resonance(k, 1, 1)
     diag = RationalSubspace.span(4, [(1, 1, 1, 1)])
     return {
-        "resonance": _coord_json(res),
+        "resonance": codec.coordinate_arrangement(res),
         "raag_r1_matches": raag_r1(g) == res,
         "connectivity": g.connectivity(),
         "omega_diagonal_line": toric_omega_member(k, 1, 1, diag),
@@ -362,13 +326,13 @@ def _braid(seed):
     braids = braid_subarrangements(arr, seed=seed)
     res = r1_arrangement(arr, seed=seed)
     return {
-        "points": [_point_json(p) for p in multiple_points(arr)],
+        "points": [codec.multiple_point(p) for p in multiple_points(arr)],
         "local_components": len(local_components(arr)),
         "braid_components": [
             {
                 "lines": list(b.lines),
                 "pairs": [list(p) for p in b.pairs],
-                "subspace": _subspace_json(b.subspace),
+                "subspace": codec.subspace(b.subspace),
             }
             for b in braids
         ],
@@ -409,16 +373,16 @@ def _near_pencil(seed):
         p = plucker2(plane)
         samples.append(
             {
-                "plane": _subspace_json(plane),
+                "plane": codec.subspace(plane),
                 "plucker": [str(x) for x in p],
                 "incidence_form_value": str(p[0] - p[1] + p[3]),
                 "sigma_member": sigma_member(res, plane),
             }
         )
     return {
-        "points": [_point_json(p) for p in multiple_points(arr)],
+        "points": [codec.multiple_point(p) for p in multiple_points(arr)],
         "r1_components": len(res),
-        "component": _subspace_json(comp),
+        "component": codec.subspace(comp),
         "schubert_codim_r2": schubert_codim(comp, 2),
         "omega_bound_r3": omega_bounds(arr, 3),
         "omega_bound_r2": omega_bounds(arr, 2),
@@ -459,7 +423,7 @@ def _deleted_b3(seed):
     braids = braid_subarrangements(arr, seed=seed)
     res = r1_arrangement(arr, seed=seed)
     return {
-        "points": [_point_json(p) for p in multiple_points(arr)],
+        "points": [codec.multiple_point(p) for p in multiple_points(arr)],
         "local_components": len(local_components(arr)),
         "braid_components": [
             {"lines": list(b.lines), "pairs": [list(p) for p in b.pairs]}
@@ -509,7 +473,7 @@ def _generic3(seed):
     arr = ProjLineArrangement([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     res = r1_arrangement(arr, seed=seed)
     return {
-        "points": [_point_json(p) for p in multiple_points(arr)],
+        "points": [codec.multiple_point(p) for p in multiple_points(arr)],
         "r1_components": len(res),
         "omega_bound_r1": omega_bounds(arr, 1),
         "omega_bound_r3": omega_bounds(arr, 3),
@@ -546,17 +510,17 @@ def _straight_c(seed):
         omega_member,
         omega_upper_bound,
     )
-    from .qlinalg import RationalSubspace, arrangement_to_json
+    from .qlinalg import RationalSubspace
 
     model, res = _straight_c_data()
     plane = RationalSubspace.full(2)
     return {
-        "model": model.to_json(),
-        "resonance": arrangement_to_json(res),
+        "model": codec.model(model),
+        "resonance": codec.arrangement(res),
         "classification": classify_straightness({1: model}, {1: res}),
         "omega_member_full_plane": omega_member(model, plane),
         "resonance_bound_full_plane": omega_upper_bound(res, plane),
-        "tau1": arrangement_to_json(model_tau1(model)),
+        "tau1": codec.arrangement(model_tau1(model)),
     }
 
 
@@ -567,14 +531,14 @@ def _straight_c(seed):
 )
 def _heisenberg(seed):
     from .cvmodel import CVModel, classify_straightness, omega_member, omega_upper_bound
-    from .qlinalg import RationalSubspace, SubspaceArrangement, arrangement_to_json
+    from .qlinalg import RationalSubspace, SubspaceArrangement
 
     model = CVModel(2, (), [(0, 0)])
     res = SubspaceArrangement(2, [RationalSubspace.full(2)])
     plane = RationalSubspace.span(2, [(1, 0)])
     return {
-        "model": model.to_json(),
-        "resonance": arrangement_to_json(res),
+        "model": codec.model(model),
+        "resonance": codec.arrangement(res),
         "classification": classify_straightness({1: model}, {1: res}),
         "omega_member_line": omega_member(model, plane),
         "resonance_bound_line": omega_upper_bound(res, plane),
@@ -600,7 +564,7 @@ def _full_torus_model(seed):
     res = SubspaceArrangement(2, [RationalSubspace.full(2)])
     plane = RationalSubspace.span(2, [(1, 1)])
     return {
-        "model": model.to_json(),
+        "model": codec.model(model),
         "classification": classify_straightness({1: model}, {1: res}),
         "omega_member_line": omega_member(model, plane),
         "omega_exact_from_resonance": not sigma_member(res, plane),
@@ -620,7 +584,7 @@ def _witness3(seed):
         sigma_member,
         strictness_witness,
     )
-    from .qlinalg import RationalSubspace, SubspaceArrangement, arrangement_to_json
+    from .qlinalg import RationalSubspace, SubspaceArrangement
 
     component = TranslatedTorus(
         RationalSubspace.span(3, [(0, 0, 1)]), (Q(1, 2), 0, 0)
@@ -629,9 +593,9 @@ def _witness3(seed):
     witness = strictness_witness(component, res, 3)
     model = CVModel(3, [component])
     report = {
-        "component": {"n": 3, **component.to_json()},
-        "resonance": arrangement_to_json(res),
-        "witness": None if witness is None else _subspace_json(witness),
+        "component": {"n": 3, **codec.torus(component)},
+        "resonance": codec.arrangement(res),
+        "witness": None if witness is None else codec.subspace(witness),
     }
     if witness is not None:
         report["omega_member_at_witness"] = omega_member(model, witness)
@@ -715,7 +679,7 @@ def _torus_config3(seed):
 )
 def _product_surfaces(seed):
     from .aomoto import product_resonance, wedge_resonance
-    from .qlinalg import RationalSubspace, SubspaceArrangement, arrangement_to_json
+    from .qlinalg import RationalSubspace, SubspaceArrangement
 
     def surface_family(g):
         n = 2 * g
@@ -727,7 +691,7 @@ def _product_surfaces(seed):
     deg1 = product_resonance(fam2, fam3, 1)
     deg2 = product_resonance(fam2, fam3, 2)
     return {
-        "degree1": arrangement_to_json(deg1),
-        "degree2": arrangement_to_json(deg2),
-        "wedge_degree1": arrangement_to_json(wedge_resonance(4, 6, 1)),
+        "degree1": codec.arrangement(deg1),
+        "degree2": codec.arrangement(deg2),
+        "wedge_degree1": codec.arrangement(wedge_resonance(4, 6, 1)),
     }

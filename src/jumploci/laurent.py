@@ -43,7 +43,6 @@ from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
     _primitive,
-    arrangement_to_json,
     primitive_integer_vector,
     qscalar,
     qvector,
@@ -166,22 +165,6 @@ class LaurentPolynomial:
                 raise ValueError("variable count mismatch")
             return other
         return LaurentPolynomial.constant(self.n_vars, other)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return [
-            {"exponents": list(e), "coeff": str(c)}
-            for e, c in self.terms.items()
-        ]
-
-    @classmethod
-    def from_json(cls, data, n_vars=None):
-        if n_vars is None:
-            if not data:
-                raise ValueError("cannot infer variable count from an empty term list")
-            n_vars = len(data[0]["exponents"])
-        return cls(n_vars, [(d["exponents"], d["coeff"]) for d in data])
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +760,6 @@ class LinkCV1:
             1, components=(), isolated_points=[(p,) for p in sorted(points)]
         )
         return {"model": model, "nontorsion_factors": nontorsion}
-
-    def to_json(self):
-        return {
-            "n": self.n_vars,
-            "delta": self.delta.to_json(),
-            "tau1": arrangement_to_json(self.tau1()),
-        }
 
 
 def link_cv1(delta: LaurentPolynomial) -> LinkCV1:

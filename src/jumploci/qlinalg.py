@@ -349,18 +349,6 @@ class SubspaceArrangement:
         return len(self.components)
 
 
-def subspace_to_json(s: RationalSubspace):
-    return {"dim": s.dim, "basis": [[str(x) for x in row] for row in s.basis]}
-
-
-def arrangement_to_json(arr: SubspaceArrangement):
-    return {
-        "n": arr.n,
-        "components": [subspace_to_json(c) for c in arr.components],
-        "trivial": arr.is_trivial(),
-    }
-
-
 def _prune_maximal(comps):
     uniq = []
     for c in comps:

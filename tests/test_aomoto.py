@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from jumploci import codec
 from jumploci.aomoto import (
     GradedAlgebraPresentation,
     aomoto_betti,
@@ -276,9 +277,25 @@ def test_presentation_validation():
     assert aomoto_betti(zero.padded(), (1, 1, 1), 1) == 2
 
 
+def _algebra_json(alg):
+    """The `--algebra` input shape of a presentation."""
+    return {
+        "dims": list(alg.dims),
+        "mult": [
+            {
+                "deg": i,
+                "table": [
+                    [[str(x) for x in vec] for vec in per_gen] for per_gen in tensor
+                ],
+            }
+            for i, tensor in enumerate(alg.mult, start=1)
+        ],
+    }
+
+
 def test_json_round_trip():
     alg = surface_algebra(2)
-    again = GradedAlgebraPresentation.from_json(alg.to_json())
+    again = codec.read_algebra(_algebra_json(alg))
     assert again.dims == alg.dims
     assert again.mult == alg.mult
 
@@ -358,7 +375,7 @@ def _inconsistent_json():
 
 
 def test_inconsistent_presentation_is_rejected_at_every_point(tmp_path, capsys):
-    alg = GradedAlgebraPresentation.from_json(_inconsistent_json())
+    alg = codec.read_algebra(_inconsistent_json())
     # at (0, 0) and (0, 1) the composed matrices vanish, yet the
     # presentation is still rejected there
     for a in ((0, 0), (0, 1), (1, 0), (Q(3, 2), Q(-1, 2))):
@@ -386,5 +403,5 @@ def test_evaluation_leaves_equality_and_hash_alone():
     fresh = _conf_t2_3()
     assert alg == fresh and fresh == alg
     assert hash(alg) == hash(fresh)
-    assert alg.to_json() == fresh.to_json()
+    assert (alg.dims, alg.mult) == (fresh.dims, fresh.mult)
     assert alg.padded() == fresh.padded()

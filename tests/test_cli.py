@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import jumploci
+from jumploci import codec
 from jumploci.cli import main
 
 
@@ -279,6 +280,82 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "parse"
 
 
+_COMPLEX = {"n": 3, "facets": [[1, 2], [2, 3]]}
+_ALGEBRA = {
+    "dims": [1, 2, 1],
+    "mult": [{"deg": 1, "table": [[["0"], ["1"]], [["-1"], ["0"]]]}],
+}
+_MODEL = {
+    "n": 2,
+    "components": [{"direction": [["0", "1"]], "q": ["1/2", "0"]}],
+    "isolated": [],
+}
+_WITNESS = {
+    "n": 3,
+    "component": {"direction": [["0", "0", "1"]], "q": ["1/2", "0", "0"]},
+    "resonance": {"n": 3, "components": [{"basis": [["1", "0", "0"]]}]},
+}
+_T_MINUS_1 = [{"exponents": [1], "coeff": "1"}, {"exponents": [0], "coeff": "-1"}]
+
+# argv with one-letter placeholders for input files, and the files' contents:
+# each holds a float rational or a count that is not a JSON integer.
+NON_INTEGER_INPUTS = {
+    "plane-entry": (
+        ["toric", "omega", "--complex", "K", "--plane", "P", "--r", "1"],
+        {"K": _COMPLEX, "P": {"n": 3, "basis": [[0.1, 1, 0]]}},
+    ),
+    "complex-n": (["toric", "res", "--complex", "K"], {"K": {**_COMPLEX, "n": 3.0}}),
+    "point-entry": (
+        ["aomoto", "betti", "--algebra", "A", "--point", "P"],
+        {"A": _ALGEBRA, "P": [0.1, 0.2]},
+    ),
+    "algebra-dim": (
+        ["aomoto", "betti", "--algebra", "A", "--point", "P"],
+        {"A": {**_ALGEBRA, "dims": [1, 2.0, 1]}, "P": ["1", "0"]},
+    ),
+    "model-n": (
+        ["cv", "omega", "--model", "M", "--plane", "P"],
+        {"M": {**_MODEL, "n": 2.7}, "P": {"n": 2, "basis": [["1", "0"]]}},
+    ),
+    "classify-degree": (
+        ["cv", "classify", "--model", "M"],
+        {
+            "M": {
+                "degrees": [
+                    {"degree": 1.5, "model": _MODEL, "resonance": {"n": 2, "components": []}}
+                ]
+            }
+        },
+    ),
+    "forms-entry": (
+        ["arr", "points", "--forms", "F"],
+        {"F": [[0.5, 0, 0], ["0", "1", "0"], ["0", "0", "1"]]},
+    ),
+    "witness-translation": (
+        ["cv", "witness", "--model", "M"],
+        {"M": {**_WITNESS, "component": {"direction": [["0", "0", "1"]], "q": [0.5, 0, 0]}}},
+    ),
+    "poly-n_vars": (
+        ["linkcv", "--poly", "F"],
+        {"F": {"n_vars": 1.0, "terms": _T_MINUS_1}},
+    ),
+    "poly-exponent": (
+        ["tcone", "--poly", "F"],
+        {"F": {"n_vars": 1, "terms": [{"exponents": [1.5], "coeff": "1"}, _T_MINUS_1[1]]}},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, files", NON_INTEGER_INPUTS.values(), ids=NON_INTEGER_INPUTS.keys()
+)
+def test_floats_and_non_integer_counts_exit_3(tmp_path, capsys, argv, files):
+    paths = {k: write_json(tmp_path, f"{k}.json", data) for k, data in files.items()}
+    code, out = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "parse"
+
+
 def test_round_trip_arrangement_output(tmp_path, capsys):
     forms = write_json(
         tmp_path,
@@ -289,9 +366,7 @@ def test_round_trip_arrangement_output(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     # the emitted arrangement re-parses through the documented input shape
-    from jumploci.cli import _parse_arrangement
-
-    arr = _parse_arrangement(rep)
+    arr = codec.read_arrangement(rep)
     assert len(arr.components) == len(rep["components"])
 
 
@@ -368,3 +443,32 @@ def test_one_variable_commands_do_not_import_sympy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["fixtures", "list"], set()),
+        (["fixtures", "run", "torus3"], {"qlinalg", "simplicial", "toric"}),
+        (["fixtures", "run", "koszul3"], {"aomoto", "qlinalg"}),
+    ],
+)
+def test_commands_load_only_the_modules_they_use(argv, modules):
+    script = (
+        "import contextlib, io, sys\n"
+        "from jumploci.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('jumploci.')))\n"
+    )
+    src = str(Path(jumploci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert loaded == {f"jumploci.{m}" for m in modules | {"cli", "codec", "fixtures"}}

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from jumploci import codec
 from jumploci.cvmodel import (
     CVModel,
     TranslatedTorus,
@@ -248,9 +249,9 @@ def test_json_round_trips():
     comp = TranslatedTorus(
         RationalSubspace.span(2, [(0, 1)]), (Q(1, 2), Q(0))
     )
-    again = TranslatedTorus.from_json(comp.to_json(), 2)
+    again = codec.read_torus(codec.torus(comp), 2)
     assert again == comp
     model = CVModel(
         2, components=(comp,), isolated_points=((Q(0), Q(0)),)
     )
-    assert CVModel.from_json(model.to_json()) == model
+    assert codec.read_model(codec.model(model)) == model
