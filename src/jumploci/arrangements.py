@@ -11,13 +11,18 @@ the rank-based cohomology oracle before being returned; a certification
 miss raises OracleError rather than silently dropping or keeping the
 candidate.
 
+Each arrangement computes its incidence data (multiple_points) and its
+degree-2 Orlik-Solomon algebra (os_algebra_deg2) once, on first use, and
+keeps them.  The braid scan is refused above LINE_LIMIT lines.
+
 Components beyond the local and braid patterns can exist for
 arrangements rich enough in triple points; see r1_completeness_note.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .aomoto import aomoto_betti, quotient_exterior_algebra
 from .qlinalg import (
@@ -25,9 +30,14 @@ from .qlinalg import (
     SubspaceArrangement,
     intersection_dim,
     primitive_integer_vector,
+    qvector,
 )
 
 Q = Fraction
+
+# Most lines the braid scan accepts.  Its cost grows like C(n, 6) times the
+# number of intersection points: 43-143 s at 32 lines on a 2-vCPU VM.
+LINE_LIMIT = 32
 
 
 class OracleError(Exception):
@@ -44,15 +54,19 @@ class ProjLineArrangement:
     """Lines in P^2, each given by a rational linear form (a, b, c).
 
     Forms must be nonzero and pairwise non-proportional.  Lines are
-    numbered 1..n in input order everywhere in this module.
+    numbered 1..n in input order everywhere in this module.  The
+    incidence data and the algebra are filled in on first use by
+    multiple_points and os_algebra_deg2, then kept.
     """
 
     forms: tuple
+    _points: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _algebra: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cleaned = []
         for f in self.forms:
-            f = tuple(Q(x) for x in f)
+            f = qvector(f)
             if len(f) != 3:
                 raise ValueError("each form needs exactly 3 coefficients")
             if not any(f):
@@ -80,7 +94,7 @@ class MultiplePoint:
         lines = tuple(sorted(self.lines))
         if len(lines) < 2:
             raise ValueError("a multiple point lies on at least two lines")
-        object.__setattr__(self, "point", tuple(Q(x) for x in self.point))
+        object.__setattr__(self, "point", qvector(self.point))
         object.__setattr__(self, "lines", lines)
 
     @property
@@ -107,19 +121,19 @@ def multiple_points(arr: ProjLineArrangement):
     normalization (primitive integers, first nonzero entry positive)
     makes equality exact, and the line set of each point is recomputed
     by substitution so it is complete, whatever pair produced the point.
+    Computed on the first call and kept on `arr`.
     """
-    seen = {}
-    for i in range(arr.n):
-        for j in range(i + 1, arr.n):
-            p = _cross(arr.forms[i], arr.forms[j])
-            if p == (0, 0, 0):
-                raise ValueError(f"forms {i + 1} and {j + 1} are proportional")
-            key = primitive_integer_vector(p)
-            if key in seen:
-                continue
-            lines = [k + 1 for k in range(arr.n) if _dot3(arr.forms[k], key) == 0]
-            seen[key] = MultiplePoint(key, lines)
-    return tuple(sorted(seen.values(), key=lambda m: (-m.multiplicity, m.lines)))
+    if arr._points is None:
+        seen = {}
+        for i in range(arr.n):
+            for j in range(i + 1, arr.n):
+                p = primitive_integer_vector(_cross(arr.forms[i], arr.forms[j]))
+                if p not in seen:
+                    lines = [k + 1 for k, f in enumerate(arr.forms) if not _dot3(f, p)]
+                    seen[p] = MultiplePoint(p, lines)
+        points = sorted(seen.values(), key=lambda m: (-m.multiplicity, m.lines))
+        object.__setattr__(arr, "_points", tuple(points))
+    return arr._points
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +144,25 @@ def multiple_points(arr: ProjLineArrangement):
 def local_components(arr: ProjLineArrangement) -> SubspaceArrangement:
     """One subspace per point on >= 3 lines.
 
-    For a point on the line set J, the component is cut out by
-    sum_{j in J} x_j = 0 together with x_i = 0 for every line i not
-    in J; its dimension is |J| - 1.
+    For a point on the line set J, the component is the vectors supported
+    on J with coordinate sum 0, spanned by e_j - e_{min J} for j in J; its
+    dimension is |J| - 1.
     """
-    return SubspaceArrangement(arr.n, _local_subspaces(arr.n, multiple_points(arr)))
+    return SubspaceArrangement(arr.n, _local_subspaces(arr))
 
 
-def _local_subspaces(n, points):
-    return [_point_subspace(n, mp.lines) for mp in points if mp.multiplicity >= 3]
+def _local_subspaces(arr):
+    n = arr.n
+    return [
+        RationalSubspace(n, [_signed_row(n, (j,), p.lines[:1]) for j in p.lines[1:]])
+        for p in multiple_points(arr)
+        if p.multiplicity >= 3
+    ]
 
 
-def _point_subspace(n, lines):
-    member = set(lines)
-    eqs = [tuple(Q(1) if k + 1 in member else Q(0) for k in range(n))]
-    for k in range(n):
-        if k + 1 not in member:
-            eqs.append(tuple(Q(1) if c == k else Q(0) for c in range(n)))
-    return RationalSubspace.from_equations(n, eqs)
+def _signed_row(n, plus, minus):
+    """1 on the lines `plus`, -1 on the lines `minus` and 0 elsewhere."""
+    return [1 if k in plus else -1 if k in minus else 0 for k in range(1, n + 1)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,73 +198,53 @@ def _braid_pattern(points, subset):
     chosen = set(subset)
     triples = []
     for mp in points:
-        induced = tuple(sorted(chosen.intersection(mp.lines)))
+        induced = chosen.intersection(mp.lines)
         if len(induced) == 3:
             triples.append(induced)
         elif len(induced) > 3:
             return None
     if len(triples) != 4:
         return None
-    count = {line: 0 for line in subset}
-    for t in triples:
-        for line in t:
-            count[line] += 1
-    if any(c != 2 for c in count.values()):
+    if any(sum(line in t for t in triples) != 2 for line in subset):
         return None
+    # the two triples on a line meet only in it, so they miss exactly one line
     pairs = []
     for line in subset:
-        partners = {m for t in triples if line in t for m in t} - {line}
-        rest = chosen - partners - {line}
-        if len(rest) != 1:
-            return None
-        mate = rest.pop()
+        (mate,) = chosen.difference(*(t for t in triples if line in t))
         if line < mate:
             pairs.append((line, mate))
-    if len(pairs) != 3:
-        return None
     return tuple(sorted(pairs))
 
 
-def _braid_subspace(n, pairs):
-    eqs = []
-    support = {line for p in pairs for line in p}
-    for a, b in pairs:
-        row = [Q(0)] * n
-        row[a - 1] = Q(1)
-        row[b - 1] = Q(-1)
-        eqs.append(tuple(row))
-    row = [Q(0)] * n
-    for a, _ in pairs:
-        row[a - 1] = Q(1)
-    eqs.append(tuple(row))
-    for k in range(n):
-        if k + 1 not in support:
-            eqs.append(tuple(Q(1) if c == k else Q(0) for c in range(n)))
-    return RationalSubspace.from_equations(n, eqs)
+def _check_line_limit(arr):
+    if arr.n > LINE_LIMIT:
+        raise ValueError(
+            f"too many lines: {arr.n} exceeds the braid scan limit of {LINE_LIMIT}"
+        )
 
 
 def braid_subarrangements(arr: ProjLineArrangement, seed=0):
     """All certified braid components, in index-tuple order.
 
-    Scans every 6-subset of lines for the four-triple pattern, builds
-    the matched-pair subspace, and certifies each candidate by sampling
-    random points of the subspace and checking the rank oracle sees a
-    jump there.  An uncertified candidate raises OracleError.
+    Scans every 6-subset of lines for the four-triple pattern.  With
+    pairs p1, p2, p3 and u_p the indicator vector of pair p, the
+    component is spanned by u1 - u3 and u2 - u3.  Each candidate is
+    certified by sampling random points of it and checking the rank
+    oracle sees a jump there; an uncertified candidate raises
+    OracleError.  More than LINE_LIMIT lines raise ValueError before
+    any of this work starts.
     """
+    _check_line_limit(arr)
+    n = arr.n
     points = multiple_points(arr)
-    return _braid_components(arr.n, points, _os_algebra(arr.n, points), seed)
-
-
-def _braid_components(n, points, algebra, seed):
-    from itertools import combinations
-
+    algebra = os_algebra_deg2(arr)
     rng = random.Random(seed)
     found = []
     for subset in combinations(range(1, n + 1), 6):
         pairs = _braid_pattern(points, subset)
         if pairs is None:
             continue
-        sub = _braid_subspace(n, pairs)
+        sub = RationalSubspace(n, [_signed_row(n, p, pairs[2]) for p in pairs[:2]])
         _certify_on(algebra, sub, rng, what=f"braid candidate {subset}")
         found.append(BraidComponent(subset, pairs, sub))
     return tuple(found)
@@ -283,15 +278,15 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     Every component is certified on random points by the rank oracle;
     random points off the union are checked to show no jump; and the
     components are verified to meet each other only in 0.  Any of these
-    checks failing raises (OracleError for oracle disagreements).
+    checks failing raises (OracleError for oracle disagreements).  More
+    than LINE_LIMIT lines raise ValueError before any work starts.
     """
-    n = arr.n
-    points = multiple_points(arr)
-    algebra = _os_algebra(n, points)
+    _check_line_limit(arr)
+    algebra = os_algebra_deg2(arr)
     rng = random.Random(seed)
-    comps = _local_subspaces(n, points)
-    comps.extend(b.subspace for b in _braid_components(n, points, algebra, seed))
-    result = SubspaceArrangement(n, comps)
+    comps = _local_subspaces(arr)
+    comps.extend(b.subspace for b in braid_subarrangements(arr, seed))
+    result = SubspaceArrangement(arr.n, comps)
     for sub in result.components:
         _certify_on(algebra, sub, rng, what=f"component of dim {sub.dim}")
     for _ in range(10):
@@ -368,20 +363,15 @@ def os_algebra_deg2(arr: ProjLineArrangement):
 
     Degree 1 has one generator per line; degree 2 is the exterior square
     modulo one relation (e_i - e_j)(e_j - e_k) for every concurrent
-    triple i < j < k of lines.
+    triple i < j < k of lines.  Built on the first call and kept on
+    `arr`, so all callers share one presentation and aomoto_betti
+    compiles it once.
     """
-    return _os_algebra(arr.n, multiple_points(arr))
-
-
-def _os_algebra(n, points):
-    relations = []
-    for mp in points:
-        if mp.multiplicity < 3:
-            continue
-        lines = mp.lines
-        for a in range(len(lines)):
-            for b in range(a + 1, len(lines)):
-                for c in range(b + 1, len(lines)):
-                    i, j, k = lines[a] - 1, lines[b] - 1, lines[c] - 1
-                    relations.append({(i, j): Q(1), (i, k): Q(-1), (j, k): Q(1)})
-    return quotient_exterior_algebra(n, relations)
+    if arr._algebra is None:
+        relations = [
+            {(i - 1, j - 1): Q(1), (i - 1, k - 1): Q(-1), (j - 1, k - 1): Q(1)}
+            for mp in multiple_points(arr)
+            for i, j, k in combinations(mp.lines, 3)
+        ]
+        object.__setattr__(arr, "_algebra", quotient_exterior_algebra(arr.n, relations))
+    return arr._algebra

@@ -26,10 +26,11 @@ Q = Fraction
 
 
 def qscalar(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to an exact rational."""
+    """Coerce ints, strings like '3/4', and Fractions to an exact rational;
+    floats and booleans are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, float):
         raise TypeError("floats are not allowed; pass an int, a Fraction, or a 'p/q' string")

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own linear algebra:
 ranks come from sympy, coset membership from bounded brute-force search,
 partitions from restricted-growth strings, toric resonance from a sweep
 over every vertex subset, one-variable factorizations, gcds and chain
-loci from sympy's polynomial arithmetic.  The tests freeze expected
+loci from sympy's polynomial arithmetic, and the resonance components of
+line arrangements from their defining equations.  The tests freeze expected
 values computed by these slow oracles and then assert the fast code
 paths agree.
 """
@@ -107,6 +108,32 @@ def rg_partitions(items):
         if i == 0:
             return
         rgs[i] += 1
+
+
+def _unit_equations(n, lines):
+    """x_k = 0 for every line k (1-based) of Q^n not in `lines`."""
+    return [
+        tuple(int(c == k) for c in range(1, n + 1))
+        for k in range(1, n + 1)
+        if k not in lines
+    ]
+
+
+def local_component_equations(n, lines):
+    """Equations of the local resonance component at a point on `lines`:
+    coordinate sum 0 over `lines`, and 0 off them."""
+    member = set(lines)
+    eqs = [tuple(int(k in member) for k in range(1, n + 1))]
+    return eqs + _unit_equations(n, member)
+
+
+def braid_component_equations(n, pairs):
+    """Equations of the braid component on three matched pairs (a, b): x_a = x_b
+    on every pair, the three pair values sum to 0, and 0 off the six lines."""
+    eqs = [tuple(int(k == a) - int(k == b) for k in range(1, n + 1)) for a, b in pairs]
+    firsts = {a for a, _ in pairs}
+    eqs.append(tuple(int(k in firsts) for k in range(1, n + 1)))
+    return eqs + _unit_equations(n, {line for p in pairs for line in p})
 
 
 def random_vector(rng, n, lo=-5, hi=5):

@@ -2,10 +2,17 @@
 resonance components, certification."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
+import pytest
+from oracles import braid_component_equations, local_component_equations
+
+from jumploci import aomoto, arrangements
 from jumploci.arrangements import (
+    LINE_LIMIT,
+    MultiplePoint,
     ProjLineArrangement,
     braid_subarrangements,
     local_components,
@@ -15,6 +22,7 @@ from jumploci.arrangements import (
     r1_arrangement,
     r1_completeness_note,
 )
+from jumploci.fixtures import run_fixture
 from jumploci.qlinalg import RationalSubspace, intersection_dim
 
 Q = Fraction
@@ -80,11 +88,7 @@ def test_pair_count_identity_on_seeded_arrangements():
 
 
 def _point_component(n, lines):
-    eqs = [tuple(1 if j in lines else 0 for j in range(1, n + 1))]
-    for i in range(1, n + 1):
-        if i not in lines:
-            eqs.append(tuple(1 if j == i else 0 for j in range(1, n + 1)))
-    return RationalSubspace.from_equations(n, eqs)
+    return RationalSubspace.from_equations(n, local_component_equations(n, lines))
 
 
 def test_braid_local_and_nonlocal_components():
@@ -210,3 +214,101 @@ def test_form_validation():
         assert False, "forms must have three coefficients"
     except ValueError:
         pass
+    # coordinates are exact rationals: floats and booleans are refused
+    with pytest.raises(TypeError):
+        ProjLineArrangement([(0.1, 1, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(TypeError):
+        ProjLineArrangement([(True, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(TypeError):
+        MultiplePoint((0.5, 1, 0), (1, 2))
+
+
+def _random_rich_arrangements(seed, count):
+    """Seeded arrangements with small coefficients, so rich in triple points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, forms = rng.randint(6, 9), []
+        while len(forms) < n:
+            f = tuple(rng.randint(-1, 1) for _ in range(3))
+            try:
+                ProjLineArrangement(forms + [f])
+            except ValueError:
+                continue
+            forms.append(f)
+        yield tuple(forms)
+
+
+def test_spans_match_the_equation_oracles():
+    named = (BRAID, DELETED_B3, FULL_B3, NEAR_PENCIL)
+    braids_seen = 0
+    for forms in named + tuple(_random_rich_arrangements(3, 30)):
+        arr = ProjLineArrangement(forms)
+        n = arr.n
+        expected = {
+            RationalSubspace.from_equations(n, local_component_equations(n, p.lines))
+            for p in multiple_points(arr)
+            if p.multiplicity >= 3
+        }
+        assert set(local_components(arr).components) == expected
+        for b in braid_subarrangements(arr):
+            eqs = braid_component_equations(n, b.pairs)
+            assert b.subspace == RationalSubspace.from_equations(n, eqs)
+            braids_seen += 1
+    assert braids_seen == 34
+
+
+@pytest.mark.parametrize("name", ["braid", "deleted-b3"])
+def test_each_arrangement_is_analysed_once(monkeypatch, name):
+    calls = {"points": 0, "algebra": 0, "compile": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # the multiple-point loop normalizes each of the C(n, 2) pairwise crossings
+    monkeypatch.setattr(
+        arrangements,
+        "primitive_integer_vector",
+        counted("points", arrangements.primitive_integer_vector),
+    )
+    monkeypatch.setattr(
+        arrangements,
+        "quotient_exterior_algebra",
+        counted("algebra", arrangements.quotient_exterior_algebra),
+    )
+    monkeypatch.setattr(aomoto, "_compile", counted("compile", aomoto._compile))
+    report = run_fixture(name, seed=0)
+    n = {"braid": 6, "deleted-b3": 8}[name]
+    assert calls == {"points": comb(n, 2), "algebra": 1, "compile": 1}
+    assert report["algebra_dims"][1] == n
+
+
+def test_analysis_is_kept_on_the_arrangement():
+    arr = ProjLineArrangement(DELETED_B3)
+    assert os_algebra_deg2(arr) is os_algebra_deg2(arr)
+    assert multiple_points(arr) is multiple_points(arr)
+    # the kept data takes no part in equality or hashing
+    assert arr == ProjLineArrangement(DELETED_B3)
+    assert hash(arr) == hash(ProjLineArrangement(DELETED_B3))
+
+
+def _conic_tangents(n):
+    """n lines tangent to a conic: pairwise distinct, and no three concurrent."""
+    return ProjLineArrangement([(1, k, k * k) for k in range(n)])
+
+
+def test_line_limit_is_checked_before_any_work():
+    assert LINE_LIMIT < 40
+    for fn in (braid_subarrangements, r1_arrangement):
+        arr = _conic_tangents(40)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too many lines: 40"):
+            fn(arr)
+        assert time.perf_counter() - start < 1
+        assert arr._points is None and arr._algebra is None
+    arr = _conic_tangents(40)
+    assert len(multiple_points(arr)) == comb(40, 2)
+    assert omega_bounds(arr, 2) == "full"

@@ -262,6 +262,20 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["type"] == "precondition" and "support too large" in err["message"]
 
+    # 40 tangents of a conic: the braid scan is refused at once, while the
+    # intersection points and the cover bound are still answered
+    forms = write_json(tmp_path, "forms.json", [[1, k, k * k] for k in range(40)])
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "arr", "res1", "--forms", forms)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "precondition" and "too many lines" in err["message"]
+    code, out = run_cli(capsys, "arr", "points", "--forms", forms)
+    assert code == 0 and len(json.loads(out)["points"]) == 780
+    code, out = run_cli(capsys, "arr", "omega", "--forms", forms, "--r", "2")
+    assert code == 0 and json.loads(out)["answer"] == "full"
+
 
 def test_parse_errors_exit_3(tmp_path, capsys):
     broken = tmp_path / "broken.json"
@@ -308,6 +322,10 @@ NON_INTEGER_INPUTS = {
     "point-entry": (
         ["aomoto", "betti", "--algebra", "A", "--point", "P"],
         {"A": _ALGEBRA, "P": [0.1, 0.2]},
+    ),
+    "point-bool": (
+        ["aomoto", "betti", "--algebra", "A", "--point", "P"],
+        {"A": _ALGEBRA, "P": [True, False]},
     ),
     "algebra-dim": (
         ["aomoto", "betti", "--algebra", "A", "--point", "P"],

@@ -12,6 +12,7 @@ from jumploci.arrangements import (
     ProjLineArrangement,
     braid_subarrangements,
     multiple_points,
+    r1_arrangement,
 )
 from jumploci.cvmodel import CVModel, TranslatedTorus
 from jumploci.laurent import (
@@ -36,6 +37,8 @@ def _values():
     line = RationalSubspace(2, [(1, 1)])
     torus = TranslatedTorus(line, (Q(1, 2), Q(0)))
     arr = ProjLineArrangement(BRAID)
+    analysed = ProjLineArrangement(BRAID)
+    r1_arrangement(analysed)  # keeps its multiple points and compiled algebra
     alg = surface_algebra(2)
     aomoto_betti(alg, (1, 0, 0, 0), 1)  # fills the compiled tensors
     return {
@@ -56,6 +59,7 @@ def _values():
         "translated torus": torus,
         "locus model": CVModel(2, [torus], [(Q(0), Q(0))]),
         "line arrangement": arr,
+        "analysed line arrangement": analysed,
         "multiple point": multiple_points(arr)[0],
         "braid component": braid_subarrangements(arr)[0],
         "evaluated algebra": alg,
@@ -88,3 +92,9 @@ def test_value_types_are_frozen_and_survive_pickle_and_deepcopy():
     for a in ((1, 0, 0, 0), (0, 0, 0, 0), (1, 2, 3, Q(1, 2))):
         for i in (0, 1):
             assert aomoto_betti(twin, a, i) == aomoto_betti(alg, a, i)
+    # an analysed arrangement carries its kept data across
+    arr = values["analysed line arrangement"]
+    for twin in (pickle.loads(pickle.dumps(arr)), copy.deepcopy(arr)):
+        assert twin._points == arr._points and twin._algebra == arr._algebra
+        assert twin._algebra._compiled == arr._algebra._compiled is not None
+        assert r1_arrangement(twin) == r1_arrangement(arr)
