@@ -198,6 +198,37 @@ def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
     return alg.dims[i] - rank_in - rank_from(i)
 
 
+def isotropy_obstruction(alg: GradedAlgebraPresentation, basis):
+    """The first nonzero product of two basis vectors of L ⊆ A^1, or None.
+
+    `basis` spans L and has k >= 2 vectors; the C(k, 2) products u_i u_j
+    (i < j) are taken in A^2 in order.  The first nonzero one is returned
+    as (i, j, product), with 1-based i, j and the exact coordinates of the
+    product.  None means L is isotropic, and then L lies in the degree-1
+    resonance: for nonzero a in L, a * L = 0, so the kernel of a on A^1
+    holds L while its image from A^0 is the line through a, hence
+    b_1(A, a) >= dim L - 1 >= 1.  Each basis vector is scaled to integers,
+    and the products are read off the compiled degree-1 tensor.
+    """
+    if alg.top < 2:
+        raise ValueError("isotropy needs the degree-2 piece")
+    if len(basis) < 2:
+        raise ValueError(f"isotropy needs at least 2 basis vectors, got {len(basis)}")
+    scale, rows = alg._compiled_form()[0]
+    scaled = [_integer_point(alg, u) for u in basis]
+    pairs = itertools.combinations(enumerate(scaled, start=1), 2)
+    for (i, (u, du)), (j, (v, dv)) in pairs:
+        support = [(b, y) for b, y in enumerate(v) if y]
+        # scale * (u * v)_r = sum over b of v_b * sum of u_l c over (l, c) in row[b]
+        product = [
+            sum(y * sum(u[l] * c for l, c in row[b]) for b, y in support)
+            for row in rows
+        ]
+        if any(product):
+            return i, j, tuple(Fraction(x, scale * du * dv) for x in product)
+    return None
+
+
 def resonance_member(alg: GradedAlgebraPresentation, a, i: int, d: int) -> bool:
     """Does the degree-i cohomology at a have dimension >= d?"""
     if d < 0:
@@ -294,23 +325,6 @@ def _check_symbolic_square_zero(b, a, where):
                     f"inconsistent presentation: symbolic composition at degree "
                     f"{where} is nonzero"
                 )
-
-
-def evaluate_universal(mats, a):
-    """Plug a rational point into the symbolic matrices."""
-    a = qvector(a)
-    out = []
-    for mat in mats:
-        out.append(
-            tuple(
-                tuple(
-                    sum((coef * x for coef, x in zip(entry, a)), Fraction(0))
-                    for entry in row
-                )
-                for row in mat
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,21 +424,6 @@ def s1s2_algebra(c) -> GradedAlgebraPresentation:
     t1 = (((Fraction(0),),),)   # e1 * e1 = 0
     t2 = (((c,),),)             # e1 * u = c w
     return GradedAlgebraPresentation((1, 1, 1, 1), (t1, t2))
-
-
-def zero_multiplication_algebra(dims) -> GradedAlgebraPresentation:
-    """All products of positive-degree elements vanish."""
-    dims = tuple(int(c) for c in dims)
-    n = dims[1] if len(dims) >= 2 else 0
-    tensors = []
-    for i in range(1, len(dims) - 1):
-        tensors.append(
-            tuple(
-                tuple(tuple(Fraction(0) for _ in range(dims[i + 1])) for _ in range(dims[i]))
-                for _ in range(n)
-            )
-        )
-    return GradedAlgebraPresentation(dims, tensors)
 
 
 # ---------------------------------------------------------------------------

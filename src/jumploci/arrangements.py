@@ -6,17 +6,30 @@ finite union of linear subspaces of Q^n, n the number of lines: one
 "local" component for every intersection point lying on at least three
 lines, plus "braid" components attached to six-line sub-arrangements
 whose induced intersection pattern is four triple points covering each
-line twice.  Every component this module reports is certified against
-the rank-based cohomology oracle before being returned; a certification
-miss raises OracleError rather than silently dropping or keeping the
-candidate.
+line twice.
 
-Each arrangement computes its incidence data (multiple_points) and its
-degree-2 Orlik-Solomon algebra (os_algebra_deg2) once, on first use, and
-keeps them.  The braid scan is refused above LINE_LIMIT lines.
+Every component this module reports is certified exactly before being
+returned: its basis vectors multiply pairwise to 0 in the degree-2
+Orlik-Solomon algebra (aomoto.isotropy_obstruction).  Such an isotropic
+subspace of dimension >= 2 lies in the resonance variety, and every
+component of that variety is isotropic (Libgober and Yuzvinsky,
+"Cohomology of the Orlik-Solomon algebras and local systems", Compositio
+Math. 2000), so the certificate refuses no true component.  A failed
+certificate raises OracleError rather than silently dropping or keeping
+the candidate.  The certificate proves containment, not maximality;
+maximality rests on the theory behind the local and braid patterns and
+on the check that the components meet pairwise only in 0.  The check
+that the rank oracle sees no jump off the union is sampled at random
+points, not a proof.
+
+Each arrangement computes its incidence data (multiple_points), its
+degree-2 Orlik-Solomon algebra (os_algebra_deg2) and its braid
+components (braid_subarrangements) once, on first use, and keeps them.
+The braid scan is refused above LINE_LIMIT lines.
 
 Components beyond the local and braid patterns can exist for
-arrangements rich enough in triple points; see r1_completeness_note.
+arrangements rich enough in triple points; see r1_completeness_note,
+which the certificate leaves unchanged.
 """
 
 import random
@@ -24,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .aomoto import aomoto_betti, quotient_exterior_algebra
+from .aomoto import aomoto_betti, isotropy_obstruction, quotient_exterior_algebra
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
@@ -41,7 +54,15 @@ LINE_LIMIT = 32
 
 
 class OracleError(Exception):
-    """A reported component failed (or a sample point contradicted) the rank oracle."""
+    """A component failed its certificate, or the rank oracle saw a jump off the union.
+
+    The certificate is exact: a component is refused when two of its basis
+    vectors multiply to a nonzero class in A^2, and the message names that
+    product.  Isotropy proves a component lies in the resonance variety
+    (Libgober-Yuzvinsky), not that it is maximal.  The check off the union
+    is sampled at random points, not a proof, and r1_completeness_note is
+    unchanged by either check.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +76,15 @@ class ProjLineArrangement:
 
     Forms must be nonzero and pairwise non-proportional.  Lines are
     numbered 1..n in input order everywhere in this module.  The
-    incidence data and the algebra are filled in on first use by
-    multiple_points and os_algebra_deg2, then kept.
+    incidence data, the algebra and the braid components are filled in on
+    first use by multiple_points, os_algebra_deg2 and
+    braid_subarrangements, then kept.
     """
 
     forms: tuple
     _points: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _algebra: object = field(default=None, init=False, compare=False, repr=False)
+    _braids: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cleaned = []
@@ -223,49 +246,47 @@ def _check_line_limit(arr):
         )
 
 
-def braid_subarrangements(arr: ProjLineArrangement, seed=0):
+def braid_subarrangements(arr: ProjLineArrangement):
     """All certified braid components, in index-tuple order.
 
     Scans every 6-subset of lines for the four-triple pattern.  With
     pairs p1, p2, p3 and u_p the indicator vector of pair p, the
     component is spanned by u1 - u3 and u2 - u3.  Each candidate is
-    certified by sampling random points of it and checking the rank
-    oracle sees a jump there; an uncertified candidate raises
-    OracleError.  More than LINE_LIMIT lines raise ValueError before
-    any of this work starts.
+    certified exactly, by isotropy in the degree-2 algebra (see the
+    module docstring; Libgober-Yuzvinsky): this proves it lies in the
+    resonance variety, not that it is maximal, and a candidate that
+    fails raises OracleError naming the nonzero product.  The sampled
+    check off the union, not a proof, belongs to r1_arrangement and does
+    not run here; r1_completeness_note is unchanged.  The scan runs on
+    the first call and its result is kept on `arr`.  More than
+    LINE_LIMIT lines raise ValueError before any of this work starts.
     """
     _check_line_limit(arr)
-    n = arr.n
-    points = multiple_points(arr)
-    algebra = os_algebra_deg2(arr)
-    rng = random.Random(seed)
-    found = []
-    for subset in combinations(range(1, n + 1), 6):
-        pairs = _braid_pattern(points, subset)
-        if pairs is None:
-            continue
-        sub = RationalSubspace(n, [_signed_row(n, p, pairs[2]) for p in pairs[:2]])
-        _certify_on(algebra, sub, rng, what=f"braid candidate {subset}")
-        found.append(BraidComponent(subset, pairs, sub))
-    return tuple(found)
+    if arr._braids is None:
+        n = arr.n
+        points = multiple_points(arr)
+        algebra = os_algebra_deg2(arr)
+        found = []
+        for subset in combinations(range(1, n + 1), 6):
+            pairs = _braid_pattern(points, subset)
+            if pairs is None:
+                continue
+            sub = RationalSubspace(n, [_signed_row(n, p, pairs[2]) for p in pairs[:2]])
+            _certify(algebra, sub, f"braid candidate {subset}")
+            found.append(BraidComponent(subset, pairs, sub))
+        object.__setattr__(arr, "_braids", tuple(found))
+    return arr._braids
 
 
-def _random_point_on(subspace, rng):
-    while True:
-        coeffs = [rng.randint(-9, 9) for _ in subspace.basis]
-        v = [Q(0)] * subspace.n
-        for c, row in zip(coeffs, subspace.basis):
-            for k, x in enumerate(row):
-                v[k] += c * x
-        if any(v):
-            return tuple(v)
-
-
-def _certify_on(algebra, subspace, rng, what, samples=10):
-    for _ in range(samples):
-        a = _random_point_on(subspace, rng)
-        if aomoto_betti(algebra, a, 1) < 1:
-            raise OracleError(f"{what}: rank oracle sees no jump at {a}")
+def _certify(algebra, subspace, what):
+    """Raise OracleError unless the basis of `subspace` is isotropic in A^2."""
+    obstruction = isotropy_obstruction(algebra, subspace.basis)
+    if obstruction is not None:
+        i, j, product = obstruction
+        raise OracleError(
+            f"{what} is not isotropic: basis vectors {i} and {j} multiply to "
+            f"({', '.join(map(str, product))}) in A^2"
+        )
 
 
 def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
@@ -273,22 +294,28 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
 
     Only these two patterns are searched, so components of other kinds
     (multinets on nine or more lines, as on B3) are missing from the
-    result; r1_completeness_note says when that can happen.
+    result; r1_completeness_note says when that can happen, and the
+    certificate below leaves it unchanged.
 
-    Every component is certified on random points by the rank oracle;
-    random points off the union are checked to show no jump; and the
-    components are verified to meet each other only in 0.  Any of these
-    checks failing raises (OracleError for oracle disagreements).  More
-    than LINE_LIMIT lines raise ValueError before any work starts.
+    Every component is certified exactly, once: the local ones here and
+    the braid ones by the scan that finds them.  The certificate is
+    isotropy in the degree-2 algebra (Libgober-Yuzvinsky), which proves
+    containment in the resonance variety, not maximality.  Then 10 random
+    points off the union, drawn from `seed`, are checked to show no jump;
+    that check is sampled, not a proof.  Last, the components are
+    verified to meet each other only in 0.  Any of these checks failing
+    raises (OracleError for a failed certificate or a jump off the
+    union).  More than LINE_LIMIT lines raise ValueError before any work
+    starts.
     """
     _check_line_limit(arr)
     algebra = os_algebra_deg2(arr)
-    rng = random.Random(seed)
     comps = _local_subspaces(arr)
-    comps.extend(b.subspace for b in braid_subarrangements(arr, seed))
+    for sub in comps:
+        _certify(algebra, sub, f"component of dim {sub.dim}")
+    comps.extend(b.subspace for b in braid_subarrangements(arr))
     result = SubspaceArrangement(arr.n, comps)
-    for sub in result.components:
-        _certify_on(algebra, sub, rng, what=f"component of dim {sub.dim}")
+    rng = random.Random(seed)
     for _ in range(10):
         a = _random_off_union(result, rng)
         if aomoto_betti(algebra, a, 1) != 0:

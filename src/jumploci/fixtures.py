@@ -323,7 +323,7 @@ def _braid(seed):
     arr = ProjLineArrangement(
         [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1)]
     )
-    braids = braid_subarrangements(arr, seed=seed)
+    braids = braid_subarrangements(arr)
     res = r1_arrangement(arr, seed=seed)
     return {
         "points": [codec.multiple_point(p) for p in multiple_points(arr)],
@@ -420,7 +420,7 @@ def _deleted_b3(seed):
             (0, 1, 1),
         ]
     )
-    braids = braid_subarrangements(arr, seed=seed)
+    braids = braid_subarrangements(arr)
     res = r1_arrangement(arr, seed=seed)
     return {
         "points": [codec.multiple_point(p) for p in multiple_points(arr)],

@@ -460,11 +460,3 @@ def primitive_integer_vector(v):
     if next((x for x in ints if x), 0) < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-def coordinate_subspace(n, coords) -> RationalSubspace:
-    """Q^W: the span of the unit vectors indexed by `coords` (1-based)."""
-    coords = sorted(set(coords))
-    if coords and (coords[0] < 1 or coords[-1] > n):
-        raise ValueError("coordinate out of range")
-    return RationalSubspace(n, [_unit_row(n, j - 1) for j in coords])

@@ -90,26 +90,6 @@ def induced(k: SimplicialComplex, w) -> SimplicialComplex:
     return SimplicialComplex([f & w for f in k.facets], n=k.n)
 
 
-def link_in_induced(k: SimplicialComplex, sigma, w) -> SimplicialComplex:
-    """lk_{K_W}(sigma) = {tau ⊆ W : tau ∪ sigma ∈ K}.
-
-    sigma must be a face of K and disjoint from W.  With sigma = ∅ this is
-    the induced subcomplex on W.
-    """
-    sigma = frozenset(sigma)
-    w = frozenset(w)
-    if not k.has_face(sigma):
-        raise ValueError(f"{sorted(sigma)} is not a face of the complex")
-    if sigma & w:
-        raise ValueError("sigma must be disjoint from W")
-    faces = [
-        f - sigma
-        for f in k.faces
-        if sigma <= f and (f - sigma) <= w
-    ]
-    return SimplicialComplex(faces, n=k.n)
-
-
 def _boundary_matrix(lower, upper):
     """Augmented boundary matrix from the bitmask faces `upper` (columns) to
     the faces one smaller, `lower` (rows), as integer rows.
@@ -204,20 +184,11 @@ def link_faces(link, w: int) -> frozenset:
 
     For sigma disjoint from W the link inside the induced subcomplex K_W is
     the induced subcomplex of lk_K(sigma) on W: the faces of `link` inside
-    the bitmask W.  Use link_in_induced for the validated route.
+    the bitmask W.  Nothing is validated: the caller passes a link of a
+    face sigma and a W disjoint from sigma.
     """
     outside = ~w
     return frozenset(t for t in link if not t & outside)
-
-
-def reduced_betti_all(k: SimplicialComplex) -> dict[int, int]:
-    """All reduced Betti numbers, degrees -1 .. dim(K)."""
-    return {i: reduced_betti(k, i) for i in range(-1, k.dim() + 1)}
-
-
-def euler_characteristic_reduced(k: SimplicialComplex) -> int:
-    """Sum of (-1)^i over all faces including ∅ (equals Σ (-1)^i b̃_i)."""
-    return sum((-1) ** (len(f) - 1) for f in k.faces)
 
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:

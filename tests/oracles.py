@@ -8,6 +8,12 @@ loci from sympy's polynomial arithmetic, and the resonance components of
 line arrangements from their defining equations.  The tests freeze expected
 values computed by these slow oracles and then assert the fast code
 paths agree.
+
+Two parts lean on the package on purpose.  points_without_jump samples
+the package's rank oracle, aomoto_betti, on reported arrangement
+components: that oracle shares no code with the isotropy certificate the
+components carry.  The helpers at the end wrap or build package values
+for the tests, and nothing in the package calls them.
 """
 
 import itertools
@@ -17,6 +23,10 @@ from math import gcd
 import sympy
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
+
+from jumploci.aomoto import GradedAlgebraPresentation, aomoto_betti
+from jumploci.qlinalg import RationalSubspace, qvector
+from jumploci.simplicial import SimplicialComplex, reduced_betti
 
 Q = Fraction
 
@@ -134,6 +144,29 @@ def braid_component_equations(n, pairs):
     firsts = {a for a, _ in pairs}
     eqs.append(tuple(int(k in firsts) for k in range(1, n + 1)))
     return eqs + _unit_equations(n, {line for p in pairs for line in p})
+
+
+def points_without_jump(alg, subspace, rng, samples=10):
+    """The sampled rank check of a degree-1 resonance component.
+
+    Draws `samples` nonzero integer combinations a of the basis of
+    `subspace` and returns those where aomoto_betti(alg, a, 1) is 0.  An
+    empty list is evidence that the component lies in the resonance
+    variety, not a proof.
+    """
+    misses = []
+    drawn = 0
+    while drawn < samples:
+        coeffs = [rng.randint(-9, 9) for _ in subspace.basis]
+        a = tuple(
+            sum((c * row[k] for c, row in zip(coeffs, subspace.basis)), Q(0))
+            for k in range(subspace.n)
+        )
+        if any(a):
+            drawn += 1
+            if aomoto_betti(alg, a, 1) < 1:
+                misses.append(a)
+    return misses
 
 
 def random_vector(rng, n, lo=-5, hi=5):
@@ -455,3 +488,67 @@ def cv_rank1_chain_sympy(chain, i, d):
         up = minor_gcd_sympy(chain.boundary(i + 1), budget - r + 1)
         result = result * poly1_gcd_sympy(down, up)
     return result if result.is_zero() else normalize_poly1(result)
+
+
+# ---------------------------------------------------------------------------
+# constructions that only the tests use
+
+
+def coordinate_subspace(n, coords):
+    """Q^W: the span of the unit vectors indexed by `coords` (1-based)."""
+    coords = sorted(set(coords))
+    if coords and (coords[0] < 1 or coords[-1] > n):
+        raise ValueError("coordinate out of range")
+    return RationalSubspace(n, [[int(k == j) for k in range(1, n + 1)] for j in coords])
+
+
+def link_in_induced(k, sigma, w):
+    """lk_{K_W}(sigma) = {tau ⊆ W : tau ∪ sigma ∈ K}.
+
+    sigma must be a face of K and disjoint from W.  With sigma = ∅ this is
+    the induced subcomplex on W.
+    """
+    sigma = frozenset(sigma)
+    w = frozenset(w)
+    if not k.has_face(sigma):
+        raise ValueError(f"{sorted(sigma)} is not a face of the complex")
+    if sigma & w:
+        raise ValueError("sigma must be disjoint from W")
+    faces = [f - sigma for f in k.faces if sigma <= f and (f - sigma) <= w]
+    return SimplicialComplex(faces, n=k.n)
+
+
+def reduced_betti_all(k):
+    """All reduced Betti numbers of a complex, degrees -1 .. dim(K)."""
+    return {i: reduced_betti(k, i) for i in range(-1, k.dim() + 1)}
+
+
+def euler_characteristic_reduced(k):
+    """Sum of (-1)^i over all faces including ∅ (equals Σ (-1)^i b̃_i)."""
+    return sum((-1) ** (len(f) - 1) for f in k.faces)
+
+
+def zero_multiplication_algebra(dims):
+    """The presentation in which all products of positive-degree elements vanish."""
+    dims = tuple(int(c) for c in dims)
+    n = dims[1] if len(dims) >= 2 else 0
+    tensors = [
+        tuple(
+            tuple(tuple(Q(0) for _ in range(dims[i + 1])) for _ in range(dims[i]))
+            for _ in range(n)
+        )
+        for i in range(1, len(dims) - 1)
+    ]
+    return GradedAlgebraPresentation(dims, tensors)
+
+
+def evaluate_universal(mats, a):
+    """Plug a rational point into the symbolic matrices of universal_aomoto."""
+    a = qvector(a)
+    return [
+        tuple(
+            tuple(sum((coef * x for coef, x in zip(entry, a)), Q(0)) for entry in row)
+            for row in mat
+        )
+        for mat in mats
+    ]

@@ -28,6 +28,7 @@ from jumploci.arrangements import (
     ProjLineArrangement,
     braid_subarrangements,
     local_components,
+    os_algebra_deg2,
     r1_arrangement,
 )
 from jumploci.cvmodel import (
@@ -63,6 +64,7 @@ from oracles import (
     all_complexes,
     canonical_graphs,
     meets_rank,
+    points_without_jump,
     random_laurent_terms,
     random_subspace_basis,
     random_vector,
@@ -224,7 +226,8 @@ def test_criterion_5_arrangement_components(capsys):
                 (0, 0, 1, -1, 0, 0),
             ],
         )
-        assert len(r1_arrangement(braid).components) == 5
+        res6 = r1_arrangement(braid)
+        assert len(res6.components) == 5
 
         # near-pencil, ordered so the triple point is lines {1,2,3}
         pencil = ProjLineArrangement(((0, 1, 0), (0, 0, 1), (0, 1, -1), (1, 0, 0)))
@@ -260,6 +263,14 @@ def test_criterion_5_arrangement_components(capsys):
         res8 = r1_arrangement(deleted)
         assert len(res8.components) == 12
         assert res8.codim() == 5
+
+        # the exact certificates behind these components, sampled by the
+        # rank oracle at 10 points each
+        sample_rng = random.Random(505)
+        for arr, found in ((braid, res6), (pencil, res), (deleted, res8)):
+            alg = os_algebra_deg2(arr)
+            for c in found.components:
+                assert points_without_jump(alg, c, sample_rng, 10) == []
 
 
 def test_criterion_6_straightness_classifier(capsys):

@@ -14,7 +14,6 @@ from jumploci.aomoto import (
     GradedAlgebraPresentation,
     aomoto_betti,
     aomoto_matrices,
-    evaluate_universal,
     exterior_algebra,
     product_resonance,
     quotient_exterior_algebra,
@@ -24,12 +23,16 @@ from jumploci.aomoto import (
     surface_algebra,
     universal_aomoto,
     wedge_resonance,
-    zero_multiplication_algebra,
 )
 from jumploci.cli import main
 from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
 
-from oracles import random_vector, sympy_rank
+from oracles import (
+    evaluate_universal,
+    random_vector,
+    sympy_rank,
+    zero_multiplication_algebra,
+)
 
 Q = Fraction
 

@@ -7,12 +7,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from oracles import braid_component_equations, local_component_equations
+from oracles import (
+    braid_component_equations,
+    local_component_equations,
+    points_without_jump,
+)
 
 from jumploci import aomoto, arrangements
+from jumploci.aomoto import isotropy_obstruction
 from jumploci.arrangements import (
     LINE_LIMIT,
     MultiplePoint,
+    OracleError,
     ProjLineArrangement,
     braid_subarrangements,
     local_components,
@@ -53,6 +59,14 @@ FULL_B3 = (
     (0, 1, -1),
     (0, 1, 1),
 )
+
+# The (3,4)-multinet plane of B3, in the line order of FULL_B3 (x, y, z,
+# x-y, x+y, x-z, x+z, y-z, y+z): spanned by u1 - u3 and u2 - u3 with
+# u1 = 2e_x + e_{y+z} + e_{y-z}, u2 = 2e_y + e_{x+z} + e_{x-z} and
+# u3 = 2e_z + e_{x+y} + e_{x-y}.
+B3_MULTINET = ((2, 0, -2, -1, -1, 0, 0, 1, 1), (0, 2, -2, -1, -1, 1, 1, 0, 0))
+# <e_x, e_y> on B3, not isotropic: e_x e_y is nonzero in A^2
+E_X, E_Y = (1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_braid_intersection_points():
@@ -239,8 +253,10 @@ def _random_rich_arrangements(seed, count):
 
 
 def test_spans_match_the_equation_oracles():
+    # every reported component also passes the sampled rank check
     named = (BRAID, DELETED_B3, FULL_B3, NEAR_PENCIL)
-    braids_seen = 0
+    braids_seen = components_sampled = 0
+    rng = random.Random(11)
     for forms in named + tuple(_random_rich_arrangements(3, 30)):
         arr = ProjLineArrangement(forms)
         n = arr.n
@@ -254,12 +270,47 @@ def test_spans_match_the_equation_oracles():
             eqs = braid_component_equations(n, b.pairs)
             assert b.subspace == RationalSubspace.from_equations(n, eqs)
             braids_seen += 1
+        for c in r1_arrangement(arr).components:
+            assert points_without_jump(os_algebra_deg2(arr), c, rng) == []
+            components_sampled += 1
     assert braids_seen == 34
+    assert components_sampled > braids_seen
+
+
+def test_isotropy_certificate_on_b3():
+    arr = ProjLineArrangement(FULL_B3)
+    alg = os_algebra_deg2(arr)
+    comps = r1_arrangement(arr).components
+    assert len(comps) == 18
+    for c in comps:
+        assert isotropy_obstruction(alg, c.basis) is None
+    # the multinet plane r1_arrangement misses is isotropic too
+    assert isotropy_obstruction(alg, B3_MULTINET) is None
+    # the coordinate plane is not, and its product is reported exactly,
+    # with the first nonzero pair and the scaling of the basis
+    assert isotropy_obstruction(alg, (E_X, E_Y)) == (1, 2, alg.mult[0][0][1])
+    half = tuple(Q(x, 2) for x in E_X)
+    triple = tuple(3 * x for x in E_Y)
+    scaled = tuple(Q(3, 2) * x for x in alg.mult[0][0][1])
+    assert isotropy_obstruction(alg, (half, E_X, triple)) == (1, 3, scaled)
+    with pytest.raises(ValueError, match="at least 2"):
+        isotropy_obstruction(alg, (E_X,))
+
+
+def test_non_isotropic_component_is_refused(monkeypatch):
+    arr = ProjLineArrangement(FULL_B3)
+    plane = RationalSubspace(9, [E_X, E_Y])
+    real = arrangements._local_subspaces
+    monkeypatch.setattr(arrangements, "_local_subspaces", lambda a: real(a) + [plane])
+    product = ", ".join(map(str, os_algebra_deg2(arr).mult[0][0][1]))
+    with pytest.raises(OracleError) as err:
+        r1_arrangement(arr)
+    assert f"basis vectors 1 and 2 multiply to ({product}) in A^2" in str(err.value)
 
 
 @pytest.mark.parametrize("name", ["braid", "deleted-b3"])
 def test_each_arrangement_is_analysed_once(monkeypatch, name):
-    calls = {"points": 0, "algebra": 0, "compile": 0}
+    calls = {"points": 0, "algebra": 0, "compile": 0, "scan": 0, "betti": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -280,9 +331,24 @@ def test_each_arrangement_is_analysed_once(monkeypatch, name):
         counted("algebra", arrangements.quotient_exterior_algebra),
     )
     monkeypatch.setattr(aomoto, "_compile", counted("compile", aomoto._compile))
+    # the braid scan tests the pattern once per 6-subset of lines
+    monkeypatch.setattr(
+        arrangements, "_braid_pattern", counted("scan", arrangements._braid_pattern)
+    )
+    # certification is exact, so the rank oracle runs only for the 10
+    # sampled points off the union
+    monkeypatch.setattr(
+        arrangements, "aomoto_betti", counted("betti", arrangements.aomoto_betti)
+    )
     report = run_fixture(name, seed=0)
     n = {"braid": 6, "deleted-b3": 8}[name]
-    assert calls == {"points": comb(n, 2), "algebra": 1, "compile": 1}
+    assert calls == {
+        "points": comb(n, 2),
+        "algebra": 1,
+        "compile": 1,
+        "scan": comb(n, 6),
+        "betti": 10,
+    }
     assert report["algebra_dims"][1] == n
 
 
@@ -290,6 +356,7 @@ def test_analysis_is_kept_on_the_arrangement():
     arr = ProjLineArrangement(DELETED_B3)
     assert os_algebra_deg2(arr) is os_algebra_deg2(arr)
     assert multiple_points(arr) is multiple_points(arr)
+    assert braid_subarrangements(arr) is braid_subarrangements(arr)
     # the kept data takes no part in equality or hashing
     assert arr == ProjLineArrangement(DELETED_B3)
     assert hash(arr) == hash(ProjLineArrangement(DELETED_B3))
@@ -308,7 +375,7 @@ def test_line_limit_is_checked_before_any_work():
         with pytest.raises(ValueError, match="too many lines: 40"):
             fn(arr)
         assert time.perf_counter() - start < 1
-        assert arr._points is None and arr._algebra is None
+        assert arr._points is None and arr._algebra is None and arr._braids is None
     arr = _conic_tangents(40)
     assert len(multiple_points(arr)) == comb(40, 2)
     assert omega_bounds(arr, 2) == "full"

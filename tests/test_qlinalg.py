@@ -10,7 +10,6 @@ import pytest
 from jumploci.qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
-    coordinate_subspace,
     coset_in_subspace_mod_lattice,
     hermite_reduce,
     in_row_lattice,
@@ -26,6 +25,7 @@ from jumploci.qlinalg import (
 
 from oracles import (
     brute_coset_hits,
+    coordinate_subspace,
     in_span,
     integer_rank,
     meets_rank,

@@ -5,17 +5,20 @@ import random
 
 from jumploci.simplicial import (
     SimplicialComplex,
-    euler_characteristic_reduced,
     full_simplex,
     induced,
-    link_in_induced,
     link_faces,
     reduced_betti,
-    reduced_betti_all,
     reduced_betti_faces,
 )
 
-from oracles import all_complexes, simplicial_betti_sympy
+from oracles import (
+    all_complexes,
+    euler_characteristic_reduced,
+    link_in_induced,
+    reduced_betti_all,
+    simplicial_betti_sympy,
+)
 
 
 def _faces_by_dim(faces):

@@ -38,7 +38,7 @@ def _values():
     torus = TranslatedTorus(line, (Q(1, 2), Q(0)))
     arr = ProjLineArrangement(BRAID)
     analysed = ProjLineArrangement(BRAID)
-    r1_arrangement(analysed)  # keeps its multiple points and compiled algebra
+    r1_arrangement(analysed)  # keeps its multiple points, compiled algebra and braids
     alg = surface_algebra(2)
     aomoto_betti(alg, (1, 0, 0, 0), 1)  # fills the compiled tensors
     return {
@@ -97,4 +97,5 @@ def test_value_types_are_frozen_and_survive_pickle_and_deepcopy():
     for twin in (pickle.loads(pickle.dumps(arr)), copy.deepcopy(arr)):
         assert twin._points == arr._points and twin._algebra == arr._algebra
         assert twin._algebra._compiled == arr._algebra._compiled is not None
+        assert twin._braids == arr._braids is not None
         assert r1_arrangement(twin) == r1_arrangement(arr)
