@@ -22,7 +22,6 @@ from .qlinalg import (
     qscalar,
     qvector,
     rank_int,
-    reduce_vector,
     rref,
 )
 
@@ -37,7 +36,8 @@ class GradedAlgebraPresentation:
     degree-zero multiplication e_j * 1 = e_j is implicit.
 
     Construction checks graded commutativity in the only place the data
-    can see it: e_j * e_l + e_l * e_j = 0 and e_j * e_j = 0 in degree 2.
+    can see it: e_j * e_l = -(e_l * e_j) in degree 2, once per pair
+    j <= l, which for j = l is e_j * e_j = 0.
     The first evaluation compiles the tensors into a sparse integer form
     and checks square-zero symbolically there (see `_compiled_form`).
     """
@@ -75,9 +75,8 @@ class GradedAlgebraPresentation:
         if k >= 2:
             t1 = tensors[0]
             for j in range(n):
-                for l in range(n):
-                    s = tuple(x + y for x, y in zip(t1[j][l], t1[l][j]))
-                    if any(s):
+                for l in range(j, n):
+                    if not _is_negation(t1[j][l], t1[l][j]):
                         raise ValueError(
                             f"graded commutativity fails on basis pair ({j + 1}, {l + 1})"
                         )
@@ -119,6 +118,15 @@ class GradedAlgebraPresentation:
         )
 
 
+def _is_negation(x, y):
+    """Is the Fraction vector x equal to -y?  Compared on the normalised
+    numerators and denominators, with no Fraction arithmetic."""
+    return all(
+        a.numerator == -b.numerator and a.denominator == b.denominator
+        for a, b in zip(x, y)
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class AomotoEvaluation:
     """The complex of exact matrices at one rational point.
@@ -137,10 +145,20 @@ class AomotoEvaluation:
 
 
 def _integer_point(alg: GradedAlgebraPresentation, a):
-    """(ints, den) with a = ints / den, after checking the length of a."""
-    a = qvector(a)
+    """(ints, den) with a = ints / den, after checking the length of a.
+
+    A point of plain ints (bool excluded) is returned as it stands; every
+    other point is coerced by qvector first, which refuses floats and
+    booleans.
+    """
+    a = tuple(a)
+    plain = all(type(x) is int for x in a)
+    if not plain:
+        a = qvector(a)
     if len(a) != alg.n:
         raise ValueError(f"point length {len(a)} != c_1 = {alg.n}")
+    if plain:
+        return list(a), 1
     den = lcm(*(x.denominator for x in a))
     return [x.numerator * (den // x.denominator) for x in a], den
 
@@ -365,8 +383,10 @@ def quotient_exterior_algebra(n: int, relations) -> GradedAlgebraPresentation:
 
     Relations are dicts {(i, j): coeff} with 0-based i < j in the
     pair-basis of the exterior square.  The quotient basis is the set of
-    non-pivot pairs after row reduction, and multiplication is wedge
-    followed by reduction against the pivot rows.
+    non-pivot pairs after row reduction.  Each product e_j e_l, j < l, is
+    read off the RREF in closed form: a kept pair stays a unit vector, and
+    a pivot pair is minus the kept part of its relation row.  Then
+    e_l e_j = -e_j e_l, and e_j e_j = 0.
     """
     pairs = list(itertools.combinations(range(n), 2))
     pair_index = {p: b for b, p in enumerate(pairs)}
@@ -379,22 +399,31 @@ def quotient_exterior_algebra(n: int, relations) -> GradedAlgebraPresentation:
             row[pair_index[(i, j)]] += qscalar(coeff)
         rel_rows.append(row)
     red, pivots = rref(rel_rows)
-    pivot_set = set(pivots)
-    kept = [b for b in range(len(pairs)) if b not in pivot_set]
+    pivot_row = dict(zip(pivots, red))
+    kept = [b for b in range(len(pairs)) if b not in pivot_row]
+    zero = (Fraction(0),) * len(kept)
 
-    tensor = []
-    for j in range(n):
-        per_gen = []
-        for l in range(n):
-            vec = [Fraction(0)] * len(pairs)
-            if j != l:
-                key = (min(j, l), max(j, l))
-                vec[pair_index[key]] = Fraction(1 if j < l else -1)
-            vec = reduce_vector(vec, red)
-            per_gen.append(tuple(vec[b] for b in kept))
-        tensor.append(tuple(per_gen))
+    product = {}  # e_j e_l for j < l, in the kept basis
+    for pos, b in enumerate(kept):
+        product[pairs[b]] = zero[:pos] + (Fraction(1),) + zero[pos + 1:]
+    for b, row in pivot_row.items():
+        product[pairs[b]] = _negated(row[c] for c in kept)
+    tensor = tuple(
+        tuple(
+            product[(j, l)] if j < l
+            else _negated(product[(l, j)]) if j > l
+            else zero
+            for l in range(n)
+        )
+        for j in range(n)
+    )
     dims = (1, n, len(kept))
-    return GradedAlgebraPresentation(dims, (tuple(tensor),))
+    return GradedAlgebraPresentation(dims, (tensor,))
+
+
+def _negated(vec):
+    """-vec as a tuple; zero entries are kept as they are, not negated."""
+    return tuple(-x if x else x for x in vec)
 
 
 def surface_algebra(g: int) -> GradedAlgebraPresentation:

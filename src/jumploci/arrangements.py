@@ -41,6 +41,7 @@ from .aomoto import aomoto_betti, isotropy_obstruction, quotient_exterior_algebr
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
+    _primitive,
     intersection_dim,
     primitive_integer_vector,
     qvector,
@@ -144,15 +145,18 @@ def multiple_points(arr: ProjLineArrangement):
     normalization (primitive integers, first nonzero entry positive)
     makes equality exact, and the line set of each point is recomputed
     by substitution so it is complete, whatever pair produced the point.
-    Computed on the first call and kept on `arr`.
+    Both run on the forms scaled once to primitive integers, which
+    changes neither a normalized point nor an incidence.  Computed on the
+    first call and kept on `arr`.
     """
     if arr._points is None:
+        forms = [_primitive(f) for f in arr.forms]
         seen = {}
         for i in range(arr.n):
             for j in range(i + 1, arr.n):
-                p = primitive_integer_vector(_cross(arr.forms[i], arr.forms[j]))
+                p = primitive_integer_vector(_cross(forms[i], forms[j]))
                 if p not in seen:
-                    lines = [k + 1 for k, f in enumerate(arr.forms) if not _dot3(f, p)]
+                    lines = [k + 1 for k, f in enumerate(forms) if not _dot3(f, p)]
                     seen[p] = MultiplePoint(p, lines)
         points = sorted(seen.values(), key=lambda m: (-m.multiplicity, m.lines))
         object.__setattr__(arr, "_points", tuple(points))

@@ -8,6 +8,14 @@ whether a rational translation vector lands back in a subspace modulo Z^n.
 No floats anywhere.  Two subspaces are equal iff their canonical bases are
 equal, so subspace equality is plain `==` on the objects.
 
+Membership is decided over the integers, with no Fraction elimination: a
+subspace reads integer equations straight off its RREF basis, one per
+non-pivot column, and keeps them together with its basis scaled to
+primitive integer rows.  A vector is scaled to integers and checked
+against the equations; a subspace is contained when its integer basis
+satisfies them; an intersection dimension is a rank of the two integer
+bases stacked; and the lattice coset test reads the same equations.
+
 Every rank, RREF and kernel over Q comes from one integer elimination
 kernel, `_echelon`: rows are scaled to primitive integer rows once, and
 `rank_int`, `rref` and `nullspace` read their answers off its echelon form.
@@ -156,17 +164,6 @@ def nullspace(rows, ncols=None):
     return rref(basis)[0]
 
 
-def reduce_vector(v, rows):
-    """v minus its components along RREF rows: all zero exactly when v lies
-    in their span, and otherwise the same for every vector of v + span."""
-    v = list(v)
-    for row in rows:
-        f = v[next(j for j, x in enumerate(row) if x)]
-        if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
 def _unit_row(n, j):
     return tuple(Q(1) if i == j else Q(0) for i in range(n))
 
@@ -181,12 +178,17 @@ class RationalSubspace:
 
     Equality and hashing go through the canonical basis, so two subspaces
     compare equal exactly when they are the same subspace of the same Q^n.
+    The integer equations and the primitive integer basis behind the
+    predicates are built on first use and kept; they take no part in
+    equality, hashing or repr.
     """
 
     n: int
     rows: InitVar[tuple] = ()
     basis: tuple = field(init=False)
     dim: int = field(init=False)
+    _equations: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _int_basis: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self, rows):
         if self.n < 0:
@@ -213,6 +215,8 @@ class RationalSubspace:
         object.__setattr__(s, "n", n)
         object.__setattr__(s, "basis", basis)
         object.__setattr__(s, "dim", len(basis))
+        object.__setattr__(s, "_equations", None)
+        object.__setattr__(s, "_int_basis", None)
         return s
 
     @classmethod
@@ -235,14 +239,18 @@ class RationalSubspace:
     # -- predicates --------------------------------------------------------
 
     def contains_vector(self, v) -> bool:
-        v = qvector(v)
-        if len(v) != self.n:
-            raise ValueError("vector length mismatch")
-        return not any(reduce_vector(v, self.basis))
+        """Is v in the subspace?  v is scaled to integers and checked against
+        the integer equations read off the RREF basis."""
+        return self._satisfies(self._integer_vector(v))
 
     def contains_subspace(self, other: "RationalSubspace") -> bool:
+        """Is `other` inside this subspace?  A larger subspace never is;
+        otherwise the primitive integer basis of `other` is checked against
+        the integer equations of this one."""
         self._check_ambient(other)
-        return all(self.contains_vector(b) for b in other.basis)
+        if other.dim > self.dim:
+            return False
+        return all(self._satisfies(r) for r in other._integer_basis())
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -256,11 +264,56 @@ class RationalSubspace:
         """{y : y . b = 0 for every b in this subspace} — same ambient Q^n."""
         return RationalSubspace._canonical(self.n, nullspace(self.basis, self.n))
 
-    def integer_equations(self):
-        """Primitive integer rows spanning the annihilator (defining equations)."""
-        return tuple(tuple(_primitive(r)) for r in self.annihilator().basis)
-
     # -- plumbing ----------------------------------------------------------
+
+    def _integer_vector(self, v):
+        """v checked against the ambient dimension and scaled to primitive
+        integers."""
+        v = qvector(v)
+        if len(v) != self.n:
+            raise ValueError("vector length mismatch")
+        return _primitive(v)
+
+    def _satisfies(self, ints):
+        """Does the integer vector `ints` satisfy every integer equation?"""
+        return not any(
+            sum(c * ints[k] for k, c in eq) for eq in self._integer_equations()
+        )
+
+    def _integer_equations(self):
+        """Sparse integer equations cutting out the subspace, read off the
+        RREF basis with no elimination.
+
+        With pivot rows r_i at columns p_i, a vector x lies in the span
+        exactly when x = sum_i x_{p_i} r_i, that is when, for every
+        non-pivot column j, L x_j - sum_i L r_i[j] x_{p_i} = 0, where L is
+        the lcm of the basis denominators.  Each equation is a tuple of
+        (column, integer coefficient) pairs.  Built on first use, then kept.
+        """
+        if self._equations is None:
+            scale = lcm(*(x.denominator for r in self.basis for x in r))
+            pivots = [next(j for j, x in enumerate(r) if x) for r in self.basis]
+            pivot_set = set(pivots)
+            eqs = []
+            for j in range(self.n):
+                if j in pivot_set:
+                    continue
+                eq = [(j, scale)]
+                for p, r in zip(pivots, self.basis):
+                    x = r[j]
+                    if x:
+                        eq.append((p, -x.numerator * (scale // x.denominator)))
+                eqs.append(tuple(eq))
+            object.__setattr__(self, "_equations", tuple(eqs))
+        return self._equations
+
+    def _integer_basis(self):
+        """The basis rows scaled to primitive integers, built on first use
+        and then kept."""
+        if self._int_basis is None:
+            ints = tuple(tuple(_primitive(r)) for r in self.basis)
+            object.__setattr__(self, "_int_basis", ints)
+        return self._int_basis
 
     def _check_ambient(self, other):
         if self.n != other.n:
@@ -280,9 +333,10 @@ def subspace_intersect(u: RationalSubspace, v: RationalSubspace) -> RationalSubs
 
 
 def intersection_dim(u: RationalSubspace, v: RationalSubspace) -> int:
-    """dim(U n V) without building the intersection: dim U + dim V - dim(U+V)."""
+    """dim(U n V) without building the intersection: dim U + dim V - dim(U+V),
+    the last a rank of the two kept primitive integer bases stacked."""
     u._check_ambient(v)
-    return u.dim + v.dim - rank_int(_primitive(r) for r in u.basis + v.basis)
+    return u.dim + v.dim - rank_int(u._integer_basis() + v._integer_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +373,12 @@ class SubspaceArrangement:
         return not self.components
 
     def contains_vector(self, v) -> bool:
-        return any(c.contains_vector(v) for c in self.components)
+        """Is v in some component?  v is scaled to integers once, then
+        checked against the integer equations of each component."""
+        if not self.components:
+            return False
+        ints = self.components[0]._integer_vector(v)
+        return any(c._satisfies(ints) for c in self.components)
 
     def codim(self) -> int:
         """Codimension of the union (ambient n if there are no components)."""
@@ -351,14 +410,14 @@ class SubspaceArrangement:
 
 
 def _prune_maximal(comps):
-    uniq = []
-    for c in comps:
-        if not any(c == d for d in uniq):
-            uniq.append(c)
+    """The distinct members not contained in another member.  Only a member
+    of larger dimension is tested: two distinct subspaces of the same
+    dimension never contain each other."""
+    uniq = list(dict.fromkeys(comps))
     return [
         c
         for c in uniq
-        if not any(d is not c and d.contains_subspace(c) for d in uniq)
+        if not any(d.dim > c.dim and d.contains_subspace(c) for d in uniq)
     ]
 
 
@@ -427,27 +486,26 @@ def in_row_lattice(hermite_rows, target) -> bool:
 def coset_in_subspace_mod_lattice(q, u: RationalSubspace) -> bool:
     """Decide whether q + Z^n meets U, i.e. q - m lies in U for some m in Z^n.
 
-    Write U as the kernel of an integer matrix A (primitive rows spanning the
-    annihilator).  Then q - m in U for some integer m iff A q lies in the
-    lattice A Z^n, which is an exact Hermite-form membership test.
+    Write U as the kernel of an integer matrix A (the integer equations
+    read off its RREF).  Then q - m in U for some integer m iff A q lies in
+    the lattice A Z^n, which is an exact Hermite-form membership test.
     """
     q = qvector(q)
     if len(q) != u.n:
         raise ValueError("vector length mismatch")
-    eqs = u.integer_equations()
+    eqs = u._integer_equations()
     if not eqs:  # U is all of Q^n
         return True
-    target = []
-    for row in eqs:
-        val = sum(a * x for a, x in zip(row, q))
-        target.append(val)
+    target = [sum(c * q[k] for k, c in eq) for eq in eqs]
     # A Z^n is generated by the columns of A; a non-integer image can never
     # be hit by integer combinations of integer columns.
     if any(v.denominator != 1 for v in target):
         return False
-    target = [int(v) for v in target]
-    cols = [tuple(row[j] for row in eqs) for j in range(u.n)]
-    return in_row_lattice(hermite_reduce(cols), target)
+    cols = [[0] * len(eqs) for _ in range(u.n)]
+    for i, eq in enumerate(eqs):
+        for k, c in eq:
+            cols[k][i] = c
+    return in_row_lattice(hermite_reduce(cols), [int(v) for v in target])
 
 
 # ---------------------------------------------------------------------------

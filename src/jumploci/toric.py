@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .qlinalg import RationalSubspace, _primitive, rank_int
+from .qlinalg import RationalSubspace, rank_int
 from .simplicial import SimplicialComplex, link_faces, reduced_betti_faces
 
 
@@ -76,7 +76,7 @@ class CoordinateArrangement:
             raise ValueError("ambient dimensions differ")
         if p.dim == 0 or not self.subsets:
             return False
-        rows = [_primitive(r) for r in p.basis]
+        rows = p._integer_basis()
         for w in self.subsets:
             outside = [j for j in range(self.n) if (j + 1) not in w]
             sub = [[row[j] for j in outside] for row in rows]

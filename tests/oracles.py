@@ -14,6 +14,11 @@ the package's rank oracle, aomoto_betti, on reported arrangement
 components: that oracle shares no code with the isotropy certificate the
 components carry.  The helpers at the end wrap or build package values
 for the tests, and nothing in the package calls them.
+
+The Fraction reduction route is kept here as the oracle of the integer
+predicates: a vector lies in a subspace exactly when reducing it against
+the RREF basis leaves zero, and the degree-2 Orlik-Solomon products are
+the wedges reduced against the relation rows.
 """
 
 import itertools
@@ -25,7 +30,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from jumploci.aomoto import GradedAlgebraPresentation, aomoto_betti
-from jumploci.qlinalg import RationalSubspace, qvector
+from jumploci.qlinalg import RationalSubspace, qscalar, qvector
 from jumploci.simplicial import SimplicialComplex, reduced_betti
 
 Q = Fraction
@@ -552,3 +557,86 @@ def evaluate_universal(mats, a):
         )
         for mat in mats
     ]
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reduction route
+
+
+def reduce_vector(v, rows):
+    """v minus its components along RREF rows: all zero exactly when v lies
+    in their span, and otherwise the same for every vector of v + span."""
+    v = list(v)
+    for row in rows:
+        f = v[next(j for j, x in enumerate(row) if x)]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def contains_vector_by_reduction(u, v):
+    return not any(reduce_vector(qvector(v), u.basis))
+
+
+def contains_subspace_by_reduction(u, w):
+    return all(contains_vector_by_reduction(u, b) for b in w.basis)
+
+
+def intersection_dim_by_reduction(u, w):
+    """dim(U n W) = dim W - dim of the residues of W's basis modulo U."""
+    residues = [reduce_vector(b, u.basis) for b in w.basis]
+    return w.dim - sympy_rank(residues)
+
+
+def maximal_members(comps):
+    """The distinct nonzero subspaces of `comps` not contained in another
+    distinct one, every pair tested, in the canonical order of
+    SubspaceArrangement."""
+    uniq = []
+    for c in comps:
+        if c.dim > 0 and c not in uniq:
+            uniq.append(c)
+    kept = [
+        c for c in uniq
+        if not any(d != c and contains_subspace_by_reduction(d, c) for d in uniq)
+    ]
+    return tuple(sorted(kept, key=lambda s: (-s.dim, s.basis)))
+
+
+def quotient_exterior_algebra_by_reduction(n, relations):
+    """The degree-2 quotient of the exterior algebra, as the package built
+    it by Fraction reduction: the relations are row-reduced by sympy, and
+    each wedge e_j e_l is reduced against the relation rows and read on
+    the non-pivot pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    pair_index = {p: b for b, p in enumerate(pairs)}
+    rel_rows = []
+    for rel in relations:
+        row = [Q(0)] * len(pairs)
+        for (i, j), coeff in rel.items():
+            row[pair_index[(i, j)]] += qscalar(coeff)
+        rel_rows.append(row)
+    red, pivots = rref_sympy(rel_rows)
+    kept = [b for b in range(len(pairs)) if b not in set(pivots)]
+    tensor = []
+    for j in range(n):
+        per_gen = []
+        for l in range(n):
+            vec = [Q(0)] * len(pairs)
+            if j != l:
+                vec[pair_index[(min(j, l), max(j, l))]] = Q(1 if j < l else -1)
+            vec = reduce_vector(vec, red)
+            per_gen.append(tuple(vec[b] for b in kept))
+        tensor.append(tuple(per_gen))
+    return GradedAlgebraPresentation((1, n, len(kept)), (tuple(tensor),))
+
+
+def commutativity_failure(tensor):
+    """The first ordered basis pair (1-based) with e_j e_l + e_l e_j != 0,
+    scanning every ordered pair, or None."""
+    n = len(tensor)
+    for j in range(n):
+        for l in range(n):
+            if any(x + y for x, y in zip(tensor[j][l], tensor[l][j])):
+                return j + 1, l + 1
+    return None

@@ -12,6 +12,7 @@ import sympy
 from jumploci import codec
 from jumploci.aomoto import (
     GradedAlgebraPresentation,
+    _integer_point,
     aomoto_betti,
     aomoto_matrices,
     exterior_algebra,
@@ -28,7 +29,9 @@ from jumploci.cli import main
 from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
 
 from oracles import (
+    commutativity_failure,
     evaluate_universal,
+    quotient_exterior_algebra_by_reduction,
     random_vector,
     sympy_rank,
     zero_multiplication_algebra,
@@ -278,6 +281,70 @@ def test_presentation_validation():
         pass
     zero = zero_multiplication_algebra((1, 3, 2))
     assert aomoto_betti(zero.padded(), (1, 1, 1), 1) == 2
+
+
+def _random_relations(rng, n):
+    """Degree-two relations with fractional coefficients, some of them
+    repeated, rescaled or combined from earlier ones."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rels = []
+    for _ in range(rng.randint(0, len(pairs) + 2)):
+        if rels and rng.random() < 0.3:
+            a, b = rng.choice(rels), rng.choice(rels)
+            s, t = Q(rng.randint(-3, 3), rng.randint(1, 3)), Q(rng.randint(-3, 3))
+            combined = {p: s * a.get(p, 0) + t * b.get(p, 0) for p in set(a) | set(b)}
+            rels.append(combined)
+        else:
+            support = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+            rels.append({p: Q(rng.randint(-4, 4), rng.randint(1, 5)) for p in support})
+    return rels
+
+
+def test_quotient_algebra_matches_the_reduction_oracle():
+    rng = random.Random(83)
+    reduced = set()
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        rels = _random_relations(rng, n)
+        alg = quotient_exterior_algebra(n, rels)
+        assert alg == quotient_exterior_algebra_by_reduction(n, rels)
+        reduced.add(alg.dims[2] < n * (n - 1) // 2)
+    assert reduced == {True, False}
+
+
+def test_graded_commutativity_refusals_keep_their_message():
+    alg = _fractional_quotient()
+    t = [list(per_gen) for per_gen in alg.mult[0]]
+    square = [list(per_gen) for per_gen in t]
+    square[1][1] = tuple(Q(1) for _ in t[1][1])  # e_2 e_2 != 0
+    swapped = [list(per_gen) for per_gen in t]
+    swapped[3][2] = t[2][3]  # e_4 e_3 = e_3 e_4 instead of its negative
+    both = [list(per_gen) for per_gen in square]
+    both[3][2] = t[2][3]
+    for bad, pair in ((square, (2, 2)), (swapped, (3, 4)), (both, (2, 2))):
+        assert commutativity_failure(bad) == pair
+        with pytest.raises(ValueError) as err:
+            GradedAlgebraPresentation(alg.dims, (bad,))
+        j, l = pair
+        assert str(err.value) == f"graded commutativity fails on basis pair ({j}, {l})"
+
+
+def test_plain_integer_points_skip_coercion_but_not_validation():
+    alg = surface_algebra(2)
+    assert _integer_point(alg, (3, -1, 0, 2)) == ([3, -1, 0, 2], 1)
+    assert _integer_point(alg, [Q(3, 2), 1, 0, 2]) == ([3, 2, 0, 4], 2)
+    for a in ((3, -1, 0, 2), (0, 0, 0, 0), (1, 0, 2, 0)):
+        as_fractions = tuple(Q(x) for x in a)
+        for i in (0, 1):
+            assert aomoto_betti(alg, a, i) == aomoto_betti(alg, as_fractions, i)
+    for bad in ((1.0, 0, 0, 0), (True, 0, 0, 0), (1, 0, False, 0)):
+        with pytest.raises(TypeError):
+            aomoto_betti(alg, bad, 1)
+    # a float is refused before the length is looked at, as before
+    with pytest.raises(TypeError):
+        aomoto_betti(alg, (1.0, 0), 1)
+    with pytest.raises(ValueError, match="point length 2 != c_1 = 4"):
+        aomoto_betti(alg, (1, 0), 1)
 
 
 def _algebra_json(alg):

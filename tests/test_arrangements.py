@@ -1,6 +1,7 @@
 """Projective line arrangements: intersection lattice, degree-one
 resonance components, certification."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ from oracles import (
     braid_component_equations,
     local_component_equations,
     points_without_jump,
+    quotient_exterior_algebra_by_reduction,
 )
 
 from jumploci import aomoto, arrangements
@@ -58,6 +60,17 @@ FULL_B3 = (
     (1, 0, 1),
     (0, 1, -1),
     (0, 1, 1),
+)
+
+# B3 with the four lines x±y±z and three generic lines: 82 components
+SIXTEEN = FULL_B3 + (
+    (1, 1, 1),
+    (1, 1, -1),
+    (1, -1, 1),
+    (1, -1, -1),
+    (1, 2, 3),
+    (2, -3, 5),
+    (3, 5, -7),
 )
 
 # The (3,4)-multinet plane of B3, in the line order of FULL_B3 (x, y, z,
@@ -306,6 +319,24 @@ def test_non_isotropic_component_is_refused(monkeypatch):
     with pytest.raises(OracleError) as err:
         r1_arrangement(arr)
     assert f"basis vectors 1 and 2 multiply to ({product}) in A^2" in str(err.value)
+
+
+def test_orlik_solomon_algebra_matches_the_reduction_oracle():
+    for forms in (BRAID, NEAR_PENCIL, DELETED_B3, FULL_B3, SIXTEEN):
+        arr = ProjLineArrangement(forms)
+        relations = [
+            {(i - 1, j - 1): 1, (i - 1, k - 1): -1, (j - 1, k - 1): 1}
+            for mp in multiple_points(arr)
+            for i, j, k in itertools.combinations(mp.lines, 3)
+        ]
+        assert os_algebra_deg2(arr) == quotient_exterior_algebra_by_reduction(
+            arr.n, relations
+        )
+
+
+def test_sixteen_lines_keep_their_components():
+    arr = ProjLineArrangement(SIXTEEN)
+    assert len(r1_arrangement(arr).components) == 82
 
 
 @pytest.mark.parametrize("name", ["braid", "deleted-b3"])

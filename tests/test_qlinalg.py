@@ -25,9 +25,13 @@ from jumploci.qlinalg import (
 
 from oracles import (
     brute_coset_hits,
+    contains_subspace_by_reduction,
+    contains_vector_by_reduction,
     coordinate_subspace,
     in_span,
     integer_rank,
+    intersection_dim_by_reduction,
+    maximal_members,
     meets_rank,
     random_subspace_basis,
     random_vector,
@@ -234,6 +238,109 @@ def test_contains_vector_matches_sympy():
         assert u.contains_vector(v) == in_span(list(v), basis or [[Q(0)] * n])
 
 
+def _subspaces_from_every_constructor(rng, n):
+    """Subspaces of Q^n built by span, from_equations, annihilator,
+    subspace_intersect, zero and full, with fractional rows."""
+
+    def rows(k):
+        return [
+            [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(k)
+        ]
+
+    u = RationalSubspace.span(n, rows(rng.randint(1, n)))
+    v = RationalSubspace.span(n, rows(rng.randint(1, n)))
+    return [
+        u,
+        RationalSubspace.from_equations(n, rows(rng.randint(0, n))),
+        v.annihilator(),
+        subspace_intersect(u, v),
+        RationalSubspace.zero(n),
+        RationalSubspace.full(n),
+    ]
+
+
+def test_contains_vector_matches_reduction_oracle():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        for u in _subspaces_from_every_constructor(rng, n):
+            coeffs = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in u.basis]
+            inside = [sum((c * r[k] for c, r in zip(coeffs, u.basis)), Q(0)) for k in range(n)]
+            vectors = [
+                random_vector(rng, n),
+                [rng.randint(-3, 3) for _ in range(n)],
+                [Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)],
+                inside,
+                [str(x) for x in inside],
+                [0] * n,
+            ]
+            for v in vectors:
+                got = u.contains_vector(v)
+                assert got == contains_vector_by_reduction(u, v)
+                seen.add(got)
+            assert u.contains_vector(inside)
+    assert seen == {True, False}
+
+
+def test_contains_subspace_matches_reduction_oracle():
+    rng = random.Random(67)
+    kinds = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        subs = _subspaces_from_every_constructor(rng, n)
+        # nested pairs: a subspace and a span of part of its basis
+        subs += [RationalSubspace.span(n, s.basis[: rng.randint(0, s.dim)]) for s in subs]
+        for u in subs:
+            for w in subs:
+                got = u.contains_subspace(w)
+                assert got == contains_subspace_by_reduction(u, w)
+                if u == w:
+                    kinds.add("equal")
+                elif u.dim == w.dim:
+                    kinds.add("equal dimension")
+                    assert not got
+                elif w.dim > u.dim:
+                    kinds.add("larger into smaller")
+                    assert not got
+                elif got:
+                    kinds.add("nested")
+    assert kinds == {"equal", "equal dimension", "larger into smaller", "nested"}
+
+
+def test_intersection_dim_matches_reduction_oracle():
+    rng = random.Random(71)
+    dims = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        subs = _subspaces_from_every_constructor(rng, n)
+        for u in subs:
+            for w in subs:
+                got = intersection_dim(u, w)
+                assert got == intersection_dim_by_reduction(u, w)
+                dims.add(got)
+    assert len(dims) >= 4
+
+
+def test_the_integer_predicates_are_kept_per_subspace():
+    u = RationalSubspace.span(4, [(Q(1, 2), 1, 0, Q(-1, 3)), (0, 0, 1, 2)])
+    # x = x0 r0 + x2 r2 with r0 = (1, 2, 0, -2/3): 3 x1 - 6 x0 = 0 and
+    # 3 x3 + 2 x0 - 6 x2 = 0, over the lcm 3 of the basis denominators
+    assert u._integer_equations() == (((1, 3), (0, -6)), ((3, 3), (0, 2), (2, -6)))
+    assert u._integer_basis() == ((3, 6, 0, -2), (0, 0, 1, 2))
+    assert u._integer_equations() is u._integer_equations()
+    assert u._integer_basis() is u._integer_basis()
+    assert RationalSubspace.full(3)._integer_equations() == ()
+    assert RationalSubspace.zero(2)._integer_equations() == (((0, 1),), ((1, 1),))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        u.contains_vector((1, 2, 3))
+    with pytest.raises(TypeError):
+        u.contains_vector((1.0, 2, 0, 0))
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        u.contains_subspace(RationalSubspace.full(5))
+
+
 def test_coset_membership_against_bounded_search():
     rng = random.Random(99)
     hits = 0
@@ -297,6 +404,60 @@ def test_arrangement_prunes_and_sorts():
     same = SubspaceArrangement(3, [plane, plane])
     assert arr == same
     assert hash(arr) == hash(same)
+
+
+def _b3_local_and_braid_subspaces():
+    from jumploci.arrangements import (
+        ProjLineArrangement,
+        _local_subspaces,
+        braid_subarrangements,
+    )
+
+    b3 = ProjLineArrangement(
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 1, 0),
+         (1, 0, -1), (1, 0, 1), (0, 1, -1), (0, 1, 1))
+    )
+    return _local_subspaces(b3) + [b.subspace for b in braid_subarrangements(b3)]
+
+
+def test_pruning_tests_only_larger_members(monkeypatch):
+    comps = _b3_local_and_braid_subspaces()
+    assert len(comps) == 18
+    assert sorted(c.dim for c in comps) == [2] * 15 + [3] * 3
+    calls = []
+    real = RationalSubspace.contains_subspace
+
+    def counted(self, other):
+        calls.append((self.dim, other.dim))
+        return real(self, other)
+
+    monkeypatch.setattr(RationalSubspace, "contains_subspace", counted)
+    arr = SubspaceArrangement(9, comps)
+    # the 3 components of dimension 3 against the 15 of dimension 2,
+    # where testing every ordered pair took 18 * 17 = 306 calls
+    assert len(calls) == 45 and set(calls) == {(3, 2)}
+    assert arr.components == maximal_members(comps)
+
+
+def test_pruning_matches_the_all_pairs_oracle():
+    rng = random.Random(73)
+    pruned = 0
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        comps = [
+            RationalSubspace.span(n, random_subspace_basis(rng, n, rng.randint(0, n)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        # nested members, and duplicates built along another path
+        for c in list(comps):
+            comps.append(RationalSubspace.span(n, c.basis[: rng.randint(0, c.dim)]))
+            if rng.random() < 0.5:
+                comps.append(RationalSubspace.span(n, [[2 * x for x in r] for r in reversed(c.basis)]))
+        rng.shuffle(comps)
+        arr = SubspaceArrangement(n, comps)
+        assert arr.components == maximal_members(comps)
+        pruned += len(set(c for c in comps if c.dim > 0)) - len(arr)
+    assert pruned > 0
 
 
 def test_meets_nontrivially_matches_rank_oracle():

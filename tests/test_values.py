@@ -22,7 +22,7 @@ from jumploci.laurent import (
     compare_tangent_cones,
     link_cv1,
 )
-from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
+from jumploci.qlinalg import RationalSubspace, SubspaceArrangement, intersection_dim
 from jumploci.simplicial import SimplicialComplex
 from jumploci.toric import CoordinateArrangement, Graph, toric_resonance
 
@@ -99,3 +99,20 @@ def test_value_types_are_frozen_and_survive_pickle_and_deepcopy():
         assert twin._algebra._compiled == arr._algebra._compiled is not None
         assert twin._braids == arr._braids is not None
         assert r1_arrangement(twin) == r1_arrangement(arr)
+
+
+def test_kept_integer_predicates_leave_equality_and_hash_alone():
+    fresh = RationalSubspace(3, [(1, Q(1, 2), 0), (0, 0, 2)])
+    queried = RationalSubspace(3, [(2, 1, 0), (0, 0, 1)])
+    assert queried.contains_vector((4, 2, Q(1, 3)))
+    assert intersection_dim(queried, RationalSubspace.full(3)) == 2
+    assert queried._equations is not None and queried._int_basis is not None
+    assert fresh._equations is None and fresh._int_basis is None
+    assert queried == fresh and hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh)
+    for twin in (pickle.loads(pickle.dumps(queried)), copy.deepcopy(queried)):
+        assert twin == fresh and hash(twin) == hash(fresh)
+        assert twin._equations == queried._equations
+        assert twin._int_basis == queried._int_basis
+        assert twin.contains_vector((4, 2, Q(1, 3)))
+        assert not twin.contains_vector((1, 0, 0))
