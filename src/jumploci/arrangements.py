@@ -325,11 +325,24 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
         if aomoto_betti(algebra, a, 1) != 0:
             raise OracleError(f"rank oracle sees a jump off the union at {a}")
     pieces = result.components
+    supports = [_support(p) for p in pieces]
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            if intersection_dim(pieces[i], pieces[j]) != 0:
+            # components on disjoint coordinates meet only in 0
+            if supports[i] & supports[j] and intersection_dim(pieces[i], pieces[j]) != 0:
                 raise ValueError("components must pairwise meet only in 0")
     return result
+
+
+def _support(subspace):
+    """The coordinates where some vector of the subspace is nonzero, as a
+    bitmask (bit k for coordinate k+1)."""
+    mask = 0
+    for row in subspace.basis:
+        for k, x in enumerate(row):
+            if x:
+                mask |= 1 << k
+    return mask
 
 
 def _random_off_union(arrangement, rng):

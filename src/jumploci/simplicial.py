@@ -185,7 +185,10 @@ def link_faces(link, w: int) -> frozenset:
     For sigma disjoint from W the link inside the induced subcomplex K_W is
     the induced subcomplex of lk_K(sigma) on W: the faces of `link` inside
     the bitmask W.  Nothing is validated: the caller passes a link of a
-    face sigma and a W disjoint from sigma.
+    face sigma and a W disjoint from sigma.  The toric search no longer
+    calls it, since it filters only the link faces it needs; it is kept
+    for the level-wise test oracle and for the benchmark's tracer, which
+    looks it up by name.
     """
     outside = ~w
     return frozenset(t for t in link if not t & outside)

@@ -9,11 +9,15 @@ line arrangements from their defining equations.  The tests freeze expected
 values computed by these slow oracles and then assert the fast code
 paths agree.
 
-Two parts lean on the package on purpose.  points_without_jump samples
+Three parts lean on the package on purpose.  points_without_jump samples
 the package's rank oracle, aomoto_betti, on reported arrangement
 components: that oracle shares no code with the isotropy certificate the
-components carry.  The helpers at the end wrap or build package values
-for the tests, and nothing in the package calls them.
+components carry.  toric_resonance_levelwise is the package's former
+search, level by level from the empty set over link_faces and
+reduced_betti_faces: it shares the Betti kernel with the package but not
+the search or the per-degree passing test, and it is fast enough for 14
+vertices, where the sweep is not.  The helpers at the end wrap or build
+package values for the tests, and nothing in the package calls them.
 
 The Fraction reduction route is kept here as the oracle of the integer
 predicates: a vector lies in a subspace exactly when reducing it against
@@ -21,6 +25,7 @@ the RREF basis leaves zero, and the degree-2 Orlik-Solomon products are
 the wedges reduced against the relation rows.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -31,7 +36,12 @@ from sympy.polys.matrices import DomainMatrix
 
 from jumploci.aomoto import GradedAlgebraPresentation, aomoto_betti
 from jumploci.qlinalg import RationalSubspace, qscalar, qvector
-from jumploci.simplicial import SimplicialComplex, reduced_betti
+from jumploci.simplicial import (
+    SimplicialComplex,
+    link_faces,
+    reduced_betti,
+    reduced_betti_faces,
+)
 
 Q = Fraction
 
@@ -285,6 +295,19 @@ def simplicial_betti_sympy(faces_by_dim):
     return betti
 
 
+@functools.lru_cache(maxsize=None)
+def _link_betti(link):
+    """simplicial_betti_sympy of a face set of frozensets, kept across
+    calls: the sweeps of many small complexes meet the same links again."""
+    top = max(len(f) for f in link) - 1
+    return simplicial_betti_sympy(
+        [
+            sorted(tuple(sorted(f)) for f in link if len(f) == j + 1)
+            for j in range(top + 1)
+        ]
+    )
+
+
 def toric_resonance_sweep(k, i, d):
     """Degree-i depth-d toric resonance by the exhaustive sweep over all 2^n
     vertex subsets W, each tested with the Papadima-Suciu link formula.
@@ -294,7 +317,6 @@ def toric_resonance_sweep(k, i, d):
     n = k.n
     verts = range(1, n + 1)
     small = [f for f in k.faces if len(f) <= i]
-    betti = {}
     passing = []
     origin = False
     for mask in range(1 << n):
@@ -306,15 +328,7 @@ def toric_resonance_sweep(k, i, d):
             link = frozenset(
                 f - sigma for f in k.faces if sigma <= f and (f - sigma) <= w
             )
-            if link not in betti:
-                top = max(len(f) for f in link) - 1
-                betti[link] = simplicial_betti_sympy(
-                    [
-                        sorted(tuple(sorted(f)) for f in link if len(f) == j + 1)
-                        for j in range(top + 1)
-                    ]
-                )
-            total += betti[link].get(i - 1 - len(sigma), 0)
+            total += _link_betti(link).get(i - 1 - len(sigma), 0)
             if total >= d:
                 break
         if total >= d:
@@ -324,6 +338,70 @@ def toric_resonance_sweep(k, i, d):
                 origin = True
     maximal = [w for w in passing if not any(w < v for v in passing)]
     return tuple(sorted(tuple(sorted(w)) for w in maximal)), origin
+
+
+def toric_resonance_levelwise(k, i, d):
+    """Degree-i depth-d toric resonance by the level-wise search the package
+    used before joint generation, as Apriori searches frequent item sets.
+
+    A vertex set one larger than a passing set is tested only once every
+    subset one vertex smaller has passed; a passing set is maximal when no
+    passing set one vertex larger contains it.  Each test sums the reduced
+    Betti numbers of link_faces(lk_K(sigma), W), memoized on
+    (sigma, W & span).  Returns (maximal nonempty passing subsets, sorted;
+    does ∅ pass), the shape of toric_resonance_sweep.
+    """
+    n = k.n
+    faces = k.face_masks()
+    links = []
+    for sigma in faces:
+        size = sigma.bit_count()
+        if size > i:
+            continue
+        link = tuple(f ^ sigma for f in faces if f & sigma == sigma)
+        span = 0
+        for tau in link:
+            span |= tau
+        links.append((sigma, link, span, i - 1 - size))
+    memo = {}
+
+    def passes(w):
+        total = 0
+        for sigma, link, span, degree in links:
+            if sigma & w:
+                continue
+            key = (sigma, w & span)
+            if key not in memo:
+                memo[key] = reduced_betti_faces(link_faces(link, w), degree)
+            total += memo[key]
+            if total >= d:
+                return True
+        return False
+
+    def subset(mask):
+        return tuple(v + 1 for v in range(n) if mask >> v & 1)
+
+    def below(mask):
+        return [mask ^ 1 << v for v in range(n) if mask >> v & 1]
+
+    full = (1 << n) - 1
+    if not passes(0):
+        return (), False
+    if passes(full):
+        return (subset(full),), True
+    maximal = []
+    level = {0}
+    while level:
+        grown = set()
+        for w in level:
+            for v in range(w.bit_length(), n):
+                c = w | 1 << v
+                if c != full and all(b in level for b in below(c)) and passes(c):
+                    grown.add(c)
+        covered = {b for c in grown for b in below(c)}
+        maximal.extend(w for w in level if w not in covered)
+        level = grown
+    return tuple(sorted(subset(w) for w in maximal if w)), True
 
 
 def tc1_sympy(n, terms):

@@ -321,6 +321,42 @@ def test_non_isotropic_component_is_refused(monkeypatch):
     assert f"basis vectors 1 and 2 multiply to ({product}) in A^2" in str(err.value)
 
 
+def _lines(subspace):
+    return {k for row in subspace.basis for k, x in enumerate(row) if x}
+
+
+def test_components_on_disjoint_lines_skip_the_elimination(monkeypatch):
+    ranked = []
+    real = arrangements.intersection_dim
+    monkeypatch.setattr(
+        arrangements, "intersection_dim", lambda u, v: ranked.append(1) or real(u, v)
+    )
+    comps = r1_arrangement(ProjLineArrangement(DELETED_B3)).components
+    overlapping = [
+        (u, v) for u, v in itertools.combinations(comps, 2) if _lines(u) & _lines(v)
+    ]
+    assert len(ranked) == len(overlapping) == comb(len(comps), 2) - 1
+    assert all(real(u, v) == 0 for u, v in itertools.combinations(comps, 2))
+
+
+def test_planted_overlapping_component_is_refused(monkeypatch):
+    arr = ProjLineArrangement(BRAID)
+    comp = r1_arrangement(arr).components[0]
+    outside = min(set(range(arr.n)) - _lines(comp))
+    # meets comp in the line of its first basis vector
+    plane = RationalSubspace(
+        arr.n, [comp.basis[0], [int(k == outside) for k in range(arr.n)]]
+    )
+    assert intersection_dim(comp, plane) == 1
+    planted = arrangements.BraidComponent(
+        (1, 2, 3, 4, 5, 6), ((1, 2), (3, 4), (5, 6)), plane
+    )
+    real = arrangements.braid_subarrangements
+    monkeypatch.setattr(arrangements, "braid_subarrangements", lambda a: real(a) + (planted,))
+    with pytest.raises(ValueError, match="pairwise meet only in 0"):
+        r1_arrangement(arr)
+
+
 def test_orlik_solomon_algebra_matches_the_reduction_oracle():
     for forms in (BRAID, NEAR_PENCIL, DELETED_B3, FULL_B3, SIXTEEN):
         arr = ProjLineArrangement(forms)

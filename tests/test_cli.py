@@ -277,6 +277,23 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     assert code == 0 and json.loads(out)["answer"] == "full"
 
 
+def test_toric_search_over_its_call_limit_exits_2(tmp_path, capsys, monkeypatch):
+    from jumploci import toric
+
+    # C_24 in degree 1 needs 2,784 tests of vertex sets
+    cycle = {"facets": [[v, v % 24 + 1] for v in range(1, 25)], "n": 24}
+    complex_file = write_json(tmp_path, "c24.json", cycle)
+    monkeypatch.setattr(toric, "ORACLE_CALL_LIMIT", 1000)
+    toric.toric_resonance.cache_clear()
+    code, out = run_cli(capsys, "toric", "res", "--complex", complex_file)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "precondition" and "after 1001 tests" in err["message"]
+    monkeypatch.undo()
+    code, out = run_cli(capsys, "toric", "res", "--complex", complex_file)
+    assert code == 0 and len(json.loads(out)["resonance"]["subsets"]) == 252
+
+
 def test_parse_errors_exit_3(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -4,8 +4,12 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 
+import pytest
+
+from jumploci import toric
 from jumploci.qlinalg import RationalSubspace
 from jumploci.simplicial import SimplicialComplex, full_simplex
 from jumploci.toric import (
@@ -18,7 +22,13 @@ from jumploci.toric import (
     toric_resonance,
 )
 
-from oracles import all_complexes, meets_rank, random_subspace_basis, toric_resonance_sweep
+from oracles import (
+    all_complexes,
+    meets_rank,
+    random_subspace_basis,
+    toric_resonance_levelwise,
+    toric_resonance_sweep,
+)
 
 Q = Fraction
 
@@ -183,6 +193,71 @@ def test_cover_membership_matches_the_sweeps_of_every_lower_degree():
                     assert toric_omega_member(k, i, r, p) is expect, (k, i, basis)
                     answers.add(expect)
     assert answers == {True, False}
+
+
+def test_search_matches_sweep_on_a_sample_of_complexes_on_five_vertices():
+    pool = list(all_complexes(5, SimplicialComplex))
+    for k in random.Random(2013).sample(pool, 500):
+        for i, d in itertools.product(range(4), range(1, 4)):
+            _agrees_with_sweep(k, i, d)
+
+
+def test_search_matches_levelwise_search_on_ten_to_fourteen_vertices():
+    rng = random.Random(2003)
+    for n in range(10, 15):
+        k = _random_complex(rng, n, 2 + n % 2)
+        for i, d in itertools.product(range(4), range(1, 4)):
+            arr = toric_resonance(k, i, d)
+            expect = toric_resonance_levelwise(k, i, d)
+            assert (arr.subsets, arr.contains_origin) == expect, (k, i, d)
+
+
+def _cycle(n):
+    return SimplicialComplex([(v, v % n + 1) for v in range(1, n + 1)], n)
+
+
+def test_cycle_ladder():
+    # the degree-1 pieces of C_n are V minus two non-adjacent vertices
+    for n in (12, 14):
+        graph = Graph(n, _cycle(n).one_skeleton_edges())
+        assert toric_resonance(_cycle(n), 1, 1) == raag_r1(graph)
+    for n in (12, 18, 24, 30):
+        start = time.perf_counter()
+        arr = toric_resonance.__wrapped__(_cycle(n), 1, 1)
+        elapsed = time.perf_counter() - start
+        assert len(arr) == n * (n - 3) // 2
+        assert all(len(w) == n - 2 for w in arr)
+        # C_30 measured 0.03-0.05 s; the level-wise search would take hours
+        assert elapsed < 5, (n, elapsed)
+
+
+def test_joint_generation_finds_both_borders_of_a_down_closed_family():
+    rng = random.Random(1996)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        full = (1 << n) - 1
+        tops = [rng.randrange(full) for _ in range(rng.randint(1, 6))]
+
+        def passes(w):
+            return any(not w & ~top for top in tops)
+
+        maximal, failed = toric._joint_generation(n, passes)
+        family = [w for w in range(full + 1) if passes(w)]
+        expect_max = {w for w in family if not any(w != v and not w & ~v for v in family)}
+        expect_min = {
+            w for w in range(full + 1)
+            if w not in family and all(w ^ b in family for b in toric._bits(w))
+        }
+        assert sorted(maximal) == sorted(expect_max)
+        assert sorted(failed) == sorted(expect_min)
+
+
+def test_search_refuses_above_the_oracle_call_limit(monkeypatch):
+    monkeypatch.setattr(toric, "ORACLE_CALL_LIMIT", 1000)
+    with pytest.raises(ValueError, match="after 1001 tests"):
+        toric_resonance.__wrapped__(_cycle(24), 1, 1)
+    # C_24 needs 2,784 tests, C_14 599
+    assert len(toric_resonance.__wrapped__(_cycle(14), 1, 1)) == 77
 
 
 def test_search_shortcuts():
