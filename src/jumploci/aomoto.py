@@ -496,8 +496,8 @@ def product_resonance(arrs1, arrs2, i: int) -> SubspaceArrangement:
         comps2 = arrs2[q].components or (RationalSubspace.zero(n2),)
         for u in comps1:
             for v in comps2:
-                rows = [tuple(b) + (Fraction(0),) * n2 for b in u.basis]
-                rows += [(Fraction(0),) * n1 + tuple(b) for b in v.basis]
+                rows = [r + (0,) * n2 for r in u.rows]
+                rows += [(0,) * n1 + r for r in v.rows]
                 out.append(RationalSubspace(n1 + n2, rows))
     return SubspaceArrangement(n1 + n2, out)
 

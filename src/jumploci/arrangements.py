@@ -283,8 +283,8 @@ def braid_subarrangements(arr: ProjLineArrangement):
 
 
 def _certify(algebra, subspace, what):
-    """Raise OracleError unless the basis of `subspace` is isotropic in A^2."""
-    obstruction = isotropy_obstruction(algebra, subspace.basis)
+    """Raise OracleError unless the rows of `subspace` are isotropic in A^2."""
+    obstruction = isotropy_obstruction(algebra, subspace.rows)
     if obstruction is not None:
         i, j, product = obstruction
         raise OracleError(
@@ -338,7 +338,7 @@ def _support(subspace):
     """The coordinates where some vector of the subspace is nonzero, as a
     bitmask (bit k for coordinate k+1)."""
     mask = 0
-    for row in subspace.basis:
+    for row in subspace.rows:
         for k, x in enumerate(row):
             if x:
                 mask |= 1 << k

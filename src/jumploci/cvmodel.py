@@ -32,10 +32,6 @@ from .qlinalg import (
 
 Q = Fraction
 
-# A degree's resonance data is just an arrangement of rational subspaces.
-ResonanceModel = SubspaceArrangement
-
-
 def _reduce_mod_lattice(vector):
     """Reduce each coordinate into [0, 1) — the canonical coset representative."""
     out = []
@@ -246,7 +242,7 @@ def plucker2(plane: RationalSubspace):
     """Six homogeneous coordinates for a 2-plane in Q^4.
 
     Returns the 2x2 minors, in column order (12, 13, 14, 23, 24, 34),
-    of the canonical basis matrix of the plane's annihilator, scaled to
+    of the canonical integer rows of the plane's annihilator, scaled to
     a primitive integer vector with first nonzero entry positive.  With
     this normalization the classical quadratic identity
     p12*p34 - p13*p24 + p23*p14 = 0 holds, and incidence with a fixed
@@ -256,7 +252,7 @@ def plucker2(plane: RationalSubspace):
         raise ValueError("ambient dimension must be 4")
     if plane.dim != 2:
         raise ValueError("expected a 2-dimensional subspace")
-    rows = plane.annihilator().basis
+    rows = plane.annihilator().rows
     minors = []
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
         minors.append(rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i])
@@ -304,7 +300,7 @@ def strictness_witness(component: TranslatedTorus, res: SubspaceArrangement, bou
             if radius and max(abs(x) for x in lam) != radius:
                 continue
             shifted = tuple(qi + li for qi, li in zip(component.q, lam))
-            plane = RationalSubspace.span(n, line.basis + (shifted,))
+            plane = RationalSubspace.span(n, line.rows + (shifted,))
             if plane.dim != 2:
                 continue
             if any(intersection_dim(plane, c) >= 1 for c in res.components):

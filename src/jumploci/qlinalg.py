@@ -1,32 +1,34 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream leans on this module: matrices with Fraction entries,
-linear subspaces of Q^n held in reduced row-echelon canonical form, finite
-unions of such subspaces, and the integer-lattice coset test that decides
-whether a rational translation vector lands back in a subspace modulo Z^n.
+linear subspaces of Q^n held in one canonical integer form, finite unions
+of such subspaces, and the integer-lattice coset test that decides whether
+a rational translation vector lands back in a subspace modulo Z^n.
 
-No floats anywhere.  Two subspaces are equal iff their canonical bases are
-equal, so subspace equality is plain `==` on the objects.
+No floats anywhere.  A subspace is stored once, as the rows of its reduced
+row-echelon form scaled to coprime integers with a positive pivot.  That
+form is canonical, so subspace equality is plain `==` on the objects; the
+Fraction RREF basis is read off it only for output and ordering.
 
 Membership is decided over the integers, with no Fraction elimination: a
-subspace reads integer equations straight off its RREF basis, one per
-non-pivot column, and keeps them together with its basis scaled to
-primitive integer rows.  A vector is scaled to integers and checked
-against the equations; a subspace is contained when its integer basis
-satisfies them; an intersection dimension is a rank of the two integer
-bases stacked; and the lattice coset test reads the same equations.
+subspace builds its integer equations from its rows, one per non-pivot
+column.  A vector is scaled to integers and checked against the equations;
+a subspace is contained when its rows satisfy them; an intersection
+dimension is a rank of the two row sets stacked; and the lattice coset test
+reads the same equations.
 
 Every rank, RREF and kernel over Q comes from one integer elimination
 kernel, `_echelon`: rows are scaled to primitive integer rows once, and
-`rank_int`, `rref` and `nullspace` read their answers off its echelon form.
-Two eliminations stay apart because they answer different questions:
+`rank_int` reads its pivots, while `_reduced` back-substitutes them into
+the reduced rows that subspaces, kernels and `rref` are read off.  Two
+eliminations stay apart because they answer different questions:
 `hermite_reduce` uses only unimodular row operations, since the row lattice
 over Z must not change, and `laurent._zt_det` eliminates over Z[t].
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -60,6 +62,16 @@ def _primitive(v):
     ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
+
+
+def _primitive_rows(rows):
+    """Each row scaled to primitive integers.  Entries may be ints,
+    Fractions or anything qscalar accepts; only the entries that are
+    neither int nor Fraction are coerced."""
+    return [
+        _primitive([x if isinstance(x, (int, Q)) else qscalar(x) for x in r])
+        for r in rows
+    ]
 
 
 def _echelon(rows):
@@ -102,6 +114,60 @@ def _echelon(rows):
     return mat, pivots
 
 
+def _reduced(rows):
+    """Integer rows in reduced echelon form: (rows, pivot columns).
+
+    After forward elimination, each pivot row, bottom up, clears its column
+    in the rows above by the same integer combinations.  Each row is then a
+    nonzero integer multiple of the matching RREF row.
+    """
+    mat, pivots = _echelon(rows)
+    for k in range(len(pivots) - 1, 0, -1):
+        prow, c = mat[k], pivots[k]
+        pv = prow[c]
+        for i in range(k):
+            v = mat[i][c]
+            if v:
+                g = gcd(pv, v)
+                a, b = pv // g, v // g
+                mat[i] = [a * x - b * y for x, y in zip(mat[i], prow)]
+    return mat, pivots
+
+
+def _kernel(mat, pivots, n):
+    """Sparse integer vectors spanning {x : M x = 0}, for M in reduced
+    echelon form with n columns (as `_reduced` returns it).
+
+    One vector per non-pivot column j: L at j and -(L / d) r[j] at the
+    pivot column of each row r with pivot entry d, where L is the lcm of
+    the pivot entries.  Each vector is a tuple of (column, integer entry)
+    pairs, j first, then the pivot columns in order, zeros left out.
+    """
+    scale = lcm(*(r[c] for r, c in zip(mat, pivots)))
+    pivot_set = set(pivots)
+    out = []
+    for j in range(n):
+        if j in pivot_set:
+            continue
+        vec = [(j, scale)]
+        for r, c in zip(mat, pivots):
+            if r[j]:
+                vec.append((c, -(scale // r[c]) * r[j]))
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def _dense(n, sparse):
+    """Sparse (column, entry) vectors as dense integer rows of length n."""
+    rows = []
+    for vec in sparse:
+        row = [0] * n
+        for k, x in vec:
+            row[k] = x
+        rows.append(row)
+    return rows
+
+
 def rank_int(rows) -> int:
     """Rank of an integer matrix: the pivot count of its forward elimination.
 
@@ -115,25 +181,14 @@ def rref(rows):
 
     Returns (rows, pivots): the nonzero rows of the RREF as Fraction tuples
     and the tuple of pivot column indices.  The input is not modified.
-    Entries may be ints, Fractions or anything qscalar accepts; only the
-    entries that are neither int nor Fraction are coerced.  The rows are
-    scaled to primitive integers once; after forward elimination, each
-    pivot row, bottom up, clears its column in the rows above by the same
-    integer combinations, and only then is each row divided by its pivot.
+    Entries may be ints, Fractions or anything qscalar accepts.  The rows
+    are scaled to primitive integers and reduced over the integers; only
+    then is each row divided by its pivot.
     """
-    rows = [[x if isinstance(x, (int, Q)) else qscalar(x) for x in r] for r in rows]
+    rows = _primitive_rows(rows)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    mat, pivots = _echelon([_primitive(r) for r in rows])
-    for k in range(len(pivots) - 1, 0, -1):
-        prow, c = mat[k], pivots[k]
-        pv = prow[c]
-        for i in range(k):
-            v = mat[i][c]
-            if v:
-                g = gcd(pv, v)
-                a, b = pv // g, v // g
-                mat[i] = [a * x - b * y for x, y in zip(mat[i], prow)]
+    mat, pivots = _reduced(rows)
     out = tuple(
         tuple(Q(x, row[c]) for x in row) for row, c in zip(mat, pivots)
     )
@@ -146,26 +201,10 @@ def nullspace(rows, ncols=None):
     `ncols` is required when `rows` is empty (the kernel is then all of Q^n).
     """
     rows = [tuple(r) for r in rows]
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols needed for an empty matrix")
-        return tuple(_unit_row(ncols, j) for j in range(ncols))
-    red, pivots = rref(rows)
-    n = len(rows[0])
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    basis = []
-    for j in free:
-        v = [Q(0)] * n
-        v[j] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][j]
-        basis.append(v)
-    return rref(basis)[0]
-
-
-def _unit_row(n, j):
-    return tuple(Q(1) if i == j else Q(0) for i in range(n))
+    if not rows and ncols is None:
+        raise ValueError("ncols needed for an empty matrix")
+    n = len(rows[0]) if rows else ncols
+    return RationalSubspace.from_equations(n, rows).basis
 
 
 # ---------------------------------------------------------------------------
@@ -174,32 +213,44 @@ def _unit_row(n, j):
 
 @dataclass(frozen=True, slots=True)
 class RationalSubspace:
-    """A linear subspace of Q^n, stored as its RREF canonical basis.
+    """A linear subspace of Q^n, stored as its RREF rows scaled to coprime
+    integers with a positive pivot.
 
-    Equality and hashing go through the canonical basis, so two subspaces
-    compare equal exactly when they are the same subspace of the same Q^n.
-    The integer equations and the primitive integer basis behind the
-    predicates are built on first use and kept; they take no part in
-    equality, hashing or repr.
+    The rows are canonical, so two subspaces compare equal exactly when
+    they are the same subspace of the same Q^n.  The sparse integer
+    equations behind the predicates are built with the rows, one per
+    non-pivot column; they take no part in equality, hashing or repr.
     """
 
     n: int
-    rows: InitVar[tuple] = ()
-    basis: tuple = field(init=False)
+    rows: tuple = ()
     dim: int = field(init=False)
-    _equations: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _int_basis: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    equations: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, rows):
+    def __post_init__(self):
         if self.n < 0:
             raise ValueError("ambient dimension must be >= 0")
-        rows = [tuple(r) for r in rows]
+        rows = [tuple(r) for r in self.rows]
         for r in rows:
             if len(r) != self.n:
                 raise ValueError(f"vector length {len(r)} != ambient dimension {self.n}")
-        red, _ = rref(rows)
-        object.__setattr__(self, "basis", red)
-        object.__setattr__(self, "dim", len(red))
+        mat, pivots = _reduced(_primitive_rows(rows))
+        canonical = []
+        for r, c in zip(mat, pivots):
+            g = gcd(*r) if r[c] > 0 else -gcd(*r)
+            canonical.append(tuple(x // g for x in r))
+        object.__setattr__(self, "rows", tuple(canonical))
+        object.__setattr__(self, "dim", len(canonical))
+        object.__setattr__(self, "equations", _kernel(canonical, pivots, self.n))
+
+    @property
+    def basis(self):
+        """The RREF basis: each row divided by its pivot, as Fractions."""
+        out = []
+        for r in self.rows:
+            d = next(x for x in r if x)
+            out.append(tuple(Q(x, d) for x in r))
+        return tuple(out)
 
     # -- constructors ------------------------------------------------------
 
@@ -208,24 +259,12 @@ class RationalSubspace:
         return cls(n, vectors)
 
     @classmethod
-    def _canonical(cls, n, basis):
-        """The subspace whose RREF basis is already `basis` (as nullspace
-        returns it), without row-reducing it again."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "basis", basis)
-        object.__setattr__(s, "dim", len(basis))
-        object.__setattr__(s, "_equations", None)
-        object.__setattr__(s, "_int_basis", None)
-        return s
-
-    @classmethod
     def zero(cls, n):
         return cls(n, ())
 
     @classmethod
     def full(cls, n):
-        return cls(n, [_unit_row(n, j) for j in range(n)])
+        return cls(n, [[int(i == j) for i in range(n)] for j in range(n)])
 
     @classmethod
     def from_equations(cls, n, eqs):
@@ -234,26 +273,24 @@ class RationalSubspace:
         for e in eqs:
             if len(e) != n:
                 raise ValueError("equation length mismatch")
-        return cls._canonical(n, nullspace(eqs, n))
+        mat, pivots = _reduced(_primitive_rows(eqs))
+        return cls(n, _dense(n, _kernel(mat, pivots, n)))
 
     # -- predicates --------------------------------------------------------
 
     def contains_vector(self, v) -> bool:
         """Is v in the subspace?  v is scaled to integers and checked against
-        the integer equations read off the RREF basis."""
+        the integer equations."""
         return self._satisfies(self._integer_vector(v))
 
     def contains_subspace(self, other: "RationalSubspace") -> bool:
         """Is `other` inside this subspace?  A larger subspace never is;
-        otherwise the primitive integer basis of `other` is checked against
-        the integer equations of this one."""
+        otherwise the rows of `other` are checked against the integer
+        equations of this one."""
         self._check_ambient(other)
         if other.dim > self.dim:
             return False
-        return all(self._satisfies(r) for r in other._integer_basis())
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
+        return all(self._satisfies(r) for r in other.rows)
 
     def codim(self) -> int:
         return self.n - self.dim
@@ -261,8 +298,9 @@ class RationalSubspace:
     # -- derived subspaces -------------------------------------------------
 
     def annihilator(self) -> "RationalSubspace":
-        """{y : y . b = 0 for every b in this subspace} — same ambient Q^n."""
-        return RationalSubspace._canonical(self.n, nullspace(self.basis, self.n))
+        """{y : y . b = 0 for every b in this subspace} — same ambient Q^n:
+        the span of the integer equations."""
+        return RationalSubspace(self.n, _dense(self.n, self.equations))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -276,44 +314,7 @@ class RationalSubspace:
 
     def _satisfies(self, ints):
         """Does the integer vector `ints` satisfy every integer equation?"""
-        return not any(
-            sum(c * ints[k] for k, c in eq) for eq in self._integer_equations()
-        )
-
-    def _integer_equations(self):
-        """Sparse integer equations cutting out the subspace, read off the
-        RREF basis with no elimination.
-
-        With pivot rows r_i at columns p_i, a vector x lies in the span
-        exactly when x = sum_i x_{p_i} r_i, that is when, for every
-        non-pivot column j, L x_j - sum_i L r_i[j] x_{p_i} = 0, where L is
-        the lcm of the basis denominators.  Each equation is a tuple of
-        (column, integer coefficient) pairs.  Built on first use, then kept.
-        """
-        if self._equations is None:
-            scale = lcm(*(x.denominator for r in self.basis for x in r))
-            pivots = [next(j for j, x in enumerate(r) if x) for r in self.basis]
-            pivot_set = set(pivots)
-            eqs = []
-            for j in range(self.n):
-                if j in pivot_set:
-                    continue
-                eq = [(j, scale)]
-                for p, r in zip(pivots, self.basis):
-                    x = r[j]
-                    if x:
-                        eq.append((p, -x.numerator * (scale // x.denominator)))
-                eqs.append(tuple(eq))
-            object.__setattr__(self, "_equations", tuple(eqs))
-        return self._equations
-
-    def _integer_basis(self):
-        """The basis rows scaled to primitive integers, built on first use
-        and then kept."""
-        if self._int_basis is None:
-            ints = tuple(tuple(_primitive(r)) for r in self.basis)
-            object.__setattr__(self, "_int_basis", ints)
-        return self._int_basis
+        return not any(sum(c * ints[k] for k, c in eq) for eq in self.equations)
 
     def _check_ambient(self, other):
         if self.n != other.n:
@@ -322,21 +323,20 @@ class RationalSubspace:
 
 def subspace_sum(u: RationalSubspace, v: RationalSubspace) -> RationalSubspace:
     u._check_ambient(v)
-    return RationalSubspace(u.n, u.basis + v.basis)
+    return RationalSubspace(u.n, u.rows + v.rows)
 
 
 def subspace_intersect(u: RationalSubspace, v: RationalSubspace) -> RationalSubspace:
     """Intersection via annihilators: ann(U n V) = ann(U) + ann(V)."""
     u._check_ambient(v)
-    joined = u.annihilator().basis + v.annihilator().basis
-    return RationalSubspace._canonical(u.n, nullspace(joined, u.n))
+    return RationalSubspace.from_equations(u.n, _dense(u.n, u.equations + v.equations))
 
 
 def intersection_dim(u: RationalSubspace, v: RationalSubspace) -> int:
     """dim(U n V) without building the intersection: dim U + dim V - dim(U+V),
-    the last a rank of the two kept primitive integer bases stacked."""
+    the last a rank of the two sets of integer rows stacked."""
     u._check_ambient(v)
-    return u.dim + v.dim - rank_int(u._integer_basis() + v._integer_basis())
+    return u.dim + v.dim - rank_int(u.rows + v.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +385,6 @@ class SubspaceArrangement:
         if not self.components:
             return self.n
         return min(c.codim() for c in self.components)
-
-    def union(self, other: "SubspaceArrangement") -> "SubspaceArrangement":
-        if self.n != other.n:
-            raise ValueError("ambient dimensions differ")
-        return SubspaceArrangement(self.n, self.components + other.components)
 
     def intersect(self, other: "SubspaceArrangement") -> "SubspaceArrangement":
         """Componentwise intersections, pruned to maximal members."""
@@ -486,14 +481,14 @@ def in_row_lattice(hermite_rows, target) -> bool:
 def coset_in_subspace_mod_lattice(q, u: RationalSubspace) -> bool:
     """Decide whether q + Z^n meets U, i.e. q - m lies in U for some m in Z^n.
 
-    Write U as the kernel of an integer matrix A (the integer equations
-    read off its RREF).  Then q - m in U for some integer m iff A q lies in
-    the lattice A Z^n, which is an exact Hermite-form membership test.
+    Write U as the kernel of an integer matrix A (its integer equations).
+    Then q - m in U for some integer m iff A q lies in the lattice A Z^n,
+    which is an exact Hermite-form membership test.
     """
     q = qvector(q)
     if len(q) != u.n:
         raise ValueError("vector length mismatch")
-    eqs = u._integer_equations()
+    eqs = u.equations
     if not eqs:  # U is all of Q^n
         return True
     target = [sum(c * q[k] for k, c in eq) for eq in eqs]

@@ -36,7 +36,7 @@ class SimplicialComplex:
         fs = [frozenset(f) for f in self.facets]
         for f in fs:
             for v in f:
-                if not isinstance(v, int) or v < 1:
+                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                     raise ValueError(f"vertices must be positive integers, got {v!r}")
         n = self.n
         if n is None:

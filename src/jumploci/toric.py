@@ -89,10 +89,9 @@ class CoordinateArrangement:
             raise ValueError("ambient dimensions differ")
         if p.dim == 0 or not self.subsets:
             return False
-        rows = p._integer_basis()
         for w in self.subsets:
             outside = [j for j in range(self.n) if (j + 1) not in w]
-            sub = [[row[j] for j in outside] for row in rows]
+            sub = [[row[j] for j in outside] for row in p.rows]
             if rank_int(sub) < p.dim:
                 return True
         return False
@@ -212,11 +211,13 @@ def _mask_to_subset(mask: int):
 def omega_vanishing_bound(g: Graph, r: int) -> bool:
     """May the rank-r translated-torus invariant be certified empty?
 
-    True exactly when r >= connectivity + 1 and the graph is not complete:
-    a minimum vertex cut W = V \\ cut yields a resonance piece of codimension
-    equal to the connectivity, which every r-plane of that corank must meet.
-    Complete graphs are never certified — their resonance is trivial and the
-    invariant stays full in every rank.
+    For r > n the answer is True for every graph, complete ones included:
+    Q^n holds no r-plane, so the invariant is vacuously empty.  For r <= n
+    it is True exactly when r >= connectivity + 1 and the graph is not
+    complete: a minimum vertex cut W = V \\ cut yields a resonance piece of
+    codimension equal to the connectivity, which every r-plane of that
+    corank must meet.  A complete graph is then never certified — its
+    resonance is trivial and the invariant holds every r-plane.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")

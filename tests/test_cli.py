@@ -336,6 +336,8 @@ NON_INTEGER_INPUTS = {
         {"K": _COMPLEX, "P": {"n": 3, "basis": [[0.1, 1, 0]]}},
     ),
     "complex-n": (["toric", "res", "--complex", "K"], {"K": {**_COMPLEX, "n": 3.0}}),
+    # true would otherwise be taken as vertex 1
+    "complex-vertex-bool": (["toric", "res", "--complex", "K"], {"K": [[True, 2], [2, 3]]}),
     "point-entry": (
         ["aomoto", "betti", "--algebra", "A", "--point", "P"],
         {"A": _ALGEBRA, "P": [0.1, 0.2]},

@@ -3,7 +3,7 @@
 import pickle
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -170,8 +170,9 @@ def test_annihilator_is_an_involution():
 
 
 def test_subspaces_built_from_a_nullspace_equal_their_rebuilt_span():
-    # from_equations, annihilator and subspace_intersect keep the nullspace
-    # basis without reducing it again; it must already be canonical
+    # from_equations, annihilator and subspace_intersect build their rows
+    # from integer kernels; the result must equal the span rebuilt from
+    # its own basis
     rng = random.Random(43)
     for _ in range(60):
         n = rng.randint(1, 5)
@@ -260,6 +261,30 @@ def _subspaces_from_every_constructor(rng, n):
     ]
 
 
+def test_every_constructor_stores_primitive_reduced_rows():
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        for u in _subspaces_from_every_constructor(rng, n):
+            assert len(u.rows) == u.dim and len(u.equations) == n - u.dim
+            pivots = []
+            for row in u.rows:
+                assert all(type(x) is int for x in row) and gcd(*row) == 1
+                p = next(j for j, x in enumerate(row) if x)
+                assert row[p] > 0
+                pivots.append(p)
+            # pivots increase and each pivot column is zero in the other rows
+            assert pivots == sorted(set(pivots))
+            for i, p in enumerate(pivots):
+                assert all(r[p] == 0 for k, r in enumerate(u.rows) if k != i)
+            divided = tuple(tuple(Q(x, row[p]) for x in row) for row, p in zip(u.rows, pivots))
+            assert u.basis == divided
+            for eq in u.equations:
+                assert all(type(c) is int for _, c in eq)
+                assert all(sum(c * row[k] for k, c in eq) == 0 for row in u.rows)
+            assert u.annihilator().annihilator() == u
+
+
 def test_contains_vector_matches_reduction_oracle():
     rng = random.Random(61)
     seen = set()
@@ -327,12 +352,18 @@ def test_the_integer_predicates_are_kept_per_subspace():
     u = RationalSubspace.span(4, [(Q(1, 2), 1, 0, Q(-1, 3)), (0, 0, 1, 2)])
     # x = x0 r0 + x2 r2 with r0 = (1, 2, 0, -2/3): 3 x1 - 6 x0 = 0 and
     # 3 x3 + 2 x0 - 6 x2 = 0, over the lcm 3 of the basis denominators
-    assert u._integer_equations() == (((1, 3), (0, -6)), ((3, 3), (0, 2), (2, -6)))
-    assert u._integer_basis() == ((3, 6, 0, -2), (0, 0, 1, 2))
-    assert u._integer_equations() is u._integer_equations()
-    assert u._integer_basis() is u._integer_basis()
-    assert RationalSubspace.full(3)._integer_equations() == ()
-    assert RationalSubspace.zero(2)._integer_equations() == (((0, 1),), ((1, 1),))
+    assert u.equations == (((1, 3), (0, -6)), ((3, 3), (0, 2), (2, -6)))
+    assert u.rows == ((3, 6, 0, -2), (0, 0, 1, 2))
+    assert u.basis == ((1, 2, 0, Q(-2, 3)), (0, 0, 1, 2))
+    assert RationalSubspace.full(3).equations == ()
+    assert RationalSubspace.full(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert RationalSubspace.zero(2).equations == (((0, 1),), ((1, 1),))
+    assert RationalSubspace.zero(2).rows == ()
+    # negative pivots and a different generating set give the same rows
+    twin = RationalSubspace.span(4, [(0, 0, -2, -4), (-6, -12, 4, 12)])
+    assert twin == u and hash(twin) == hash(u)
+    for other in (pickle.loads(pickle.dumps(u)), twin):
+        assert (other.rows, other.equations, other.dim) == (u.rows, u.equations, u.dim)
     with pytest.raises(ValueError, match="vector length mismatch"):
         u.contains_vector((1, 2, 3))
     with pytest.raises(TypeError):

@@ -108,6 +108,10 @@ def test_vanishing_bound_excludes_complete_graphs():
     path = Graph(3, [(1, 2), (2, 3)])
     assert omega_vanishing_bound(path, 1) is False
     assert omega_vanishing_bound(path, 2) is True
+    k3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
+    assert omega_vanishing_bound(k3, 3) is False
+    # Q^3 holds no 4-plane, so even a complete graph's invariant is empty
+    assert omega_vanishing_bound(k3, 4) is True
 
 
 def test_cv_equals_resonance_for_toric_complexes():

@@ -106,13 +106,14 @@ def test_kept_integer_predicates_leave_equality_and_hash_alone():
     queried = RationalSubspace(3, [(2, 1, 0), (0, 0, 1)])
     assert queried.contains_vector((4, 2, Q(1, 3)))
     assert intersection_dim(queried, RationalSubspace.full(3)) == 2
-    assert queried._equations is not None and queried._int_basis is not None
-    assert fresh._equations is None and fresh._int_basis is None
+    # x1 = x0 / 2 on the plane: one equation, kept with the rows
+    assert fresh.rows == queried.rows == ((2, 1, 0), (0, 0, 1))
+    assert fresh.equations == queried.equations == (((1, 2), (0, -1)),)
+    assert fresh.basis == ((1, Q(1, 2), 0), (0, 0, 1))
     assert queried == fresh and hash(queried) == hash(fresh)
-    assert repr(queried) == repr(fresh)
+    assert repr(queried) == repr(fresh) and "equations" not in repr(fresh)
     for twin in (pickle.loads(pickle.dumps(queried)), copy.deepcopy(queried)):
         assert twin == fresh and hash(twin) == hash(fresh)
-        assert twin._equations == queried._equations
-        assert twin._int_basis == queried._int_basis
+        assert twin.rows == queried.rows and twin.equations == queried.equations
         assert twin.contains_vector((4, 2, Q(1, 3)))
         assert not twin.contains_vector((1, 0, 0))
