@@ -38,8 +38,9 @@ class GradedAlgebraPresentation:
     Construction checks graded commutativity in the only place the data
     can see it: e_j * e_l = -(e_l * e_j) in degree 2, once per pair
     j <= l, which for j = l is e_j * e_j = 0.
-    The first evaluation compiles the tensors into a sparse integer form
-    and checks square-zero symbolically there (see `_compiled_form`).
+    The first evaluation compiles the tensors into a source-major sparse
+    integer form, the nonzero coordinates of e_j * u_b listed per u_b, and
+    checks square-zero symbolically there (see `_compiled_form`).
     """
 
     dims: tuple
@@ -92,11 +93,12 @@ class GradedAlgebraPresentation:
         return self.dims[1] if self.top >= 1 else 0
 
     def _compiled_form(self):
-        """The tensors as sparse integers, one (scale, rows) pair per degree.
+        """The tensors as sparse integers, one (scale, dst, cols) per degree.
 
-        rows[r][b] lists the pairs (j, c) with c = scale * mult[i-1][j][b][r]
-        nonzero, scale being the lcm of the denominators of tensor i, so the
-        degree-i matrix at a is sum_j a_j c / scale entrywise.  Built and
+        Source-major: cols[b] lists the triples (r, j, c) with
+        c = scale * mult[i-1][j][b][r] nonzero, scale being the lcm of the
+        denominators of tensor i and dst = dims[i+1], so a * u_b is
+        sum a_j c / scale over the triples, in coordinate r.  Built and
         checked for symbolic square-zero on first use, then kept; a
         presentation that fails the check raises on every call.
         """
@@ -163,9 +165,15 @@ def _integer_point(alg: GradedAlgebraPresentation, a):
     return [x.numerator * (den // x.denominator) for x in a], den
 
 
-def _contract(rows, ints):
-    """The integer matrix of one compiled degree at an integer point."""
-    return [[sum(ints[j] * c for j, c in entry) for entry in row] for row in rows]
+def _source_rows(dst, cols, ints):
+    """Row b holds scale * (a * u_b) at an integer point a, skipping the
+    generators with a_j = 0: the transposed matrix of one compiled degree."""
+    rows = [[0] * dst for _ in cols]
+    for row, col in zip(rows, cols):
+        for r, j, c in col:
+            if ints[j]:
+                row[r] += ints[j] * c
+    return rows
 
 
 def aomoto_matrices(alg: GradedAlgebraPresentation, a) -> AomotoEvaluation:
@@ -177,16 +185,17 @@ def aomoto_matrices(alg: GradedAlgebraPresentation, a) -> AomotoEvaluation:
     a*a = 0.  That check runs once per presentation, not per point.
     """
     compiled = alg._compiled_form()
-    a = qvector(a)
     ints, den = _integer_point(alg, a)
+    a = tuple(Fraction(x, den) for x in ints)
     mats = []
     if alg.top >= 1:
         mats.append(tuple((x,) for x in a))  # 1 |-> sum a_j e_j
-    for scale, rows in compiled:
+    for scale, dst, cols in compiled:
+        rows = _source_rows(dst, cols, ints)
         mats.append(
             tuple(
-                tuple(Fraction(v, den * scale) for v in row)
-                for row in _contract(rows, ints)
+                tuple(Fraction(row[r], den * scale) for row in rows)
+                for r in range(dst)
             )
         )
     return AomotoEvaluation(a, mats)
@@ -198,7 +207,8 @@ def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
     Requires 0 <= i <= k-1: the outgoing differential in degree i must be
     part of the data.  To rank-test the top degree itself, pad the algebra
     with a zero piece first.  Only degrees i-1 and i are built, as
-    integer matrices (a scaled to integers leaves every rank unchanged).
+    transposed integer matrices (a scaled to integers leaves every rank
+    unchanged).
     """
     if not (0 <= i <= alg.top - 1):
         raise ValueError(
@@ -210,7 +220,7 @@ def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
     def rank_from(deg):
         if deg == 0:
             return 1 if any(ints) else 0
-        return rank_int(_contract(compiled[deg - 1][1], ints))
+        return rank_int(_source_rows(*compiled[deg - 1][1:], ints))
 
     rank_in = rank_from(i - 1) if i >= 1 else 0
     return alg.dims[i] - rank_in - rank_from(i)
@@ -232,16 +242,15 @@ def isotropy_obstruction(alg: GradedAlgebraPresentation, basis):
         raise ValueError("isotropy needs the degree-2 piece")
     if len(basis) < 2:
         raise ValueError(f"isotropy needs at least 2 basis vectors, got {len(basis)}")
-    scale, rows = alg._compiled_form()[0]
+    scale, dst, cols = alg._compiled_form()[0]
     scaled = [_integer_point(alg, u) for u in basis]
     pairs = itertools.combinations(enumerate(scaled, start=1), 2)
     for (i, (u, du)), (j, (v, dv)) in pairs:
-        support = [(b, y) for b, y in enumerate(v) if y]
-        # scale * (u * v)_r = sum over b of v_b * sum of u_l c over (l, c) in row[b]
-        product = [
-            sum(y * sum(u[l] * c for l, c in row[b]) for b, y in support)
-            for row in rows
-        ]
+        # scale * (u * v)_r = sum of v_b u_l c over the triples (r, l, c) of u_b
+        product = [0] * dst
+        for b, y in enumerate(v):
+            for r, l, c in cols[b] if y else ():
+                product[r] += y * u[l] * c
         if any(product):
             return i, j, tuple(Fraction(x, scale * du * dv) for x in product)
     return None
@@ -293,56 +302,47 @@ def universal_aomoto(alg: GradedAlgebraPresentation):
 
 
 def _compile(alg: GradedAlgebraPresentation):
-    """Sparse integer tensors (see GradedAlgebraPresentation._compiled_form),
-    checked for symbolic square-zero."""
-    n = alg.n
+    """Source-major sparse integer tensors (see _compiled_form), read in
+    one pass over mult[i-1][j][b] and checked for symbolic square-zero."""
     compiled = []
     for deg, tensor in enumerate(alg.mult, start=1):
-        src, dst = alg.dims[deg], alg.dims[deg + 1]
         scale = lcm(
             *(x.denominator for per_gen in tensor for vec in per_gen for x in vec)
         )
-        rows = []
-        for r in range(dst):
-            row = []
-            for b in range(src):
-                coeffs = (per_gen[b][r] for per_gen in tensor)
-                row.append(tuple(
-                    (j, x.numerator * (scale // x.denominator))
-                    for j, x in enumerate(coeffs)
+        cols = [[] for _ in range(alg.dims[deg])]
+        for j, per_gen in enumerate(tensor):
+            for col, vec in zip(cols, per_gen):
+                col.extend(
+                    (r, j, x.numerator * (scale // x.denominator))
+                    for r, x in enumerate(vec)
                     if x
-                ))
-            rows.append(tuple(row))
-        compiled.append((scale, tuple(rows)))
-    sparse = [rows for _, rows in compiled]
+                )
+        compiled.append((scale, alg.dims[deg + 1], tuple(map(tuple, cols))))
+    sparse = [cols for _, _, cols in compiled]
     if alg.top >= 1:
-        sparse.insert(0, tuple((((j, 1),),) for j in range(n)))
+        sparse.insert(0, (tuple((j, j, 1) for j in range(alg.n)),))  # 1 |-> sum x_j e_j
     for where in range(len(sparse) - 1):
         _check_symbolic_square_zero(sparse[where + 1], sparse[where], where)
     return tuple(compiled)
 
 
 def _check_symbolic_square_zero(b, a, where):
-    """(b . a)[r][c] is a quadratic form; all its coefficients must vanish.
-
-    Entries are sparse integer linear forms; a positive common scale per
-    matrix does not change whether a coefficient vanishes.
+    """Each coefficient of x_j x_l (j <= l) in coordinate r of a * (a * u_s)
+    must vanish: it sums x * y over the triples (k, j, x) of a[s] and
+    (r, l, y) of b[k], composing source by source.  A positive common
+    scale per degree does not change whether a coefficient vanishes.
     """
-    ncols = len(a[0]) if a else 0
-    for row in b:
-        for c in range(ncols):
-            # coefficient of x_j x_l, j <= l, in sum_k row[k] * a[k][c]
-            quad = {}
-            for k, lf1 in enumerate(row):
-                for j, x in lf1:
-                    for l, y in a[k][c]:
-                        key = (j, l) if j <= l else (l, j)
-                        quad[key] = quad.get(key, 0) + x * y
-            if any(quad.values()):
-                raise ValueError(
-                    f"inconsistent presentation: symbolic composition at degree "
-                    f"{where} is nonzero"
-                )
+    for col in a:
+        quad = {}
+        for k, j, x in col:
+            for r, l, y in b[k]:
+                key = (r, j, l) if j <= l else (r, l, j)
+                quad[key] = quad.get(key, 0) + x * y
+        if any(quad.values()):
+            raise ValueError(
+                f"inconsistent presentation: symbolic composition at degree "
+                f"{where} is nonzero"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ def _support(subspace):
 
 def _random_off_union(arrangement, rng):
     while True:
-        v = tuple(Q(rng.randint(-9, 9)) for _ in range(arrangement.n))
+        v = tuple(rng.randint(-9, 9) for _ in range(arrangement.n))
         if any(v) and not arrangement.contains_vector(v):
             return v
 

@@ -16,6 +16,7 @@ from jumploci.aomoto import (
     aomoto_betti,
     aomoto_matrices,
     exterior_algebra,
+    isotropy_obstruction,
     product_resonance,
     quotient_exterior_algebra,
     resonance_member,
@@ -444,18 +445,31 @@ def _inconsistent_json():
     }
 
 
+def _cancelling_json():
+    """dims (1, 2, 1, 2): as above, but e1 w = u1 - u2, so the composition
+    x1^2 (u1 - u2) is nonzero while its two coordinates sum to zero."""
+    return {
+        "dims": [1, 2, 1, 2],
+        "mult": [
+            {"deg": 1, "table": [[["0"], ["1"]], [["-1"], ["0"]]]},
+            {"deg": 2, "table": [[["1", "-1"]], [["0", "0"]]]},
+        ],
+    }
+
+
 def test_inconsistent_presentation_is_rejected_at_every_point(tmp_path, capsys):
-    alg = codec.read_algebra(_inconsistent_json())
-    # at (0, 0) and (0, 1) the composed matrices vanish, yet the
-    # presentation is still rejected there
-    for a in ((0, 0), (0, 1), (1, 0), (Q(3, 2), Q(-1, 2))):
-        for i in range(alg.top):
+    for data in (_inconsistent_json(), _cancelling_json()):
+        alg = codec.read_algebra(data)
+        # at (0, 0) and (0, 1) the composed matrices vanish, yet the
+        # presentation is still rejected there
+        for a in ((0, 0), (0, 1), (1, 0), (Q(3, 2), Q(-1, 2))):
+            for i in range(alg.top):
+                with pytest.raises(ValueError, match="inconsistent presentation"):
+                    aomoto_betti(alg, a, i)
             with pytest.raises(ValueError, match="inconsistent presentation"):
-                aomoto_betti(alg, a, i)
+                aomoto_matrices(alg, a)
         with pytest.raises(ValueError, match="inconsistent presentation"):
-            aomoto_matrices(alg, a)
-    with pytest.raises(ValueError, match="inconsistent presentation"):
-        universal_aomoto(alg)
+            universal_aomoto(alg)
 
     algebra = tmp_path / "alg.json"
     algebra.write_text(json.dumps(_inconsistent_json()))
@@ -475,3 +489,81 @@ def test_evaluation_leaves_equality_and_hash_alone():
     assert hash(alg) == hash(fresh)
     assert (alg.dims, alg.mult) == (fresh.dims, fresh.mult)
     assert alg.padded() == fresh.padded()
+
+
+def test_zero_dimensional_pieces_keep_their_empty_rows():
+    # each matrix has one row per target basis element, even when the
+    # source or the target piece is zero-dimensional
+    empty_source = GradedAlgebraPresentation((1, 0, 2), [()])
+    assert aomoto_matrices(empty_source, ()).matrices == ((), ((), ()))
+    assert [aomoto_betti(empty_source, (), i) for i in (0, 1)] == [1, 0]
+    assert universal_aomoto(empty_source) == [(), ((), ())]
+
+    empty_target = GradedAlgebraPresentation((1, 2, 0), [(((), ()), ((), ()))])
+    assert aomoto_matrices(empty_target, (3, -2)).matrices == (((3,), (-2,)), ())
+    assert [aomoto_betti(empty_target, (3, -2), i) for i in (0, 1)] == [0, 1]
+    assert [aomoto_betti(empty_target, (0, 0), i) for i in (0, 1)] == [1, 2]
+    assert universal_aomoto(empty_target) == [(((1, 0),), ((0, 1),)), ()]
+
+    padded = exterior_algebra(2).padded()
+    assert padded.dims == (1, 2, 1, 0)
+    assert aomoto_matrices(padded, (3, -2)).matrices == (
+        ((3,), (-2,)),
+        ((2, 3),),
+        (),
+    )
+    assert [aomoto_betti(padded, (3, -2), i) for i in (0, 1, 2)] == [0, 0, 0]
+    assert [aomoto_betti(padded, (0, 0), i) for i in (0, 1, 2)] == [1, 2, 1]
+    assert universal_aomoto(padded) == [
+        (((1, 0),), ((0, 1),)),
+        (((0, -1), (1, 0)),),
+        (),
+    ]
+
+
+def _dense_obstruction(alg, basis):
+    """isotropy_obstruction recomputed from alg.mult: each product
+    u * v = sum of u_j v_b e_j u_b as a dense Fraction vector."""
+    tensor = alg.mult[0]
+    terms = list(itertools.product(range(alg.n), repeat=2))
+    for (i, u), (j, v) in itertools.combinations(enumerate(basis, start=1), 2):
+        product = tuple(
+            sum((u[l] * v[b] * tensor[l][b][r] for l, b in terms), Q(0))
+            for r in range(alg.dims[2])
+        )
+        if any(product):
+            return i, j, product
+    return None
+
+
+def test_isotropy_obstruction_matches_dense_products():
+    rng = random.Random(97)
+
+    def fraction():
+        return Q(rng.randint(-4, 4), rng.randint(1, 3))
+
+    seen = set()
+    for alg, plane in (
+        (exterior_algebra(4), None),
+        (_conf_t2_3(), None),
+        (_fractional_quotient(), _FRACTIONAL_PLANE),
+    ):
+        for _ in range(40):
+            anchor = tuple(fraction() for _ in range(alg.n))
+            basis = []
+            for _ in range(rng.randint(2, 4)):
+                pick = rng.random()
+                if pick < 0.4:
+                    # a multiple of the anchor multiplies it to zero
+                    s = fraction()
+                    basis.append(tuple(s * x for x in anchor))
+                elif pick < 0.6 and plane is not None:
+                    s, t = fraction(), fraction()
+                    basis.append(tuple(s * x + t * y for x, y in zip(*plane)))
+                else:
+                    basis.append(tuple(fraction() for _ in range(alg.n)))
+            expected = _dense_obstruction(alg, basis)
+            assert isotropy_obstruction(alg, basis) == expected, (alg.dims, basis)
+            seen.add(expected[:2] if expected else None)
+    # isotropic bases and first failures past the first pair both occur
+    assert None in seen and (1, 2) in seen and len(seen) > 3

@@ -321,6 +321,15 @@ def test_non_isotropic_component_is_refused(monkeypatch):
     assert f"basis vectors 1 and 2 multiply to ({product}) in A^2" in str(err.value)
 
 
+def test_a_jump_off_the_union_names_the_sampled_integer_point(monkeypatch):
+    # the sampled points are plain ints, drawn by the same rng calls as
+    # when they were Fractions, so the message prints them as integers
+    monkeypatch.setattr(arrangements, "aomoto_betti", lambda alg, a, i: 1)
+    with pytest.raises(OracleError) as err:
+        r1_arrangement(ProjLineArrangement(BRAID), seed=0)
+    assert str(err.value) == "rank oracle sees a jump off the union at (3, 4, -8, -1, 7, 6)"
+
+
 def _lines(subspace):
     return {k for row in subspace.basis for k, x in enumerate(row) if x}
 
