@@ -306,8 +306,10 @@ class RationalSubspace:
 
     def _integer_vector(self, v):
         """v checked against the ambient dimension and scaled to primitive
-        integers."""
-        v = qvector(v)
+        integers; a non-int entry (bool too) sends v through qvector first."""
+        v = tuple(v)
+        if not all(type(x) is int for x in v):
+            v = qvector(v)
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
         return _primitive(v)

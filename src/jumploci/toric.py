@@ -31,13 +31,12 @@ then pass.  The failed candidates are then exactly the minimal failing
 sets: each fails while its proper subsets, lying in maximal sets, pass, and
 a minimal failing set contains a failed candidate, so it is one.  All
 arithmetic is exact.  The graph layer (right-angled Artin groups =
-1-dimensional K) has its own direct combinatorial route, which the test
-suite plays against the homological one.
+1-dimensional K) runs the same search with its own passing test, which the
+test suite plays against the homological one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -143,10 +142,6 @@ class Graph:
     def from_one_skeleton(cls, k: SimplicialComplex) -> "Graph":
         return cls(k.n, k.one_skeleton_edges())
 
-    def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(self.adj[v] == full & ~(1 << v) for v in range(self.n))
-
     def _connected_mask(self, mask: int) -> bool:
         """Is the induced subgraph on the mask connected?  Empty mask: yes."""
         if mask == 0:
@@ -166,35 +161,33 @@ class Graph:
         return seen & mask == mask
 
     def connectivity(self) -> int:
-        """Vertex connectivity: n-1 for complete graphs, 0 when disconnected,
-        else the smallest number of vertices whose removal disconnects."""
-        n = self.n
-        if n == 0:
-            return 0
-        full = (1 << n) - 1
-        if not self._connected_mask(full):
-            return 0
-        if self.is_complete():
-            return n - 1
-        for k in range(1, n - 1):
-            for cut in itertools.combinations(range(n), k):
-                rest = full
-                for v in cut:
-                    rest &= ~(1 << v)
-                if not self._connected_mask(rest):
-                    return k
-        return n - 1
+        """Vertex connectivity: n-1 for a complete graph (0 for n = 0), else
+        the fewest vertices whose removal disconnects.  A graph is complete
+        exactly when raag_r1 has no sets W; otherwise this is n - max |W|,
+        as a minimum cut leaves a disconnected W and V \\ W cuts any such W."""
+        resonance = raag_r1(self)
+        if not resonance.subsets:
+            return max(self.n - 1, 0)
+        return resonance.codim()
 
 
 def raag_r1(g: Graph) -> CoordinateArrangement:
-    """Degree-1 resonance of the right-angled Artin group of the graph:
-    the maximal vertex subsets inducing a disconnected subgraph."""
-    n = g.n
-    passing = []
-    for mask in range(1, 1 << n):
-        if not g._connected_mask(mask):
-            passing.append(_mask_to_subset(mask))
-    return CoordinateArrangement(n, passing, contains_origin=n >= 1)
+    """Degree-1 resonance of the right-angled Artin group of the graph: the
+    maximal vertex sets W with Γ[W] disconnected.  They are the maximal sets
+    passing "Γ[W] disconnected, or N[W] != V" (N the closed neighbourhood),
+    a test closed under subsets: a connected U in a disconnected Γ[W] misses
+    the neighbours of another component, and N[U] ⊆ N[W].  A connected W
+    with v outside N[W] is not maximal: W ∪ {v} is disconnected.  For n = 0,
+    ∅ fails: N[∅] = V."""
+    full = (1 << g.n) - 1
+
+    def passes(w):
+        near = w
+        for b in _bits(w):
+            near |= g.adj[b.bit_length() - 1]
+        return near != full or not g._connected_mask(w)
+
+    return _maximal_sets(g.n, passes)
 
 
 def _mask_to_subset(mask: int):
@@ -213,19 +206,13 @@ def omega_vanishing_bound(g: Graph, r: int) -> bool:
 
     For r > n the answer is True for every graph, complete ones included:
     Q^n holds no r-plane, so the invariant is vacuously empty.  For r <= n
-    it is True exactly when r >= connectivity + 1 and the graph is not
-    complete: a minimum vertex cut W = V \\ cut yields a resonance piece of
-    codimension equal to the connectivity, which every r-plane of that
-    corank must meet.  A complete graph is then never certified — its
-    resonance is trivial and the invariant holds every r-plane.
+    it is True exactly when every r-plane meets raag_r1, i.e. r exceeds its
+    codimension: the connectivity when the graph is not complete.  A
+    complete graph has resonance {0} and is never certified.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
-    if r > g.n:
-        return True
-    if g.is_complete():
-        return False
-    return r >= g.connectivity() + 1
+    return r > g.n or r > raag_r1(g).codim()
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +229,9 @@ def _require_toric(k: SimplicialComplex):
         )
 
 
-# toric_resonance refuses a search that needs more tests of vertex sets than
-# this.  The largest count measured on the scale ladders is 5,279, for the
-# cycle C_30 in degree 1 (gen.random_complex on 8-18 vertices, seeds 1-10,
+# toric_resonance and raag_r1 refuse a search needing more vertex-set tests
+# than this.  The largest count measured on the scale ladders is 5,279, for
+# the cycle C_30 in degree 1 (gen.random_complex on 8-18 vertices, seeds 1-10,
 # degrees 0-3, depths 1-3, stays below 3,600); the limit is over 20 times
 # that.  C_60 takes 39,354 tests, in 0.6 s on a 2-vCPU Xeon (Python 3.11).
 ORACLE_CALL_LIMIT = 120_000
@@ -256,18 +243,34 @@ def toric_resonance(k: SimplicialComplex, i: int, d: int) -> CoordinateArrangeme
 
     Returns the maximal vertex subsets W with Q^W inside the locus, plus the
     origin flag (the empty subset's test is d <= number of size-i faces).
-    If the empty set fails nothing passes; if the full vertex set passes it
-    is the only maximal set.  Otherwise the maximal sets come from joint
-    generation (module docstring).  A search that would test more than
-    ORACLE_CALL_LIMIT vertex sets raises ValueError.
+    A search over ORACLE_CALL_LIMIT tests of vertex sets raises ValueError.
     """
     if i < 0:
         raise ValueError("degree must be >= 0")
     if d < 1:
         raise ValueError("depth must be >= 1")
     _require_toric(k)
-    n = k.n
-    passes = _passing_test(k, i, d)
+    return _maximal_sets(k.n, _passing_test(k, i, d))
+
+
+def _maximal_sets(n: int, test) -> CoordinateArrangement:
+    """The locus of the maximal vertex sets passing `test`, a test on
+    bitmasks closed under subsets.  If ∅ fails it is empty, origin
+    included; if V passes it is {V}; otherwise joint generation (module
+    docstring) finds the sets.  Every call of `test`, these two included,
+    counts against ORACLE_CALL_LIMIT; the call over it raises ValueError."""
+    calls = 0
+
+    def passes(w):
+        nonlocal calls
+        calls += 1
+        if calls > ORACLE_CALL_LIMIT:
+            raise ValueError(
+                f"toric resonance search refused after {calls} tests of vertex "
+                f"sets, above the limit of {ORACLE_CALL_LIMIT}"
+            )
+        return test(w)
+
     full = (1 << n) - 1
     if not passes(0):
         return CoordinateArrangement(n, (), contains_origin=False)
@@ -278,8 +281,7 @@ def toric_resonance(k: SimplicialComplex, i: int, d: int) -> CoordinateArrangeme
 
 
 def _passing_test(k: SimplicialComplex, i: int, d: int):
-    """The test "does Q^W lie in the degree-i depth-d locus" on vertex
-    bitmasks W, counting its calls against ORACLE_CALL_LIMIT.
+    """The test "does Q^W lie in the degree-i depth-d locus" on bitmasks W.
 
     Each face sigma with |sigma| <= i contributes, when it avoids W, the
     reduced Betti number of lk_{K_W}(sigma) in degree i-1-|sigma|.  That
@@ -319,16 +321,8 @@ def _passing_test(k: SimplicialComplex, i: int, d: int):
             small = tuple(tau for tau in link if tau.bit_count() <= degree + 2)
             higher.append((sigma, span, small, degree))
     memo = {}
-    calls = 0
 
     def passes(w):
-        nonlocal calls
-        calls += 1
-        if calls > ORACLE_CALL_LIMIT:
-            raise ValueError(
-                f"toric resonance search refused after {calls} tests of vertex "
-                f"sets, above the limit of {ORACLE_CALL_LIMIT}"
-            )
         total = 0
         for star in stars:
             if not star & w:

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own linear algebra:
 ranks come from sympy, coset membership from bounded brute-force search,
-partitions from restricted-growth strings, toric resonance from a sweep
-over every vertex subset, one-variable factorizations, gcds and chain
-loci from sympy's polynomial arithmetic, and the resonance components of
+partitions from restricted-growth strings, toric and graph resonance from
+sweeps over every vertex subset, vertex connectivity from every vertex
+cut, one-variable factorizations, gcds and chain loci from sympy's
+polynomial arithmetic, and the resonance components of
 line arrangements from their defining equations.  The tests freeze expected
 values computed by these slow oracles and then assert the fast code
 paths agree.
@@ -270,6 +271,53 @@ def canonical_graphs(n):
                 for i, (a, b) in enumerate(pairs)
                 if mask >> i & 1
             ]
+
+
+def _connected(vertices, edges):
+    """Is the graph on the vertex set `vertices` with the edges inside it
+    connected?  The empty graph is."""
+    vertices = set(vertices)
+    if not vertices:
+        return True
+    seen = {min(vertices)}
+    stack = list(seen)
+    while stack:
+        a = stack.pop()
+        for e in edges:
+            if a in e:
+                b = e[0] + e[1] - a
+                if b in vertices and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return seen == vertices
+
+
+def raag_r1_sweep(n, edges):
+    """Degree-1 resonance of the right-angled Artin group, by the sweep over
+    all 2^n vertex subsets: the maximal subsets inducing a disconnected
+    subgraph.  Returns (maximal subsets, sorted; does ∅ pass), the shape of
+    toric_resonance_sweep; ∅ passes iff n >= 1."""
+    passing = [
+        frozenset(w)
+        for size in range(1, n + 1)
+        for w in itertools.combinations(range(1, n + 1), size)
+        if not _connected(w, edges)
+    ]
+    maximal = [w for w in passing if not any(w < v for v in passing)]
+    return tuple(sorted(tuple(sorted(w)) for w in maximal)), n >= 1
+
+
+def connectivity_by_cuts(n, edges):
+    """Vertex connectivity by trying every vertex cut, smallest first:
+    0 for a disconnected graph, n - 1 (or 0 for n = 0) for a complete one."""
+    verts = range(1, n + 1)
+    if len(set(map(frozenset, edges))) == n * (n - 1) // 2:
+        return max(n - 1, 0)
+    for k in range(n - 1):
+        for cut in itertools.combinations(verts, k):
+            if not _connected(set(verts) - set(cut), edges):
+                return k
+    raise AssertionError("a graph that is not complete has a vertex cut")
 
 
 def simplicial_betti_sympy(faces_by_dim):

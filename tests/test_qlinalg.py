@@ -368,6 +368,12 @@ def test_the_integer_predicates_are_kept_per_subspace():
         u.contains_vector((1, 2, 3))
     with pytest.raises(TypeError):
         u.contains_vector((1.0, 2, 0, 0))
+    # plain ints skip the coercion, but a boolean is still refused, before
+    # the length is checked
+    for bad in ((True, 2, 0, 0), (0, False, 0), [1, 2, 3, 4, True]):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            u.contains_vector(bad)
+    assert u.contains_vector(iter((3, 6, 0, -2)))
     with pytest.raises(ValueError, match="ambient dimensions differ"):
         u.contains_subspace(RationalSubspace.full(5))
 

@@ -24,7 +24,10 @@ from jumploci.toric import (
 
 from oracles import (
     all_complexes,
+    canonical_graphs,
+    connectivity_by_cuts,
     meets_rank,
+    raag_r1_sweep,
     random_subspace_basis,
     toric_resonance_levelwise,
     toric_resonance_sweep,
@@ -80,12 +83,20 @@ def test_full_torus_has_no_jumps():
 
 
 def test_raag_resonance_known_graphs():
+    def answer(g):
+        arr = raag_r1(g)
+        return arr.subsets, arr.contains_origin
+
     cycle4 = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert raag_r1(cycle4).subsets == ((1, 3), (2, 4))
+    assert answer(cycle4) == (((1, 3), (2, 4)), True)
     k4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-    assert raag_r1(k4).subsets == ()
+    assert answer(k4) == ((), True)
+    # a disconnected graph: V itself is the only piece
     split = Graph(3, [(1, 2)])
-    assert raag_r1(split).subsets == ((1, 2, 3),)
+    assert answer(split) == (((1, 2, 3),), True)
+    assert answer(Graph(1)) == ((), True)
+    # no vertices: the locus is empty, the origin included
+    assert answer(Graph(0)) == ((), False)
 
 
 def test_connectivity_values():
@@ -96,8 +107,45 @@ def test_connectivity_values():
         == 3
     )
     assert Graph(3, [(1, 2)]).connectivity() == 0
+    assert Graph(0).connectivity() == 0
     assert Graph(1, []).connectivity() == 0
     assert Graph(2, [(1, 2)]).connectivity() == 1
+    assert Graph(2).connectivity() == 0
+
+
+def _graph_agrees_with_brute_force(n, edges):
+    g = Graph(n, edges)
+    arr = raag_r1(g)
+    assert (arr.subsets, arr.contains_origin) == raag_r1_sweep(n, edges), (n, edges)
+    assert g.connectivity() == connectivity_by_cuts(n, edges), (n, edges)
+
+
+def test_graph_search_matches_brute_force_on_every_graph_up_to_six_vertices():
+    for n in range(0, 7):
+        for edges in canonical_graphs(n):
+            _graph_agrees_with_brute_force(n, edges)
+
+
+def test_graph_search_matches_brute_force_on_seeded_graphs():
+    rng = random.Random(2009)
+    for n in range(7, 11):
+        for p in (0.2, 0.4, 0.6, 0.8):
+            for _ in range(3):
+                pairs = itertools.combinations(range(1, n + 1), 2)
+                _graph_agrees_with_brute_force(n, [e for e in pairs if rng.random() < p])
+
+
+def test_connectivity_of_a_dense_random_graph():
+    rng = random.Random(22)
+    pairs = itertools.combinations(range(1, 23), 2)
+    g = Graph(22, [e for e in pairs if rng.random() < 0.8])
+    start = time.perf_counter()
+    kappa = g.connectivity()
+    elapsed = time.perf_counter() - start
+    # 14 by trying every vertex cut, which took 15-16 s; this measured
+    # 0.007-0.010 s on a 2-vCPU Xeon
+    assert kappa == 14
+    assert elapsed < 5, elapsed
 
 
 def test_vanishing_bound_excludes_complete_graphs():
@@ -220,19 +268,29 @@ def _cycle(n):
     return SimplicialComplex([(v, v % n + 1) for v in range(1, n + 1)], n)
 
 
+def _cycle_searches(n):
+    """Degree-1 resonance of C_n, by the toric search and by the graph's."""
+    return (
+        lambda: toric_resonance.__wrapped__(_cycle(n), 1, 1),
+        lambda: raag_r1(Graph(n, _cycle(n).one_skeleton_edges())),
+    )
+
+
 def test_cycle_ladder():
     # the degree-1 pieces of C_n are V minus two non-adjacent vertices
     for n in (12, 14):
         graph = Graph(n, _cycle(n).one_skeleton_edges())
         assert toric_resonance(_cycle(n), 1, 1) == raag_r1(graph)
     for n in (12, 18, 24, 30):
-        start = time.perf_counter()
-        arr = toric_resonance.__wrapped__(_cycle(n), 1, 1)
-        elapsed = time.perf_counter() - start
-        assert len(arr) == n * (n - 3) // 2
-        assert all(len(w) == n - 2 for w in arr)
-        # C_30 measured 0.03-0.05 s; the level-wise search would take hours
-        assert elapsed < 5, (n, elapsed)
+        for search in _cycle_searches(n):
+            start = time.perf_counter()
+            arr = search()
+            elapsed = time.perf_counter() - start
+            assert len(arr) == n * (n - 3) // 2
+            assert all(len(w) == n - 2 for w in arr)
+            # C_30 measured 0.03-0.06 s; the level-wise search, and the
+            # sweep over all 2^n vertex sets, would take hours
+            assert elapsed < 5, (n, elapsed)
 
 
 def test_joint_generation_finds_both_borders_of_a_down_closed_family():
@@ -258,10 +316,21 @@ def test_joint_generation_finds_both_borders_of_a_down_closed_family():
 
 def test_search_refuses_above_the_oracle_call_limit(monkeypatch):
     monkeypatch.setattr(toric, "ORACLE_CALL_LIMIT", 1000)
-    with pytest.raises(ValueError, match="after 1001 tests"):
-        toric_resonance.__wrapped__(_cycle(24), 1, 1)
     # C_24 needs 2,784 tests, C_14 599
-    assert len(toric_resonance.__wrapped__(_cycle(14), 1, 1)) == 77
+    for search in _cycle_searches(24):
+        with pytest.raises(ValueError, match="after 1001 tests"):
+            search()
+    # the count includes the tests of the empty and the full vertex set
+    for search in _cycle_searches(14):
+        monkeypatch.setattr(toric, "ORACLE_CALL_LIMIT", 599)
+        assert len(search()) == 77
+        monkeypatch.setattr(toric, "ORACLE_CALL_LIMIT", 598)
+        with pytest.raises(
+            ValueError,
+            match="^toric resonance search refused after 599 tests of vertex "
+            "sets, above the limit of 598$",
+        ):
+            search()
 
 
 def test_search_shortcuts():
