@@ -32,7 +32,9 @@ sets: each fails while its proper subsets, lying in maximal sets, pass, and
 a minimal failing set contains a failed candidate, so it is one.  All
 arithmetic is exact.  The graph layer (right-angled Artin groups =
 1-dimensional K) runs the same search with its own passing test, which the
-test suite plays against the homological one.
+test suite plays against the homological one; vertex connectivity, which
+bounds where the graph's invariants vanish, is counted by disjoint paths
+instead, so it is never refused.
 """
 
 from __future__ import annotations
@@ -162,13 +164,55 @@ class Graph:
 
     def connectivity(self) -> int:
         """Vertex connectivity: n-1 for a complete graph (0 for n = 0), else
-        the fewest vertices whose removal disconnects.  A graph is complete
-        exactly when raag_r1 has no sets W; otherwise this is n - max |W|,
-        as a minimum cut leaves a disconnected W and V \\ W cuts any such W."""
-        resonance = raag_r1(self)
-        if not resonance.subsets:
-            return max(self.n - 1, 0)
-        return resonance.codim()
+        the fewest vertices whose removal disconnects, found in polynomial
+        time by Even's algorithm (SIAM J. Comput. 1975).  The minimum degree
+        bounds it, and is n-1 for K_n.  No fewer than κ vertices separate
+        two non-adjacent vertices.  For a minimum cut S, the first vertex s
+        outside S comes at index s <= |S| = κ, and a vertex t of another
+        component of Γ - S comes after it; s and t are not adjacent, and S
+        separates them.  So κ is the least number of disjoint paths between
+        non-adjacent s < t with s <= κ."""
+        arcs = []
+        for v in range(self.n):
+            arcs += [{2 * v + 1}, {2 * b.bit_length() - 2 for b in _bits(self.adj[v])}]
+        best = min((a.bit_count() for a in self.adj), default=0)
+        for s in range(self.n):
+            if s > best:
+                break
+            for t in range(s + 1, self.n):
+                if not self.adj[s] >> t & 1:
+                    paths = _disjoint_paths([set(a) for a in arcs], s, t, best)
+                    best = min(best, paths)
+        return best
+
+
+def _disjoint_paths(arcs: list, s: int, t: int, bound: int) -> int:
+    """The number of internally disjoint paths between the non-adjacent
+    vertices s and t, counted up to bound; by Menger it is the fewest
+    vertices separating them.  `arcs` is the split graph: vertex v enters
+    at node 2v and leaves at 2v+1 through an arc of capacity 1, and an edge
+    uv gives the arcs 2u+1 -> 2v and 2v+1 -> 2u.  No flow puts more than 1
+    on any arc, so capacities are 1, the residual graph is a set of arcs,
+    and each path found by breadth-first search reverses its arcs."""
+    paths = 0
+    while paths < bound:
+        parent = {2 * s + 1: None}
+        queue = [2 * s + 1]
+        for a in queue:
+            for b in arcs[a]:
+                if b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        b = 2 * t
+        if b not in parent:
+            break
+        while parent[b] is not None:
+            a = parent[b]
+            arcs[a].remove(b)
+            arcs[b].add(a)
+            b = a
+        paths += 1
+    return paths
 
 
 def raag_r1(g: Graph) -> CoordinateArrangement:
@@ -207,12 +251,15 @@ def omega_vanishing_bound(g: Graph, r: int) -> bool:
     For r > n the answer is True for every graph, complete ones included:
     Q^n holds no r-plane, so the invariant is vacuously empty.  For r <= n
     it is True exactly when every r-plane meets raag_r1, i.e. r exceeds its
-    codimension: the connectivity when the graph is not complete.  A
-    complete graph has resonance {0} and is never certified.
+    codimension: the connectivity when the graph is not complete (a minimum
+    cut S leaves the disconnected V \\ S).  A complete graph has resonance
+    {0} and is never certified.  Only the connectivity is computed, so no
+    graph is refused.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
-    return r > g.n or r > raag_r1(g).codim()
+    complete = len(g.edges) == g.n * (g.n - 1) // 2
+    return r > g.n or (not complete and r > g.connectivity())
 
 
 # ---------------------------------------------------------------------------

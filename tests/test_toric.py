@@ -111,6 +111,11 @@ def test_connectivity_values():
     assert Graph(1, []).connectivity() == 0
     assert Graph(2, [(1, 2)]).connectivity() == 1
     assert Graph(2).connectivity() == 0
+    # breadth-first search finds 1-2-5-3 first, beside which no path from
+    # 1 to 3 is left; the disjoint 1-2-6-3 and 1-4-5-3 appear only once the
+    # flow through 2 and 5 is pushed back
+    edges = [(1, 2), (1, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (5, 6)]
+    assert Graph(6, edges).connectivity() == 2
 
 
 def _graph_agrees_with_brute_force(n, edges):
@@ -142,9 +147,27 @@ def test_connectivity_of_a_dense_random_graph():
     start = time.perf_counter()
     kappa = g.connectivity()
     elapsed = time.perf_counter() - start
-    # 14 by trying every vertex cut, which took 15-16 s; this measured
-    # 0.007-0.010 s on a 2-vCPU Xeon
+    # 14 by trying every vertex cut, which took 15-16 s; counting disjoint
+    # paths measured 0.02 s on a 2-vCPU Xeon
     assert kappa == 14
+    assert elapsed < 5, elapsed
+
+
+def test_connectivity_of_long_sparse_graphs(monkeypatch):
+    # connectivity and the vanishing bound count disjoint paths and never
+    # run the resonance search, so a call limit of 0 cannot refuse them,
+    # although these graphs have tens of thousands of maximal disconnected sets
+    monkeypatch.setattr(toric, "ORACLE_CALL_LIMIT", 0)
+    cycle = [(i, i % 299 + 1) for i in range(1, 300)]
+    start = time.perf_counter()
+    for g, kappa in ((Graph(299, cycle), 2), (Graph(300, cycle + [(1, 300)]), 1)):
+        assert g.connectivity() == kappa
+        assert omega_vanishing_bound(g, kappa) is False
+        assert omega_vanishing_bound(g, kappa + 1) is True
+        with pytest.raises(ValueError, match="after 1 tests"):
+            raag_r1(g)
+    elapsed = time.perf_counter() - start
+    # about 1 s on a 2-vCPU Xeon
     assert elapsed < 5, elapsed
 
 
