@@ -320,7 +320,8 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     comps.extend(b.subspace for b in braid_subarrangements(arr))
     result = SubspaceArrangement(arr.n, comps)
     rng = random.Random(seed)
-    for _ in range(10):
+    # with no lines Q^0 holds only the origin, so no point is off the union
+    for _ in range(10 if arr.n else 0):
         a = _random_off_union(result, rng)
         if aomoto_betti(algebra, a, 1) != 0:
             raise OracleError(f"rank oracle sees a jump off the union at {a}")

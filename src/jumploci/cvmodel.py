@@ -92,6 +92,8 @@ class CVModel:
 
     def __post_init__(self):
         n = self.n
+        if n < 0:
+            raise ValueError("ambient dimension must be >= 0")
         components = tuple(self.components)
         for c in components:
             if not isinstance(c, TranslatedTorus):
@@ -303,7 +305,7 @@ def strictness_witness(component: TranslatedTorus, res: SubspaceArrangement, bou
             plane = RationalSubspace.span(n, line.rows + (shifted,))
             if plane.dim != 2:
                 continue
-            if any(intersection_dim(plane, c) >= 1 for c in res.components):
+            if meets_nontrivially(plane, res):
                 continue
             return plane
     return None

@@ -25,7 +25,9 @@ the one-variable Laurent ring, which is a PID, so determinantal gcds give
 honest defining polynomials, and factors one-variable polynomials into
 cyclotomic and other irreducible pieces.  Both run in exact Z[t]
 arithmetic: Bareiss determinants, primitive remainder sequences, and
-division by cyclotomic polynomials.  sympy is imported only to factor a
+division by cyclotomic polynomials.  A chain complex's matrices enter Z[t]
+once, each row or column scaled by a unit, and a locus stays there until
+it is returned.  sympy is imported only to factor a
 non-cyclotomic remainder of degree 2 or more, and to split a multivariate
 tangent-cone form into linear factors.  One-variable inputs whose degree
 span exceeds `DEGREE_LIMIT` are refused.
@@ -307,9 +309,7 @@ def exp_tangent_cone(polys) -> SubspaceArrangement:
 
 def _normalize_homogeneous(f: LaurentPolynomial) -> LaurentPolynomial:
     """Scale by a rational so coefficients are coprime integers and the
-    first term (in exponent order) is positive."""
-    if f.is_zero():
-        return f
+    first term (in exponent order) is positive; f must be nonzero."""
     ints = primitive_integer_vector(f.terms.values())
     return LaurentPolynomial(f.n_vars, dict(zip(f.terms, ints)))
 
@@ -442,16 +442,6 @@ def compare_tangent_cones(f: LaurentPolynomial) -> dict:
     """
     tau1 = exp_tangent_cone([f])
     tc1 = hypersurface_tc1(f)
-
-    if tc1.is_constant() and not tc1.is_zero():
-        # f(1) != 0: both cones are empty
-        return {
-            "tau1": tau1,
-            "tc1": tc1,
-            "tau1_inside_tc1": True,
-            "equal": tau1.is_trivial(),
-        }
-
     contained = True
     for comp in tau1.components:
         sub = _substitute_linear(tc1, comp.basis)
@@ -716,15 +706,9 @@ class LinkCV1:
     def tau1(self) -> SubspaceArrangement:
         """Exponential tangent cone of the whole locus.  The identity
         contributes the origin, which every arrangement here carries
-        implicitly, so this is just the cone of the hypersurface part."""
-        if self.delta.is_zero():
-            # the locus is the whole torus
-            return SubspaceArrangement(
-                self.n_vars, [RationalSubspace.full(self.n_vars)]
-            )
-        if self.delta.is_constant():
-            # the hypersurface is empty; only the identity remains
-            return SubspaceArrangement(self.n_vars, ())
+        implicitly, so this is just the cone of the hypersurface part: all
+        of Q^n for the zero polynomial, and trivial for a nonzero constant,
+        whose hypersurface is empty."""
         return exp_tangent_cone([self.delta])
 
     def hypersurface_contains_identity(self) -> bool:
@@ -789,12 +773,6 @@ def _check_degree_span(poly: LaurentPolynomial):
         )
 
 
-def _one_var_int_poly(poly: LaurentPolynomial) -> LaurentPolynomial:
-    """Shift by a unit so exponents start at 0, then make the coefficients
-    coprime integers with positive leading coefficient."""
-    return _zt_to_poly(_zt_from_poly(poly))
-
-
 def _factor_entry(a, mult, k):
     return {
         "factor": _zt_to_poly(a),
@@ -817,14 +795,13 @@ def factor_one_variable(poly: LaurentPolynomial):
     returns is checked against every Phi_k of the same degree.  sympy splits
     t^n - 1 and t^n + 1 straight into cyclotomic factors, but would run its
     general factor recombination on what is left of them after the
-    division, so such a binomial goes to sympy whole.
+    division, so such a binomial goes to sympy whole.  A nonzero constant
+    has no factors.
     """
     if poly.n_vars != 1:
         raise ValueError("one variable expected")
     if poly.is_zero():
         raise ValueError("the zero polynomial has no factorization")
-    if poly.is_constant():
-        return []
     _check_degree_span(poly)
     whole = rest = _zt_from_poly(poly)
     out = []
@@ -864,7 +841,10 @@ class EquivariantChainComplex1:
 
     boundaries[i] is the matrix of the map from chain degree i+1 down to
     degree i, with LaurentPolynomial entries in one variable; consecutive
-    boundaries must compose to zero.
+    boundaries must compose to zero.  That is checked in Z[t]: each row of
+    the left factor and each column of the right one is scaled by a unit
+    c * t^s into Z[t] (`_zt_rows`), which moves no entry of the product to
+    or from zero.
     """
 
     ranks: tuple
@@ -886,9 +866,16 @@ class EquivariantChainComplex1:
         if len(mats) != max(len(ranks) - 1, 0):
             raise ValueError("need one boundary matrix per consecutive pair of ranks")
         for i in range(len(mats) - 1):
-            prod = _mat_mul(mats[i], mats[i + 1])
-            if any(not x.is_zero() for row in prod for x in row):
-                raise ValueError(f"boundaries {i + 1} and {i + 2} do not compose to zero")
+            cols = _zt_rows(list(zip(*mats[i + 1])))
+            for row in _zt_rows(mats[i]):
+                for col in cols:
+                    minus = []  # minus the entry of the product
+                    for x, y in zip(row, col):
+                        minus = _zt_sub(minus, _zt_mul(x, y))
+                    if minus:
+                        raise ValueError(
+                            f"boundaries {i + 1} and {i + 2} do not compose to zero"
+                        )
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", tuple(mats))
 
@@ -911,45 +898,27 @@ def _as_poly1(x):
     return LaurentPolynomial.constant(1, x)
 
 
-def _mat_mul(a, b):
-    if not a or not b:
-        return ()
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = LaurentPolynomial.zero(1)
-            for k, x in enumerate(row):
-                acc = acc + x * b[k][j]
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+def _minor_gcd(ints, k):
+    """gcd of all k x k minors of a matrix over Z[t], given as rows of Z[t]
+    lists, as a primitive Z[t] list with no factor t.
 
-
-def _minor_gcd(mat, k):
-    """gcd of all k x k minors, as a normalized integer polynomial.
-
-    k = 0 gives the unit 1; k larger than either dimension gives the zero
-    polynomial, whose zero set is everything — there are no minors left to
-    impose a condition.  Each row is first scaled by a unit into Z[t]; the
-    minors are Bareiss determinants there, stripped of factors t, and the
-    scan stops as soon as their gcd is a constant.
+    k = 0 gives the unit [1]; k larger than either dimension gives the zero
+    polynomial [], whose zero set is everything — there are no minors left
+    to impose a condition.  The minors are Bareiss determinants, stripped
+    of factors t, and the scan stops as soon as their gcd is a constant.
     """
     if k == 0:
-        return LaurentPolynomial.constant(1, 1)
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    if k > nrows or k > ncols:
-        return LaurentPolynomial.zero(1)
-    ints = _zt_rows(mat)
+        return [1]
+    nrows = len(ints)
+    ncols = len(ints[0]) if ints else 0
     acc = []
     for rows in itertools.combinations(range(nrows), k):
         for cols in itertools.combinations(range(ncols), k):
             det = _zt_det([[ints[r][c] for c in cols] for r in rows])
             acc = _zt_gcd(acc, _zt_strip(det))
             if len(acc) == 1:
-                return LaurentPolynomial.constant(1, 1)
-    return _zt_to_poly(acc)
+                return [1]
+    return acc
 
 
 def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPolynomial:
@@ -959,7 +928,10 @@ def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPo
     rank(boundary out of degree i+1 at rho) + rank(boundary out of degree i
     at rho) <= c_i - d.  Over the one-variable ring, `rank <= r` is cut out
     by the gcd of the (r+1)-minors, and the union over the ways to split
-    the rank budget is the product of the per-split gcds.  The zero
+    the rank budget is the product of the per-split gcds.  Each boundary is
+    scaled once into Z[t] by a unit per row (`_zt_rows`), which moves no
+    gcd of minors; the gcds and their product stay in Z[t], primitive with
+    no factor t, and become a LaurentPolynomial only at the end.  The zero
     polynomial means the whole torus jumps; a nonzero constant means no
     character does.
     """
@@ -974,19 +946,9 @@ def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPo
     up = chain.boundary(i + 1)      # out of degree i + 1
     for entry in itertools.chain(*down, *up):
         _check_degree_span(entry)
-    result = LaurentPolynomial.constant(1, 1)
+    down, up = _zt_rows(down), _zt_rows(up)
+    result = [1]
     for r in range(budget + 1):
-        s = budget - r
-        g = _poly1_gcd(_minor_gcd(down, r + 1), _minor_gcd(up, s + 1))
-        result = result * g
-    if result.is_zero():
-        return result
-    return _one_var_int_poly(result)
-
-
-def _poly1_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    return _zt_to_poly(_zt_gcd(_zt_from_poly(a), _zt_from_poly(b)))
+        g = _zt_gcd(_minor_gcd(down, r + 1), _minor_gcd(up, budget - r + 1))
+        result = _zt_mul(result, g)
+    return _zt_to_poly(result)

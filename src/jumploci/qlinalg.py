@@ -359,6 +359,8 @@ class SubspaceArrangement:
     components: tuple = ()
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("ambient dimension must be >= 0")
         comps = []
         for c in self.components:
             if not isinstance(c, RationalSubspace):
@@ -384,9 +386,7 @@ class SubspaceArrangement:
 
     def codim(self) -> int:
         """Codimension of the union (ambient n if there are no components)."""
-        if not self.components:
-            return self.n
-        return min(c.codim() for c in self.components)
+        return min((c.codim() for c in self.components), default=self.n)
 
     def intersect(self, other: "SubspaceArrangement") -> "SubspaceArrangement":
         """Componentwise intersections, pruned to maximal members."""
@@ -485,14 +485,13 @@ def coset_in_subspace_mod_lattice(q, u: RationalSubspace) -> bool:
 
     Write U as the kernel of an integer matrix A (its integer equations).
     Then q - m in U for some integer m iff A q lies in the lattice A Z^n,
-    which is an exact Hermite-form membership test.
+    which is an exact Hermite-form membership test.  For U = Q^n, A has no
+    rows and the test holds.
     """
     q = qvector(q)
     if len(q) != u.n:
         raise ValueError("vector length mismatch")
     eqs = u.equations
-    if not eqs:  # U is all of Q^n
-        return True
     target = [sum(c * q[k] for k, c in eq) for eq in eqs]
     # A Z^n is generated by the columns of A; a non-integer image can never
     # be hit by integer combinations of integer columns.

@@ -7,9 +7,10 @@ Reduced Betti numbers come from the ranks of the augmented boundary maps on
 faces encoded as vertex bitmasks (bit v-1 for vertex v).  The two lowest
 ranks are combinatorial: the augmentation has rank 1 when there is a vertex,
 and the vertex-edge map has rank V - c for c connected components.  Only the
-higher boundary matrices go through exact integer elimination.  Nothing is
-cached here: the toric search keeps its own memo for the duration of one
-call.
+higher boundary matrices go through exact integer elimination.  The
+component count, a breadth-first search on bitmasks, is the one the toric
+search and the graph layer use as well.  Nothing is cached here: the toric
+search keeps its own memo for the duration of one call.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ class SimplicialComplex:
         n = self.n
         if n is None:
             n = max((max(f) for f in fs if f), default=0)
+        elif n < 0:
+            raise ValueError("vertex count must be >= 0")
         else:
             for f in fs:
                 if f and max(f) > n:
@@ -57,7 +60,7 @@ class SimplicialComplex:
         object.__setattr__(self, "faces", frozenset(faces))
 
     def vertices(self) -> tuple:
-        return tuple(sorted(set().union(*self.facets))) if self.facets else ()
+        return tuple(sorted(set().union(*self.facets)))
 
     def has_face(self, sigma) -> bool:
         return frozenset(sigma) in self.faces
@@ -151,31 +154,39 @@ def _boundary_rank(by_size, k: int) -> int:
     if k == 0:
         return 1
     if k == 1:
-        return len(by_size[1]) - _components(by_size[1], by_size[2])
+        adj = edge_adjacency(by_size[1], by_size[2])
+        return len(by_size[1]) - count_components(sum(by_size[1]), adj)
     return rank_int(_boundary_matrix(by_size[k], by_size[k + 1]))
 
 
-def _components(vertices, edges) -> int:
-    """Connected components of the graph on the vertex bitmasks `vertices`
-    with the two-bit masks `edges`, by breadth-first search on bitmasks."""
+def edge_adjacency(vertices, edges) -> dict:
+    """The neighbour bitmask of each vertex, keyed by its single-bit mask,
+    for the single-bit masks `vertices` and the two-bit masks `edges`."""
     adj = dict.fromkeys(vertices, 0)
     for e in edges:
         low = e & -e
         adj[low] |= e ^ low
         adj[e ^ low] |= low
-    unseen = sum(vertices)
+    return adj
+
+
+def count_components(mask: int, adj) -> int:
+    """Connected components of the graph induced on the vertex bitmask
+    `mask`, by breadth-first search on bitmasks; adj[b] is the neighbour
+    bitmask of the vertex with single-bit mask b, for every b in mask.
+    The empty mask has none."""
     count = 0
-    while unseen:
+    while mask:
         count += 1
-        frontier = unseen & -unseen
+        frontier = mask & -mask
         while frontier:
-            unseen ^= frontier
+            mask ^= frontier
             reach = 0
             while frontier:
                 low = frontier & -frontier
                 reach |= adj[low]
                 frontier ^= low
-            frontier = reach & unseen
+            frontier = reach & mask
     return count
 
 

@@ -43,7 +43,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .qlinalg import RationalSubspace, rank_int
-from .simplicial import SimplicialComplex, reduced_betti_faces
+from .simplicial import (
+    SimplicialComplex,
+    count_components,
+    edge_adjacency,
+    reduced_betti_faces,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +69,8 @@ class CoordinateArrangement:
     contains_origin: bool = True
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("ambient dimension must be >= 0")
         masks = set()
         for w in self.subsets:
             w = tuple(sorted(set(w)))
@@ -88,8 +95,6 @@ class CoordinateArrangement:
         """
         if p.n != self.n:
             raise ValueError("ambient dimensions differ")
-        if p.dim == 0 or not self.subsets:
-            return False
         for w in self.subsets:
             outside = [j for j in range(self.n) if (j + 1) not in w]
             sub = [[row[j] for j in outside] for row in p.rows]
@@ -98,9 +103,7 @@ class CoordinateArrangement:
         return False
 
     def codim(self) -> int:
-        if not self.subsets:
-            return self.n
-        return self.n - max(len(w) for w in self.subsets)
+        return self.n - max((len(w) for w in self.subsets), default=0)
 
     def __iter__(self):
         return iter(self.subsets)
@@ -143,24 +146,6 @@ class Graph:
     @classmethod
     def from_one_skeleton(cls, k: SimplicialComplex) -> "Graph":
         return cls(k.n, k.one_skeleton_edges())
-
-    def _connected_mask(self, mask: int) -> bool:
-        """Is the induced subgraph on the mask connected?  Empty mask: yes."""
-        if mask == 0:
-            return True
-        start = mask & -mask
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= self.adj[v] & mask
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen & mask == mask
 
     def connectivity(self) -> int:
         """Vertex connectivity: n-1 for a complete graph (0 for n = 0), else
@@ -224,25 +209,19 @@ def raag_r1(g: Graph) -> CoordinateArrangement:
     with v outside N[W] is not maximal: W ∪ {v} is disconnected.  For n = 0,
     ∅ fails: N[∅] = V."""
     full = (1 << g.n) - 1
+    adj = dict(zip(_bits(full), g.adj))
 
     def passes(w):
         near = w
         for b in _bits(w):
-            near |= g.adj[b.bit_length() - 1]
-        return near != full or not g._connected_mask(w)
+            near |= adj[b]
+        return near != full or count_components(w, adj) > 1
 
     return _maximal_sets(g.n, passes)
 
 
 def _mask_to_subset(mask: int):
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    return tuple(b.bit_length() for b in _bits(mask))
 
 
 def omega_vanishing_bound(g: Graph, r: int) -> bool:
@@ -337,7 +316,7 @@ def _passing_test(k: SimplicialComplex, i: int, d: int):
     - Degree -1: 1 when W & span is empty; with sigma & W empty as well,
       1 when W misses the closed star sigma | span.
     - Degree 0: the components of the link's 1-skeleton on W & span, less
-      one, by breadth-first search on bitmasks.
+      one (none when W & span is empty), by simplicial.count_components.
     - Degree >= 1: the link faces with at most degree+2 vertices inside W,
       ranked by reduced_betti_faces and memoized on (sigma, W & span).
     """
@@ -357,13 +336,9 @@ def _passing_test(k: SimplicialComplex, i: int, d: int):
         if degree == -1:
             stars.append(sigma | span)
         elif degree == 0:
-            adj = {}
-            for tau in link:
-                if tau.bit_count() == 2:
-                    low = tau & -tau
-                    adj[low] = adj.get(low, 0) | tau ^ low
-                    adj[tau ^ low] = adj.get(tau ^ low, 0) | low
-            graphs.append((sigma, span, adj))
+            vertices = [tau for tau in link if tau.bit_count() == 1]
+            edges = [tau for tau in link if tau.bit_count() == 2]
+            graphs.append((sigma, span, edge_adjacency(vertices, edges)))
         else:
             small = tuple(tau for tau in link if tau.bit_count() <= degree + 2)
             higher.append((sigma, span, small, degree))
@@ -379,22 +354,11 @@ def _passing_test(k: SimplicialComplex, i: int, d: int):
         for sigma, span, adj in graphs:
             if sigma & w:
                 continue
-            unseen = w & span
-            if unseen:
-                total -= 1
-            while unseen:
-                total += 1
-                frontier = unseen & -unseen
-                while frontier:
-                    unseen ^= frontier
-                    reach = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        reach |= adj.get(low, 0)
-                        frontier ^= low
-                    frontier = reach & unseen
-            if total >= d:
-                return True
+            count = count_components(w & span, adj)
+            if count:
+                total += count - 1
+                if total >= d:
+                    return True
         outside = ~w
         for sigma, span, small, degree in higher:
             if sigma & w:

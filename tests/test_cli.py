@@ -294,6 +294,71 @@ def test_toric_search_over_its_call_limit_exits_2(tmp_path, capsys, monkeypatch)
     assert code == 0 and len(json.loads(out)["resonance"]["subsets"]) == 252
 
 
+def test_negative_sizes_exit_3(tmp_path, capsys):
+    complex_file = write_json(tmp_path, "k.json", {"n": -1, "facets": []})
+    code, out = run_cli(capsys, "toric", "res", "--complex", complex_file)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "parse",
+        "message": "bad simplicial complex: vertex count must be >= 0",
+    }
+    model = {"n": -2, "components": [], "isolated": []}
+    classify = write_json(
+        tmp_path,
+        "c.json",
+        {"degrees": [{"degree": 1, "model": model, "resonance": {"n": -2}}]},
+    )
+    code, out = run_cli(capsys, "cv", "classify", "--model", classify)
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "parse",
+        "message": "bad classification input: ambient dimension must be >= 0",
+    }
+
+
+def test_arrangement_with_no_lines_answers_at_once(tmp_path):
+    # Q^0 has no nonzero point, so no point off the union can be sampled; a
+    # search for one would never end, hence the subprocess and its timeout
+    forms = write_json(tmp_path, "none.json", [])
+    commands = [
+        ["arr", "res1", "--forms", forms],
+        ["arr", "points", "--forms", forms],
+        ["arr", "omega", "--forms", forms, "--r", "1"],
+    ]
+    script = (
+        "import contextlib, io, json\n"
+        "from jumploci.arrangements import ProjLineArrangement, r1_arrangement\n"
+        "from jumploci.cli import main\n"
+        "from jumploci.qlinalg import SubspaceArrangement\n"
+        "assert r1_arrangement(ProjLineArrangement([])) == SubspaceArrangement(0)\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    print(json.dumps(json.loads(out.getvalue()), sort_keys=True))\n"
+    )
+    src = str(Path(jumploci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [
+        {
+            "codim": 0,
+            "completeness_note": None,
+            "components": [],
+            "n": 0,
+            "trivial": True,
+        },
+        {"points": []},
+        {"answer": "full", "r": 1},
+    ]
+
+
 def test_parse_errors_exit_3(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -461,6 +526,8 @@ def test_one_variable_commands_do_not_import_sympy(tmp_path):
         ["fixtures", "run", "s1s2"],
         ["cvchain", "--chain", chain, "--degree", "0"],
         ["linkcv", "--poly", product],
+        # f(1) != 0: the tangent-cone form is a constant, with no factors
+        ["tcone", "--poly", write_json(tmp_path, "e.json", _poly1([(2, "1"), (0, "1")]))],
     ]
     script = (
         "import contextlib, io, sys\n"

@@ -17,7 +17,11 @@ from jumploci.laurent import (
     AdmissiblePartition,
     EquivariantChainComplex1,
     LaurentPolynomial,
-    _poly1_gcd,
+    _linear_factor_kernels,
+    _minor_gcd,
+    _zt_from_poly,
+    _zt_gcd,
+    _zt_to_poly,
     admissible_partitions,
     compare_tangent_cones,
     cv_rank1_chain,
@@ -241,6 +245,71 @@ def test_chain_validation():
         pass
 
 
+def test_composition_is_checked_up_to_units_on_rows_and_columns():
+    def poly(*terms):
+        return P(1, {(e,): Q(c) for e, c in terms})
+
+    # A0 B0 = 0 over Z[t]: A0 = [[1, -t], [t^2, -t^3]], B0 = [[t, t^2], [1, t]]
+    rows = [poly((-2, Q(2, 3))), poly((1, Q(-1, 5)))]  # units c * t^s
+    cols = [poly((-3, Q(3, 7))), poly((-1, -4))]
+    a0 = [[poly((0, 1)), poly((1, -1))], [poly((2, 1)), poly((3, -1))]]
+    b0 = [[poly((1, 1)), poly((2, 1))], [poly((0, 1)), poly((1, 1))]]
+    a = [[x * u for x in row] for row, u in zip(a0, rows)]
+    b = [[x * v for x, v in zip(row, cols)] for row in b0]
+    chain = EquivariantChainComplex1((2, 2, 2), (a, b))
+    assert chain.boundaries == (tuple(map(tuple, a)), tuple(map(tuple, b)))
+    # one entry of the right factor moved by t: the product is no longer zero
+    b[1][1] = b[1][1] * poly((1, 1))
+    with pytest.raises(ValueError, match="boundaries 1 and 2 do not compose to zero"):
+        EquivariantChainComplex1((2, 2, 2), (a, b))
+    # empty inner and outer dimensions compose to zero
+    EquivariantChainComplex1((1, 0, 1), ([[]], []))
+    EquivariantChainComplex1((0, 2, 0), ([], [[], []]))
+
+
+def test_minor_gcd_units_and_zero():
+    assert _minor_gcd([], 0) == [1]
+    assert _minor_gcd([[[0, 2, 2]]], 0) == [1]
+    assert _minor_gcd([[[0, 2, 2]]], 2) == []
+    assert _minor_gcd([], 1) == []
+    # 2t + 2t^2: the factor t and the content go, t + 1 stays
+    assert _minor_gcd([[[0, 2, 2]]], 1) == [1, 1]
+    assert _minor_gcd([[[-1, 1], [1, 1]]], 1) == [1]
+    # diag(t - 1, t^2 - 1): (t - 1)^2 (t + 1)
+    assert _minor_gcd([[[-1, 1], []], [[], [-1, 0, 1]]], 2) == [1, -1, -1, 1]
+
+
+def test_general_paths_answer_the_constant_cases():
+    for n in range(4):
+        assert link_cv1(P(n, {})).tau1() == SubspaceArrangement(n, [RationalSubspace.full(n)])
+        for c in (Q(1), Q(-2, 3)):
+            assert link_cv1(P(n, {(0,) * n: c})).tau1() == SubspaceArrangement(n, ())
+    for f in (P(1, {(0,): Q(5)}), P(1, {(3,): Q(-2, 3)}), P(1, {(-4,): Q(1)})):
+        assert factor_one_variable(f) == []
+        assert link_cv1(f).root_factors() == []
+    for n in range(4):
+        assert _linear_factor_kernels(P(n, {(0,) * n: Q(1)})) == []
+    # f(1) != 0: both cones are empty and equal, and the form is the constant 1
+    rng = random.Random(65)
+    cases = [P(2, {(1, 0): Q(1), (0, 0): Q(2)}), P(1, {(2,): Q(1), (0,): Q(1)})]
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        shift = Q(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        cases.append(P(n, random_laurent_terms(rng, n, 5)) + shift)
+    for f in cases:
+        assert f.value_at_one() != 0
+        rep = compare_tangent_cones(f)
+        assert rep == {
+            "tau1": SubspaceArrangement(f.n_vars, ()),
+            "tc1": P(f.n_vars, {(0,) * f.n_vars: Q(1)}),
+            "tau1_inside_tc1": True,
+            "equal": True,
+        }, f
+    # the form comes out primitive, its first term positive
+    f = P(2, {(0, 0): Q(-2), (1, 0): Q(-2, 3), (0, 1): Q(4, 3), (1, 1): Q(4, 3)})
+    assert hypersurface_tc1(f).terms == {(0, 1): Q(4), (1, 0): Q(1)}
+
+
 def test_tc1_against_sympy_expansion():
     t1m1 = P(2, {(1, 0): Q(1), (0, 0): Q(-1)})
     t2m1 = P(2, {(0, 1): Q(1), (0, 0): Q(-1)})
@@ -382,7 +451,8 @@ def test_poly1_gcd_against_sympy_oracle():
     for _ in range(120):
         p = _random_poly1(rng)
         a, b = _random_poly1(rng) * p, _random_poly1(rng) * p
-        assert _poly1_gcd(a, b) == poly1_gcd_sympy(a, b), (a, b)
+        got = _zt_to_poly(_zt_gcd(_zt_from_poly(a), _zt_from_poly(b)))
+        assert got == poly1_gcd_sympy(a, b), (a, b)
 
 
 def _random_chain(rng, lo=0):

@@ -403,6 +403,11 @@ def test_coset_known_cases():
     diag = RationalSubspace.span(2, [(1, 1)])
     assert coset_in_subspace_mod_lattice((Q(1, 2), Q(1, 2)), diag)
     assert not coset_in_subspace_mod_lattice((Q(1, 2), Q(1, 3)), diag)
+    # U = Q^n has no equations: every coset meets it
+    for n in range(4):
+        full = RationalSubspace.full(n)
+        assert coset_in_subspace_mod_lattice((Q(1, 3),) * n, full)
+        assert coset_in_subspace_mod_lattice((Q(0),) * n, full)
 
 
 def test_hermite_lattice_membership():

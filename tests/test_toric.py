@@ -11,7 +11,7 @@ import pytest
 
 from jumploci import toric
 from jumploci.qlinalg import RationalSubspace
-from jumploci.simplicial import SimplicialComplex, full_simplex
+from jumploci.simplicial import SimplicialComplex, full_simplex, induced, reduced_betti
 from jumploci.toric import (
     CoordinateArrangement,
     Graph,
@@ -129,6 +129,40 @@ def test_graph_search_matches_brute_force_on_every_graph_up_to_six_vertices():
     for n in range(0, 7):
         for edges in canonical_graphs(n):
             _graph_agrees_with_brute_force(n, edges)
+
+
+def _components_by_union_find(w, edges):
+    parent = {v: v for v in w}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        if a in parent and b in parent:
+            parent[root(a)] = root(b)
+    return len({root(v) for v in w})
+
+
+def test_component_count_matches_brute_force_on_every_graph_up_to_six_vertices():
+    # The count serves the degree-0 Betti number, the degree-0 links of the
+    # toric search and raag_r1 (whose brute force is checked above).
+    rng = random.Random(1731)
+    for n in range(0, 7):
+        for edges in canonical_graphs(n):
+            k = SimplicialComplex(edges + [(v,) for v in range(1, n + 1)], n)
+            tests = [toric._passing_test(k, 1, d) for d in range(1, n + 2)]
+            masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(6)}
+            for mask in masks:
+                w = {v for v in range(1, n + 1) if mask >> (v - 1) & 1}
+                c = _components_by_union_find(w, edges)
+                assert reduced_betti(induced(k, w), 0) == max(c - 1, 0), (edges, w)
+                # in degree 1 each vertex whose closed star misses W adds 1,
+                # and the empty face adds b~_0 of the induced graph on W
+                near = set(w) | {a + b - v for a, b in edges for v in w if v in (a, b)}
+                total = n - len(near) + max(c - 1, 0)
+                assert [t(mask) for t in tests] == [total >= d for d in range(1, n + 2)]
 
 
 def test_graph_search_matches_brute_force_on_seeded_graphs():
@@ -369,6 +403,23 @@ def test_search_shortcuts():
     assert (empty.subsets, empty.contains_origin) == ((), False)
     for d in (1, 3, 4):
         _agrees_with_sweep(circle, 2, d)
+
+
+def test_meets_subspace_without_pieces_or_dimension():
+    origin_only = CoordinateArrangement(3, [], contains_origin=True)
+    empty = CoordinateArrangement(3, [], contains_origin=False)
+    full = CoordinateArrangement(3, [(1, 2, 3)])
+    plane = RationalSubspace.span(3, [(1, 0, 0), (0, 1, 1)])
+    zero = RationalSubspace.zero(3)
+    for arr in (origin_only, empty):
+        assert arr.meets_subspace(plane) is False
+        assert arr.meets_subspace(zero) is False
+    assert full.meets_subspace(zero) is False
+    assert full.meets_subspace(plane) is True
+    assert CoordinateArrangement(0, []).meets_subspace(RationalSubspace.zero(0)) is False
+    # no pieces: codimension n; the subsets come back as sorted vertex tuples
+    assert (origin_only.codim(), empty.codim(), full.codim()) == (3, 3, 0)
+    assert CoordinateArrangement(9, [(9, 1, 4), (2,)]).subsets == ((1, 4, 9), (2,))
 
 
 def test_value_classes_survive_pickle_and_deepcopy():

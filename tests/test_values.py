@@ -117,3 +117,30 @@ def test_kept_integer_predicates_leave_equality_and_hash_alone():
         assert twin.rows == queried.rows and twin.equations == queried.equations
         assert twin.contains_vector((4, 2, Q(1, 3)))
         assert not twin.contains_vector((1, 0, 0))
+
+
+def test_negative_sizes_are_refused():
+    refused = {
+        "vertex count must be >= 0": [
+            lambda: SimplicialComplex((), -1),
+            lambda: SimplicialComplex([()], -3),
+            lambda: Graph(-1),
+        ],
+        "ambient dimension must be >= 0": [
+            lambda: SubspaceArrangement(-1),
+            lambda: CVModel(-2),
+            lambda: CoordinateArrangement(-1),
+            lambda: RationalSubspace(-1),
+        ],
+    }
+    for message, builds in refused.items():
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build()
+    # size 0 is allowed everywhere
+    assert SimplicialComplex((), 0).dim() == -1
+    assert SimplicialComplex((), 2).vertices() == ()
+    assert SubspaceArrangement(0).is_trivial()
+    assert SubspaceArrangement(2).codim() == 2
+    assert CVModel(0).components == ()
+    assert CoordinateArrangement(0).codim() == 0
