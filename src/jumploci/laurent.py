@@ -26,8 +26,8 @@ honest defining polynomials, and factors one-variable polynomials into
 cyclotomic and other irreducible pieces.  Both run in exact Z[t]
 arithmetic: Bareiss determinants, primitive remainder sequences, and
 division by cyclotomic polynomials.  A chain complex's matrices enter Z[t]
-once, each row or column scaled by a unit, and a locus stays there until
-it is returned.  sympy is imported only to factor a
+once, each row scaled by a unit, and a locus stays there until it is
+returned.  sympy is imported only to factor a
 non-cyclotomic remainder of degree 2 or more, and to split a multivariate
 tangent-cone form into linear factors.  One-variable inputs whose degree
 span exceeds `DEGREE_LIMIT` are refused.
@@ -841,10 +841,10 @@ class EquivariantChainComplex1:
 
     boundaries[i] is the matrix of the map from chain degree i+1 down to
     degree i, with LaurentPolynomial entries in one variable; consecutive
-    boundaries must compose to zero.  That is checked in Z[t]: each row of
-    the left factor and each column of the right one is scaled by a unit
-    c * t^s into Z[t] (`_zt_rows`), which moves no entry of the product to
-    or from zero.
+    boundaries must compose to zero.  That is checked with the sparse
+    Laurent products, which cost nothing for a large exponent: entries are
+    only brought into Z[t] by `cv_rank1_chain`, after their degree span
+    is checked.
     """
 
     ranks: tuple
@@ -865,14 +865,12 @@ class EquivariantChainComplex1:
             mats.append(rows)
         if len(mats) != max(len(ranks) - 1, 0):
             raise ValueError("need one boundary matrix per consecutive pair of ranks")
+        zero = LaurentPolynomial.zero(1)
         for i in range(len(mats) - 1):
-            cols = _zt_rows(list(zip(*mats[i + 1])))
-            for row in _zt_rows(mats[i]):
+            cols = list(zip(*mats[i + 1]))
+            for row in mats[i]:
                 for col in cols:
-                    minus = []  # minus the entry of the product
-                    for x, y in zip(row, col):
-                        minus = _zt_sub(minus, _zt_mul(x, y))
-                    if minus:
+                    if not sum((x * y for x, y in zip(row, col)), zero).is_zero():
                         raise ValueError(
                             f"boundaries {i + 1} and {i + 2} do not compose to zero"
                         )

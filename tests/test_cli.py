@@ -316,6 +316,48 @@ def test_negative_sizes_exit_3(tmp_path, capsys):
     }
 
 
+def test_chain_with_a_huge_degree_is_parsed_sparsely(tmp_path):
+    zero = {"n_vars": 1, "terms": []}
+    # the composition check must not write t^(10^9) - 1 out densely: the
+    # subprocess gets 1 GB of address space and a timeout, so a dense
+    # check fails the test instead of exhausting memory
+    chain = write_json(
+        tmp_path,
+        "c.json",
+        {"ranks": [1, 1, 1], "boundaries": [[[HUGE_DEGREE]], [[zero]]]},
+    )
+    script = (
+        "import contextlib, io, json, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from jumploci.cli import main\n"
+        "for degree in ('0', '1', '2'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        f"        code = main(['cvchain', '--chain', {chain!r}, '--degree', degree])\n"
+        "    print(json.dumps([code, json.loads(out.getvalue())]))\n"
+    )
+    src = str(Path(jumploci.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert done.returncode == 0, done.stderr
+    runs = [json.loads(line) for line in done.stdout.splitlines()]
+    for code, rep in runs[:2]:
+        assert code == 2
+        assert rep["error"]["type"] == "precondition"
+        assert "degree span too large" in rep["error"]["message"]
+    assert runs[2] == [
+        0,
+        {"degree": 2, "depth": 1, "w_polynomial": {"n_vars": 1, "terms": []}},
+    ]
+
+
 def test_arrangement_with_no_lines_answers_at_once(tmp_path):
     # Q^0 has no nonzero point, so no point off the union can be sampled; a
     # search for one would never end, hence the subprocess and its timeout
