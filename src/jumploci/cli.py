@@ -26,7 +26,8 @@ class CliParseError(Exception):
 
 
 def _read(path, decode, what):
-    """Load the JSON file at `path` and decode it; any failure is a parse error."""
+    """Load the JSON file at `path` and decode it.  Any failure is a parse
+    error, except a complex refused as too large, which is a precondition."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -37,6 +38,11 @@ def _read(path, decode, what):
     try:
         return decode(data)
     except Exception as e:
+        # imported here so that runs which never build a complex skip it
+        from .simplicial import ComplexTooLarge
+
+        if isinstance(e, ComplexTooLarge):
+            raise  # well formed but refused: a precondition, exit 2
         raise CliParseError(f"bad {what}: {e}") from e
 
 

@@ -17,8 +17,12 @@ components carry.  toric_resonance_levelwise is the package's former
 search, level by level from the empty set over link_faces and
 reduced_betti_faces: it shares the Betti kernel with the package but not
 the search or the per-degree passing test, and it is fast enough for 14
-vertices, where the sweep is not.  The helpers at the end wrap or build
-package values for the tests, and nothing in the package calls them.
+vertices, where the sweep is not.  exp_tangent_cone_by_partitions is the
+package's former exponential tangent cone, one subspace per finest
+admissible partition: it shares the partition enumeration with the
+package's pruned cover search, but not the pruning or the flats.  The
+helpers at the end wrap or build package values for the tests, and
+nothing in the package calls them.
 
 The Fraction reduction route is kept here as the oracle of the integer
 predicates: a vector lies in a subspace exactly when reducing it against
@@ -28,6 +32,7 @@ the wedges reduced against the relation rows.
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -36,7 +41,8 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from jumploci.aomoto import GradedAlgebraPresentation, aomoto_betti
-from jumploci.qlinalg import RationalSubspace, qscalar, qvector
+from jumploci.laurent import LaurentPolynomial, admissible_partitions
+from jumploci.qlinalg import RationalSubspace, SubspaceArrangement, qscalar, qvector
 from jumploci.simplicial import (
     SimplicialComplex,
     link_faces,
@@ -766,3 +772,44 @@ def commutativity_failure(tensor):
             if any(x + y for x, y in zip(tensor[j][l], tensor[l][j])):
                 return j + 1, l + 1
     return None
+
+
+def direction_subspace(n, blocks):
+    """The subspace a partition of the support certifies: the kernel of
+    {(a - b) . z = 0 : a, b in a common block}."""
+    eqs = [
+        [x - y for x, y in zip(other, block[0])]
+        for block in blocks
+        for other in block[1:]
+    ]
+    return RationalSubspace.from_equations(n, eqs)
+
+
+def exp_tangent_cone_by_partitions(polys):
+    """The exponential tangent cone with one subspace per finest admissible
+    partition of each polynomial, the maximal ones kept, intersected over
+    the polynomials."""
+    out = None
+    for f in polys:
+        if f.is_zero():
+            comps = [RationalSubspace.full(f.n_vars)]
+        else:
+            comps = [
+                direction_subspace(f.n_vars, p.blocks)
+                for p in admissible_partitions(f, finest=True)
+            ]
+        arr = SubspaceArrangement(f.n_vars, comps)
+        out = arr if out is None else out.intersect(arr)
+    return out
+
+
+def past_the_cone_step_limit():
+    """18 terms in 6 variables with coefficients +-1: the pruned cover search
+    of the exponential tangent cone would take about 212,000 steps."""
+    rng = random.Random(0)
+    support = set()
+    while len(support) < 18:
+        support.add(tuple(rng.randint(-1, 1) for _ in range(6)))
+    support = sorted(support)
+    rng.shuffle(support)
+    return LaurentPolynomial(6, {e: 1 if i % 2 else -1 for i, e in enumerate(support)})

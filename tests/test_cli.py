@@ -12,6 +12,8 @@ import jumploci
 from jumploci import codec
 from jumploci.cli import main
 
+from oracles import past_the_cone_step_limit
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -254,13 +256,36 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["type"] == "precondition" and "degree span" in err["message"]
 
+    # 11 terms are answered; 19 terms and a cover search over its step
+    # limit are refused
     terms = [{"exponents": [k], "coeff": "1"} for k in range(1, 11)]
     terms.append({"exponents": [0], "coeff": "-10"})
     poly = write_json(tmp_path, "g.json", {"n_vars": 1, "terms": terms})
     code, out = run_cli(capsys, "tcone", "--poly", poly)
+    assert code == 0 and json.loads(out)["tau1"]["trivial"] is True
+    terms = [{"exponents": [k, k * k % 7], "coeff": "1"} for k in range(1, 19)]
+    terms.append({"exponents": [0, 0], "coeff": "-18"})
+    poly = write_json(tmp_path, "g19.json", {"n_vars": 2, "terms": terms})
+    code, out = run_cli(capsys, "tcone", "--poly", poly)
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "precondition" and "support too large" in err["message"]
+    poly = write_json(tmp_path, "steps.json", codec.polynomial(past_the_cone_step_limit()))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "tcone", "--poly", poly)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "precondition" and "tangent-cone search" in err["message"]
+
+    # one facet on 24 vertices would have 16.8 million faces
+    complex_file = write_json(tmp_path, "k24.json", [list(range(1, 25))])
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "toric", "res", "--complex", complex_file)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "precondition" and "complex too large" in err["message"]
 
     # 40 tangents of a conic: the braid scan is refused at once, while the
     # intersection points and the cover bound are still answered

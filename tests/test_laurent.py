@@ -13,12 +13,14 @@ import sympy
 
 from jumploci import codec
 from jumploci.laurent import (
+    CONE_STEP_LIMIT,
+    CONE_SUPPORT_LIMIT,
     SUPPORT_LIMIT,
-    AdmissiblePartition,
     EquivariantChainComplex1,
     LaurentPolynomial,
     _linear_factor_kernels,
     _minor_gcd,
+    _vanishes_on,
     _zt_from_poly,
     _zt_gcd,
     _zt_to_poly,
@@ -36,7 +38,10 @@ from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
 from oracles import (
     cv_rank1_chain_sympy,
     cyclotomic_index_sympy,
+    direction_subspace,
+    exp_tangent_cone_by_partitions,
     factor_one_variable_sympy,
+    past_the_cone_step_limit,
     poly1_gcd_sympy,
     random_laurent_terms,
     rg_partitions,
@@ -96,8 +101,7 @@ def _check_against_partition_oracle(f):
     assert as_set(p.blocks for p in got_finest) == as_set(finest)
     assert got_finest == [p for p in got if p in got_finest]
     expect = SubspaceArrangement(
-        f.n_vars,
-        [AdmissiblePartition(f.n_vars, p).direction_subspace() for p in admissible],
+        f.n_vars, [direction_subspace(f.n_vars, p) for p in admissible]
     )
     assert exp_tangent_cone([f]) == expect
 
@@ -126,14 +130,190 @@ def test_admissible_partitions_against_partition_oracle():
         _check_against_partition_oracle(f)
 
 
+def _random_zero_sum_polynomial(rng, n, size, box=2):
+    """`size` distinct exponents in {-box..box}^n with nonzero coefficients
+    summing to zero; small coefficients give many zero-sum blocks, and a
+    unit of 1/2 or 1/3 exercises the scaling to integers."""
+    support = set()
+    while len(support) < size:
+        support.add(tuple(rng.randint(-box, box) for _ in range(n)))
+    support = sorted(support)
+    unit = Q(1, rng.choice((1, 1, 2, 3)))
+    while True:
+        coeffs = [unit * rng.choice((-3, -2, -1, 1, 2, 3)) for _ in support[:-1]]
+        if sum(coeffs):
+            return P(n, dict(zip(support, coeffs + [-sum(coeffs)])))
+
+
+def test_exp_tangent_cone_against_the_partition_route():
+    """The pruned cover search against one subspace per finest admissible
+    partition, on about 2,400 seeded inputs with s <= 10 and n <= 4: single
+    polynomials, products of two factors and pairs sharing their support."""
+    rng = random.Random(18)
+    shapes = {"multi": 0, "pair": 0}
+    for _ in range(2400):
+        n = rng.randint(1, 4)
+        if rng.random() < 0.3:
+            # a product of two small factors: its cone is the union of theirs
+            f = _random_zero_sum_polynomial(rng, n, 2, 1)
+            f = f * _random_zero_sum_polynomial(rng, n, rng.randint(2, 3), 1)
+            if f.is_zero() or len(f.terms) > 10:
+                continue
+        else:
+            size = rng.randint(2, min(10, 5**n))
+            f = _random_zero_sum_polynomial(rng, n, size)
+        polys = [f]
+        if rng.random() < 0.2:
+            # same support, coefficients moved one place: a second equation
+            coeffs = list(f.terms.values())
+            polys.append(P(n, dict(zip(f.terms, coeffs[1:] + coeffs[:1]))))
+            shapes["pair"] += 1
+        got = exp_tangent_cone(polys)
+        assert got == exp_tangent_cone_by_partitions(polys), polys
+        shapes["multi"] += len(got) > 1
+    assert shapes["multi"] >= 200 and shapes["pair"] >= 400, shapes
+
+
+def _binomial_product(vectors):
+    n = len(vectors[0])
+    f = P(n, {(0,) * n: Q(1)})
+    for v in vectors:
+        f = f * P(n, {tuple(v): Q(1), (0,) * n: Q(-1)})
+    return f
+
+
+def test_binomial_products_give_their_hyperplanes():
+    """The zero set of a product of binomials t^v - 1 is the union of the
+    subtori t^v = 1, so its exponential tangent cone is the union of the
+    hyperplanes v^perp; the supports reach 16 terms."""
+    rng = random.Random(1816)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        count = rng.randint(1, 4)
+        vectors = []
+        while len(vectors) < count:
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(v):
+                vectors.append(v)
+        cases.append(vectors)
+    # s = 15 and s = 16 in three variables: 20,160 finest partitions at 15
+    cases.append([(0, 0, 2), (0, -1, -2), (-2, -1, 1), (-2, 0, 1)])
+    cases.append([(2, 0, 0), (2, -2, 1), (-1, -2, -1), (-2, 0, 1)])
+    sizes = set()
+    for vectors in cases:
+        n = len(vectors[0])
+        f = _binomial_product(vectors)
+        start = time.perf_counter()
+        got = exp_tangent_cone([f])
+        assert time.perf_counter() - start < 2, (vectors, len(f.terms))
+        expect = SubspaceArrangement(
+            n, [RationalSubspace.from_equations(n, [v]) for v in vectors]
+        )
+        assert got == expect, vectors
+        sizes.add(len(f.terms))
+    assert {15, 16} <= sizes
+
+
+def _vanishes_along(f, z):
+    """f(exp(lambda z)) = 0 for every lambda: the coefficients of the
+    terms with one value of a . z sum to zero, for every value."""
+    sums = {}
+    for expo, coeff in f.terms.items():
+        key = sum(a * x for a, x in zip(expo, z))
+        sums[key] = sums.get(key, 0) + coeff
+    return not any(sums.values())
+
+
+def test_eighteen_terms_are_answered():
+    """Block-built supports of 18 terms: each block has zero coefficient sum
+    and a value against z = (1, 1, -1, 2) no other block takes, so z lies in
+    the cone, and f vanishes along a random point of every component."""
+    rng = random.Random(2018)
+    z = (1, 1, -1, 2)
+    for blocks in ((4, 4, 4, 3, 3), (3, 3, 3, 3, 3, 3), (6, 6, 6)):
+        terms = {}
+        for size, level in zip(blocks, rng.sample(range(-4, 5), len(blocks))):
+            coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(size - 1)]
+            if not sum(coeffs):
+                coeffs[0] += 1
+            coeffs.append(-sum(coeffs))
+            placed = 0
+            while placed < size:
+                tail = [rng.randint(-2, 2) for _ in range(3)]
+                expo = (level - tail[0] + tail[1] - 2 * tail[2], *tail)
+                if expo not in terms:
+                    terms[expo] = Q(coeffs[placed])
+                    placed += 1
+        f = P(4, terms)
+        assert len(f.terms) == 18
+        start = time.perf_counter()
+        arr = exp_tangent_cone([f])
+        assert time.perf_counter() - start < 5
+        assert arr.contains_vector(z)
+        for comp in arr:
+            weights = [rng.randint(1, 9) for _ in comp.rows]
+            point = [sum(w * x for w, x in zip(weights, col)) for col in zip(*comp.rows)]
+            assert _vanishes_along(f, point)
+
+
 def test_support_above_the_limit_is_refused():
     terms = {(k,): Q(1) for k in range(1, SUPPORT_LIMIT + 1)}
     f = P(1, {(0,): Q(-SUPPORT_LIMIT), **terms})
     assert len(f.support()) == SUPPORT_LIMIT + 1 and f.value_at_one() == 0
     with pytest.raises(ValueError, match="support too large"):
         admissible_partitions(f)
+    # the cone runs its own search, with its own limits
+    rep = compare_tangent_cones(f)
+    assert rep["tau1"].is_trivial() and rep["tau1_inside_tc1"] is True
+
+    size = CONE_SUPPORT_LIMIT + 1
+    terms = {(k, k * k % 7): Q(1) for k in range(1, size)}
+    f = P(2, {(0, 0): Q(1 - size), **terms})
+    assert len(f.support()) == size and f.value_at_one() == 0
     with pytest.raises(ValueError, match="support too large"):
         compare_tangent_cones(f)
+
+    f = past_the_cone_step_limit()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {CONE_STEP_LIMIT} steps"):
+        exp_tangent_cone([f])
+    assert time.perf_counter() - start < 5
+
+
+def test_vanishing_on_a_span_against_sympy():
+    """The integer substitution against sympy's expansion of form(sum s_j r_j),
+    on forms that are products of linear forms, some vanishing on the span."""
+    rng = random.Random(1818)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        m = rng.randint(1, n - 1)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        form = P(n, {(0,) * n: Q(rng.choice((1, -2, 3)))})
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                # a linear form vanishing on the span, if there is one
+                eqs = RationalSubspace.from_equations(n, rows).rows
+                ann = RationalSubspace(n, rows).annihilator().rows
+                lin = ann[0] if ann else eqs[0]
+            else:
+                lin = [rng.randint(-2, 2) for _ in range(n)]
+            unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            form = form * P(n, {unit[i]: Q(c) for i, c in enumerate(lin) if c})
+        if form.is_zero():
+            continue
+        s = sympy.symbols(f"s0:{m}")
+        z = [sum(sj * r[i] for sj, r in zip(s, rows)) for i in range(n)]
+        expr = sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(zi**e for zi, e in zip(z, expo)))
+            for expo, c in form.terms.items()
+        )
+        expect = sympy.expand(expr) == 0
+        assert _vanishes_on(form, rows) is expect, (form, rows)
+        seen.add(expect)
+    assert seen == {True, False}
 
 
 def test_chain_link_cones():

@@ -2,8 +2,14 @@
 
 import itertools
 import random
+import time
 
+import pytest
+
+from jumploci import simplicial
 from jumploci.simplicial import (
+    FACE_LIMIT,
+    ComplexTooLarge,
     SimplicialComplex,
     full_simplex,
     induced,
@@ -144,3 +150,18 @@ def test_skeleton_and_validation():
         assert False, "vertex beyond the ambient range must raise"
     except ValueError:
         pass
+
+
+def test_complexes_with_too_many_faces_are_refused_before_building(monkeypatch):
+    # one facet on 24 vertices has 2^24 subsets, and a refusal builds none
+    assert FACE_LIMIT < 1 << 24
+    start = time.perf_counter()
+    with pytest.raises(ComplexTooLarge, match="complex too large"):
+        full_simplex(24)
+    assert time.perf_counter() - start < 1
+    # the bound sums 2^|F| over the maximal facets only
+    monkeypatch.setattr(simplicial, "FACE_LIMIT", 64)
+    facets = [(1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (1, 2)]
+    assert len(SimplicialComplex(facets).facets) == 2
+    with pytest.raises(ComplexTooLarge, match="66 subsets"):
+        SimplicialComplex(facets + [(11,)])
