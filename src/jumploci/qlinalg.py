@@ -8,14 +8,15 @@ a rational translation vector lands back in a subspace modulo Z^n.
 No floats anywhere.  A subspace is stored once, as the rows of its reduced
 row-echelon form scaled to coprime integers with a positive pivot.  That
 form is canonical, so subspace equality is plain `==` on the objects; the
-Fraction RREF basis is read off it only for output and ordering.
+Fraction RREF basis is read off it only for output.
 
 Membership is decided over the integers, with no Fraction elimination: a
 subspace builds its integer equations from its rows, one per non-pivot
-column.  A vector is scaled to integers and checked against the equations;
-a subspace is contained when its rows satisfy them; an intersection
-dimension is a rank of the two row sets stacked; and the lattice coset test
-reads the same equations.
+column, on first use, and keeps them.  A vector is scaled to integers and
+checked against the equations; a subspace is contained when its rows
+satisfy them; an intersection dimension is a rank of the two row sets
+stacked, which reads no equations; and the lattice coset test reads the
+same equations.
 
 Every rank, RREF and kernel over Q comes from one integer elimination
 kernel, `_echelon`: rows are scaled to primitive integer rows once, and
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 
 Q = Fraction
@@ -65,13 +67,19 @@ def _primitive(v):
 
 
 def _primitive_rows(rows):
-    """Each row scaled to primitive integers.  Entries may be ints,
-    Fractions or anything qscalar accepts; only the entries that are
-    neither int nor Fraction are coerced."""
-    return [
-        _primitive([x if isinstance(x, (int, Q)) else qscalar(x) for x in r])
-        for r in rows
-    ]
+    """Each row scaled to primitive integers.  A row of plain ints is
+    divided by its gcd; other entries may be Fractions, bools or anything
+    qscalar accepts, and only the entries that are neither int nor Fraction
+    are coerced."""
+    out = []
+    for r in rows:
+        r = tuple(r)
+        if all(type(x) is int for x in r):
+            g = gcd(*r)
+            out.append([x // g for x in r] if g > 1 else r)
+        else:
+            out.append(_primitive([x if isinstance(x, (int, Q)) else qscalar(x) for x in r]))
+    return out
 
 
 def _echelon(rows):
@@ -218,14 +226,15 @@ class RationalSubspace:
 
     The rows are canonical, so two subspaces compare equal exactly when
     they are the same subspace of the same Q^n.  The sparse integer
-    equations behind the predicates are built with the rows, one per
-    non-pivot column; they take no part in equality, hashing or repr.
+    equations behind the membership predicates, one per non-pivot column,
+    are built from the rows on first use and kept in `_equations`; they
+    take no part in equality, hashing or repr.
     """
 
     n: int
     rows: tuple = ()
     dim: int = field(init=False)
-    equations: tuple = field(init=False, compare=False, repr=False)
+    _equations: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -241,7 +250,17 @@ class RationalSubspace:
             canonical.append(tuple(x // g for x in r))
         object.__setattr__(self, "rows", tuple(canonical))
         object.__setattr__(self, "dim", len(canonical))
-        object.__setattr__(self, "equations", _kernel(canonical, pivots, self.n))
+
+    @property
+    def equations(self):
+        """Sparse integer equations cutting out the subspace, one per
+        non-pivot column (see `_kernel`), built on first use."""
+        eqs = self._equations
+        if eqs is None:
+            pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
+            eqs = _kernel(self.rows, pivots, self.n)
+            object.__setattr__(self, "_equations", eqs)
+        return eqs
 
     @property
     def basis(self):
@@ -370,7 +389,7 @@ class SubspaceArrangement:
             if c.dim > 0:
                 comps.append(c)
         comps = _prune_maximal(comps)
-        comps.sort(key=lambda s: (-s.dim, s.basis))
+        comps.sort(key=cmp_to_key(_basis_order))
         object.__setattr__(self, "components", tuple(comps))
 
     def is_trivial(self) -> bool:
@@ -404,6 +423,22 @@ class SubspaceArrangement:
 
     def __len__(self):
         return len(self.components)
+
+
+def _basis_order(u, v):
+    """Compare two subspaces by (-dim, basis) without building Fractions.
+    A basis row is an integer row over its positive pivot, so two entries
+    x / d and y / e compare as x * e and y * d."""
+    if u.dim != v.dim:
+        return v.dim - u.dim
+    for a, b in zip(u.rows, v.rows):
+        d = next(x for x in a if x)
+        e = next(y for y in b if y)
+        for x, y in zip(a, b):
+            diff = x * e - y * d
+            if diff:
+                return diff
+    return 0
 
 
 def _prune_maximal(comps):

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .qlinalg import RationalSubspace, rank_int
 from .simplicial import (
@@ -61,12 +62,16 @@ class CoordinateArrangement:
 
     `subsets` holds only nonempty maximal W (lexicographically sorted);
     whether the origin itself belongs to the locus is a separate flag, since
-    the empty subset would otherwise be invisible.
+    the empty subset would otherwise be invisible.  `_columns` holds, per
+    piece, the number of columns outside W and a getter that reads them off
+    a row; the first `meets_subspace` call builds it, and it takes no part
+    in equality, hashing or repr.
     """
 
     n: int
     subsets: tuple = ()
     contains_origin: bool = True
+    _columns: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -91,14 +96,29 @@ class CoordinateArrangement:
     def meets_subspace(self, p: RationalSubspace) -> bool:
         """Does some coordinate piece meet P in dimension >= 1?
 
-        dim(P ∩ Q^W) = dim P - rank(basis columns outside W).
+        dim(P ∩ Q^W) = dim P - rank(basis columns outside W), so a piece
+        with fewer than dim P columns outside W meets P without a rank
+        test; otherwise the columns outside W of P's rows are ranked.  The
+        columns of each piece are picked once per locus, on the first call.
         """
         if p.n != self.n:
             raise ValueError("ambient dimensions differ")
-        for w in self.subsets:
-            outside = [j for j in range(self.n) if (j + 1) not in w]
-            sub = [[row[j] for j in outside] for row in p.rows]
-            if rank_int(sub) < p.dim:
+        columns = self._columns
+        if columns is None:
+            columns = []
+            for w in self.subsets:
+                outside = [j for j in range(self.n) if j + 1 not in w]
+                # itemgetter returns a scalar for one column, so a lone
+                # column is read twice, which keeps the rank.  With no
+                # column (W = V) a P of dim >= 1 meets the piece before the
+                # rank test, and P = 0 has no rows to read.
+                cols = outside * 2 if len(outside) == 1 else outside
+                columns.append((len(outside), itemgetter(*cols) if cols else None))
+            columns = tuple(columns)
+            object.__setattr__(self, "_columns", columns)
+        dim = p.dim
+        for count, get in columns:
+            if count < dim or rank_int(map(get, p.rows)) < dim:
                 return True
         return False
 

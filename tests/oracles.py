@@ -34,7 +34,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 from sympy import ZZ
@@ -102,6 +102,35 @@ def meets_rank(p_basis, l_basis, n):
     return sympy_rank(list(p_basis) + list(l_basis)) < dp + dl
 
 
+def meets_coordinate_piece(basis, w, n):
+    """Does the span of the integer rows `basis` meet Q^W (W 1-based) in a
+    nonzero vector?  dim(P ∩ Q^W) = dim P + |W| - dim(P + Q^W), each a rank
+    of stacked integer rows."""
+    units = [[int(j + 1 == v) for j in range(n)] for v in w]
+    return integer_rank(list(basis) + units) < integer_rank(basis) + len(units)
+
+
+def integer_equations(rows, n):
+    """The sparse integer equations of the span of `rows`, read off sympy's
+    RREF: for each non-pivot column j, L (e_j - sum of b[j] e_c) over the
+    RREF rows b with pivot column c and b[j] != 0, as (column, entry) pairs
+    in that order.  L is the lcm of the pivot entries of the rows b scaled
+    to coprime integers."""
+    basis, pivots = rref_sympy(rows)
+    scale = 1
+    for b in basis:
+        den = lcm(*(x.denominator for x in b))
+        scale = lcm(scale, den // gcd(*(int(x * den) for x in b)))
+    eqs = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        eq = [(j, scale)]
+        eq += [(c, int(-scale * b[j])) for b, c in zip(basis, pivots) if b[j]]
+        eqs.append(tuple(eq))
+    return tuple(eqs)
+
+
 def in_span(vector, basis):
     r = sympy_rank(basis)
     return sympy_rank(list(basis) + [vector]) == r
@@ -109,11 +138,13 @@ def in_span(vector, basis):
 
 def brute_coset_hits(q, basis, n, box):
     """Does q + lambda lie in the span for some integer shift with
-    |lambda_i| <= box?  Exhaustive search; the bound must be chosen by the
+    |lambda_i| <= box?  Exhaustive search, each shifted point reduced
+    against sympy's RREF of the basis; the bound must be chosen by the
     caller to cover the denominators in play."""
+    reduced = rref_sympy(basis)[0]
     for shift in itertools.product(range(-box, box + 1), repeat=n):
         moved = [qi + si for qi, si in zip(q, shift)]
-        if in_span(moved, basis):
+        if not any(reduce_vector(moved, reduced)):
             return True
     return False
 

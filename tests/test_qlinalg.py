@@ -29,6 +29,7 @@ from oracles import (
     contains_vector_by_reduction,
     coordinate_subspace,
     in_span,
+    integer_equations,
     integer_rank,
     intersection_dim_by_reduction,
     maximal_members,
@@ -378,6 +379,57 @@ def test_the_integer_predicates_are_kept_per_subspace():
         u.contains_subspace(RationalSubspace.full(5))
 
 
+def test_equations_are_built_on_first_use():
+    rng = random.Random(79)
+    built = 0
+    for _ in range(200):
+        rows = _random_matrix(rng)
+        n = len(rows[0]) if rows else 0
+        mixed = [[_as_other_exact_type(rng, x) for x in r] for r in rows]
+        for given in (rows, mixed):
+            u = RationalSubspace(n, given)
+            assert u._equations is None
+            # the rank predicate reads no equations
+            assert intersection_dim(u, RationalSubspace.full(n)) == u.dim
+            assert u._equations is None
+            assert u.equations == integer_equations(rows, n)
+            assert u._equations is u.equations
+            built += len(u.equations)
+    assert built > 0
+
+
+def test_predicates_reading_equations_agree_before_and_after_first_use():
+    rng = random.Random(83)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        rows = random_subspace_basis(rng, n, rng.randint(0, n), lo=-3, hi=3)
+        mixed = [
+            [_as_other_exact_type(rng, x / f) for x in r]
+            for r, f in zip(rows, (rng.randint(1, 3) for _ in rows))
+        ]
+        other = RationalSubspace.span(n, random_subspace_basis(rng, n, rng.randint(0, n), lo=-1, hi=1))
+        q = tuple(Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n))
+        want = (
+            RationalSubspace.span(n, sympy_nullspace(rows, n)),
+            contains_subspace_by_reduction(RationalSubspace.span(n, rows), other),
+            brute_coset_hits(q, rows or [[Q(0)] * n], n, box=5),
+        )
+        for first in range(3):
+            u = RationalSubspace(n, mixed)
+            # the predicate called first builds the equations the others read
+            calls = [
+                lambda: u.annihilator(),
+                lambda: u.contains_subspace(other),
+                lambda: coset_in_subspace_mod_lattice(q, u),
+            ]
+            assert calls[first]() == want[first]
+            assert [call() for call in calls] == list(want)
+        kinds.add(want[1:])
+    assert {got for _, got in kinds} == {True, False}
+    assert {got for got, _ in kinds} == {True, False}
+
+
 def test_coset_membership_against_bounded_search():
     rng = random.Random(99)
     hits = 0
@@ -446,6 +498,26 @@ def test_arrangement_prunes_and_sorts():
     same = SubspaceArrangement(3, [plane, plane])
     assert arr == same
     assert hash(arr) == hash(same)
+
+
+def test_components_keep_the_basis_order():
+    rng = random.Random(89)
+    orders = set()
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        comps = []
+        for _ in range(rng.randint(2, 6)):
+            # few distinct entries, so that bases often agree in a prefix
+            rows = [
+                [Q(rng.choice((-2, 0, 1, 3)), rng.choice((1, 2, 3))) for _ in range(n)]
+                for _ in range(rng.randint(1, n - 1))
+            ]
+            comps.append(RationalSubspace.span(n, rows))
+        arr = SubspaceArrangement(n, comps)
+        assert arr.components == tuple(sorted(arr.components, key=lambda s: (-s.dim, s.basis)))
+        orders.add(arr.components == tuple(sorted(arr.components, key=lambda s: s.rows)))
+    # the order of the integer rows alone is not the basis order
+    assert orders == {True, False}
 
 
 def _b3_local_and_braid_subspaces():

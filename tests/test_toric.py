@@ -26,7 +26,7 @@ from oracles import (
     all_complexes,
     canonical_graphs,
     connectivity_by_cuts,
-    meets_rank,
+    meets_coordinate_piece,
     raag_r1_sweep,
     random_subspace_basis,
     toric_resonance_levelwise,
@@ -276,6 +276,19 @@ def test_search_matches_sweep_on_random_complexes():
                 _agrees_with_sweep(k, i, d)
 
 
+def _plane_in_random_support(rng, n, r):
+    """Integer rows spanning an r-plane inside a random coordinate subspace
+    of Q^n, so that it meets coordinate pieces as often as it misses them."""
+    support = sorted(rng.sample(range(n), rng.randint(r, n)))
+    basis = []
+    for row in random_subspace_basis(rng, len(support), r):
+        vec = [0] * n
+        for j, x in zip(support, row):
+            vec[j] = int(x)
+        basis.append(vec)
+    return basis
+
+
 def test_cover_membership_matches_the_sweeps_of_every_lower_degree():
     rng = random.Random(2011)
     answers = set()
@@ -283,25 +296,50 @@ def test_cover_membership_matches_the_sweeps_of_every_lower_degree():
         k = _random_complex(rng, n, dim)
         for i in (0, 1, 2):
             pieces = [w for j in range(i + 1) for w in toric_resonance_sweep(k, j, 1)[0]]
-            for r in (1, 2, 3):
+            for r in (1, 2, 3, 4):
                 for _ in range(6):
-                    # a plane inside a random coordinate subspace, so that
-                    # both answers occur
-                    support = sorted(rng.sample(range(n), rng.randint(r, n)))
-                    basis = []
-                    for row in random_subspace_basis(rng, len(support), r):
-                        vec = [0] * n
-                        for j, x in zip(support, row):
-                            vec[j] = x
-                        basis.append(vec)
-                    expect = not any(
-                        meets_rank(basis, [[int(j + 1 == v) for j in range(n)] for v in w], n)
-                        for w in pieces
-                    )
+                    basis = _plane_in_random_support(rng, n, r)
+                    expect = not any(meets_coordinate_piece(basis, w, n) for w in pieces)
                     p = RationalSubspace.span(n, basis)
                     assert toric_omega_member(k, i, r, p) is expect, (k, i, basis)
-                    answers.add(expect)
-    assert answers == {True, False}
+                    answers.add((r, expect))
+    assert answers == {(r, b) for r in (1, 2, 3, 4) for b in (True, False)}
+
+
+def test_meets_subspace_matches_the_rank_oracle():
+    rng = random.Random(2017)
+    kinds = ("all", "all but one", "single", "mixed")
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        vertices = range(1, n + 1)
+        kind = rng.choice(kinds)
+        if kind == "all":
+            pieces = [vertices]
+        elif kind == "all but one":
+            pieces = [[v for v in vertices if v != u] for u in rng.sample(vertices, rng.randint(1, n))]
+        elif kind == "single":
+            pieces = [[v] for v in rng.sample(vertices, rng.randint(1, n))]
+        else:
+            pieces = [rng.sample(vertices, rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+        arr = CoordinateArrangement(n, pieces)
+        r = rng.randint(0, min(4, n))
+        basis = _plane_in_random_support(rng, n, r)
+        p = RationalSubspace.span(n, basis)
+        expect = any(meets_coordinate_piece(basis, w, n) for w in arr.subsets)
+        twins = [pickle.loads(pickle.dumps(arr)), copy.deepcopy(arr)]
+        assert arr.meets_subspace(p) is expect, (arr, basis)
+        # copies taken before and after the first query, which picks the columns
+        twins += [pickle.loads(pickle.dumps(arr)), copy.deepcopy(arr)]
+        for twin in twins:
+            assert twin == arr and hash(twin) == hash(arr) and repr(twin) == repr(arr)
+            assert twin.meets_subspace(p) is expect
+        seen.add((kind, r > 0, expect))
+    # P = 0 meets no piece; a P != 0 both meets and misses every kind of
+    # piece, except W = V, which every P != 0 meets
+    want = {(kind, False, False) for kind in kinds}
+    want |= {(kind, True, b) for kind in kinds for b in (True, False)}
+    assert seen == want - {("all", True, False)}
 
 
 def test_search_matches_sweep_on_a_sample_of_complexes_on_five_vertices():

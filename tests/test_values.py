@@ -104,16 +104,25 @@ def test_value_types_are_frozen_and_survive_pickle_and_deepcopy():
 def test_kept_integer_predicates_leave_equality_and_hash_alone():
     fresh = RationalSubspace(3, [(1, Q(1, 2), 0), (0, 0, 2)])
     queried = RationalSubspace(3, [(2, 1, 0), (0, 0, 1)])
+    # no equations before the first predicate that reads them
+    assert fresh._equations is None and queried._equations is None
+    before = (hash(queried), repr(queried))
+    unbuilt = [pickle.loads(pickle.dumps(queried)), copy.deepcopy(queried)]
     assert queried.contains_vector((4, 2, Q(1, 3)))
     assert intersection_dim(queried, RationalSubspace.full(3)) == 2
+    assert fresh._equations is None and queried._equations is not None
+    assert (hash(queried), repr(queried)) == before
+    assert queried == fresh and hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh) and "equations" not in repr(fresh)
+    built = [pickle.loads(pickle.dumps(queried)), copy.deepcopy(queried)]
+    assert all(twin._equations is None for twin in unbuilt)
+    assert all(twin._equations == queried._equations for twin in built)
     # x1 = x0 / 2 on the plane: one equation, kept with the rows
     assert fresh.rows == queried.rows == ((2, 1, 0), (0, 0, 1))
     assert fresh.equations == queried.equations == (((1, 2), (0, -1)),)
     assert fresh.basis == ((1, Q(1, 2), 0), (0, 0, 1))
-    assert queried == fresh and hash(queried) == hash(fresh)
-    assert repr(queried) == repr(fresh) and "equations" not in repr(fresh)
-    for twin in (pickle.loads(pickle.dumps(queried)), copy.deepcopy(queried)):
-        assert twin == fresh and hash(twin) == hash(fresh)
+    for twin in unbuilt + built:
+        assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
         assert twin.rows == queried.rows and twin.equations == queried.equations
         assert twin.contains_vector((4, 2, Q(1, 3)))
         assert not twin.contains_vector((1, 0, 0))
