@@ -17,13 +17,17 @@ identity live in this module:
   the span of the differences chosen so far and cuts a branch once that
   span contains one already found, so it lists no partition and builds a
   subspace only for the components.  `admissible_partitions` lists the
-  partitions themselves, for supports up to `SUPPORT_LIMIT`.  A
-  tangent-cone form is checked to vanish on a component by substituting
-  the component's integer rows.
+  partitions themselves, for supports up to `SUPPORT_LIMIT`.
 
 * the classical tangent cone — for a hypersurface, the zero set of the
   lowest-degree homogeneous part of f(z + 1), after clearing monomial units.
   Only the low-degree end of f(z + 1) is expanded.
+
+The two are compared by one exact division of a form by the linear form of
+an integer equation: a form vanishes on a subspace when it reduces to 0
+modulo the subspace's equations, and the cones are equal when the form is,
+up to a constant, a product of powers of the equations of the exponential
+cone's components, all of them hyperplanes.  No factoring is needed.
 
 The module also evaluates rank-1 twisted homology for chain complexes over
 the one-variable Laurent ring, which is a PID, so determinantal gcds give
@@ -32,10 +36,9 @@ cyclotomic and other irreducible pieces.  Both run in exact Z[t]
 arithmetic: Bareiss determinants, primitive remainder sequences, and
 division by cyclotomic polynomials.  A chain complex's matrices enter Z[t]
 once, each row scaled by a unit, and a locus stays there until it is
-returned.  sympy is imported only to factor a
-non-cyclotomic remainder of degree 2 or more, and to split a multivariate
-tangent-cone form into linear factors.  One-variable inputs whose degree
-span exceeds `DEGREE_LIMIT` are refused.
+returned.  sympy is imported only by `factor_one_variable`, to factor a
+non-cyclotomic remainder of degree 2 or more.  One-variable inputs whose
+degree span exceeds `DEGREE_LIMIT` are refused.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ CONE_STEP_LIMIT = 50_000
 # polynomial that is factored or enters a chain complex; x^1000 - 1 factors
 # in about half a second.
 DEGREE_LIMIT = 1000
+# Most work the minors of one `cv_rank1_chain` call may take: a k x k minor
+# counts its k^2 entries, and each entry its Bareiss elimination computes
+# counts 1 plus the coefficient products it makes.  On a 2-vCPU Xeon (Python
+# 3.11.7) a unit costs 0.2-0.7 us, so a refusal comes within about 1.5 s.
+MINOR_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,10 +121,6 @@ class LaurentPolynomial:
     @classmethod
     def constant(cls, n_vars, c):
         return cls(n_vars, {(0,) * n_vars: qscalar(c)})
-
-    @classmethod
-    def monomial(cls, n_vars, expo, c=1):
-        return cls(n_vars, {tuple(expo): qscalar(c)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -491,99 +495,69 @@ def _shifted_low_part(cleared, n, cap):
     return {e: c for e, c in nonzero if sum(e) == low}
 
 
-def _int_poly_mul(a, b):
-    """Product of two polynomials stored as {exponent tuple: int}."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
+def _divide(form, eq):
+    """Divide a form {exponent tuple: Fraction} by the linear form l of a
+    sparse integer equation (see `qlinalg._kernel`), eliminating the
+    equation's own variable z_j, its first entry (j, a): (q, r) with
+    form = q * l + r and r free of z_j, cleared from the top power of z_j
+    down."""
+    (j, a), *rest = eq
+    rem, quo = dict(form), {}
+    for k in range(max((e[j] for e in form), default=0), 0, -1):
+        for e in [e for e in rem if e[j] == k]:
+            c = rem.pop(e) / a
+            e = e[:j] + (k - 1,) + e[j + 1 :]
+            quo[e] = c
+            for col, b in rest:
+                key = e[:col] + (e[col] + 1,) + e[col + 1 :]
+                v = rem.get(key, 0) - c * b
+                if v:
+                    rem[key] = v
+                else:
+                    rem.pop(key, None)
+    return quo, rem
 
 
 def _vanishes_on(form: LaurentPolynomial, rows):
     """Does the form vanish on the span of the integer rows?
 
-    form(z) is expanded over the integers in the coordinates s of
-    z = sum_j s_j rows[j], with each power of each linear form z_i(s)
-    built once.  Any basis of the span gives the same answer, and scaling
-    the form does not change it.
+    Each equation of the span eliminates its own variable, which no other
+    equation involves, so what is left of the form after dividing by all of
+    them is a polynomial in the pivot variables of the rows.  Those are free
+    on the span, so the form vanishes there exactly when nothing is left.
     """
-    m = len(rows)
-    one = {(0,) * m: 1}
-    powers = [
-        [one, {tuple(int(j == k) for k in range(m)): r[i] for j, r in enumerate(rows) if r[i]}]
-        for i in range(form.n_vars)
-    ]
-    total = {}
-    for expo, coeff in zip(form.terms, _primitive(list(form.terms.values()))):
-        term = {(0,) * m: coeff}
-        for i, e in enumerate(expo):
-            if e:
-                while len(powers[i]) <= e:
-                    powers[i].append(_int_poly_mul(powers[i][-1], powers[i][1]))
-                term = _int_poly_mul(term, powers[i][e])
-        for key, c in term.items():
-            total[key] = total.get(key, 0) + c
-    return not any(total.values())
-
-
-def _linear_factor_kernels(tc: LaurentPolynomial):
-    """If the tangent-cone form splits into rational linear factors, return
-    the list of their kernels (hyperplanes); otherwise None.
-
-    Factoring is delegated to sympy, imported lazily so that plain cone
-    computations never pay the import cost.  A constant has no factors and
-    a linear form is its own factorization; neither reaches sympy.
-    """
-    n = tc.n_vars
-    if tc.is_constant():
-        return []
-    if all(sum(e) == 1 for e in tc.terms):
-        row = [Fraction(0)] * n
-        for expo, coeff in tc.terms.items():
-            row[expo.index(1)] = coeff
-        return [RationalSubspace.from_equations(n, [row])]
-
-    import sympy
-
-    syms = sympy.symbols(f"z1:{n + 1}") if n else ()
-    expr = sympy.Integer(0)
-    for expo, coeff in tc.terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for s, e in zip(syms, expo):
-            term *= s ** e
-        expr += term
-    _, factors = sympy.factor_list(sympy.expand(expr))
-    kernels = []
-    for fac, _mult in factors:
-        poly = sympy.Poly(fac, *syms)
-        if poly.total_degree() != 1:
-            return None
-        row = [Fraction(str(poly.coeff_monomial(s) or 0)) for s in syms]
-        kernels.append(RationalSubspace.from_equations(n, [row]))
-    return kernels
+    rest = form.terms
+    for eq in RationalSubspace(form.n_vars, rows).equations:
+        _, rest = _divide(rest, eq)
+    return not rest
 
 
 def compare_tangent_cones(f: LaurentPolynomial) -> dict:
-    """Both cones of the hypersurface f = 0, with containment and equality.
+    """Both cones of the hypersurface f = 0, with containment and equality,
+    over C and exactly.
 
-    Containment is checked exactly: each component of the exponential cone
-    is parametrized by its primitive integer rows and substituted into the
-    tangent-cone form, which must vanish identically.  Equality is decided
-    when the form factors into rational linear pieces (then both sides are
-    subspace unions and compare canonically); otherwise `equal` is None,
-    meaning undetermined at this level of machinery.
+    Containment: the tangent-cone form tc1 must vanish on each component of
+    the exponential cone (`_vanishes_on`).  Equality: TC1 = {tc1 = 0} is a
+    hypersurface, so a union of rational subspaces equals it exactly when
+    every component is a hyperplane ker l_i and tc1 = c * prod l_i^m_i
+    (Nullstellensatz and Gauss's lemma).  So the cones are equal when the
+    exponential cone lies in TC1, every component has codimension 1, and
+    dividing tc1 by each component's equation as often as the remainder
+    stays 0 leaves a constant.  In Q^1 they are always equal: both cones
+    are the origin, the hyperplane that arrangements keep implicit, unless
+    f(1) != 0 and both are empty.
     """
     tau1 = exp_tangent_cone([f])
     tc1 = hypersurface_tc1(f)
     contained = all(_vanishes_on(tc1, comp.rows) for comp in tau1.components)
-
-    kernels = _linear_factor_kernels(tc1)
-    if kernels is None:
-        equal = None
-    else:
-        equal = SubspaceArrangement(f.n_vars, kernels) == tau1
+    rest = tc1.terms
+    for comp in tau1.components:
+        q, r = _divide(rest, comp.equations[0])
+        while not r:
+            rest = q
+            q, r = _divide(rest, comp.equations[0])
+    hyperplanes = all(comp.codim() == 1 for comp in tau1.components)
+    equal = f.n_vars == 1 or (contained and hyperplanes and not any(map(any, rest)))
     return {
         "tau1": tau1,
         "tc1": tc1,
@@ -687,9 +661,10 @@ def _zt_gcd(a, b):
     return a
 
 
-def _zt_det(mat):
+def _zt_det(mat, work):
     """Determinant of a square matrix over Z[t] by Bareiss fraction-free
-    elimination: every division by the previous pivot is exact."""
+    elimination: every division by the previous pivot is exact.  Each entry
+    it computes adds 1 plus its coefficient products to work[0]."""
     m = [list(row) for row in mat]
     n = len(m)
     negate, prev = False, [1]
@@ -706,6 +681,7 @@ def _zt_det(mat):
         for i in range(k + 1, n):
             row, lead = m[i], m[i][k]
             for j in range(k + 1, n):
+                work[0] += 1 + len(row[j]) * len(pivot) + len(lead) * len(pivot_row[j])
                 num = _zt_sub(_zt_mul(row[j], pivot), _zt_mul(lead, pivot_row[j]))
                 row[j] = _zt_exact_div(num, prev) if num else []
         prev = pivot
@@ -1026,7 +1002,7 @@ def _as_poly1(x):
     return LaurentPolynomial.constant(1, x)
 
 
-def _minor_gcd(ints, k):
+def _minor_gcd(ints, k, work):
     """gcd of all k x k minors of a matrix over Z[t], given as rows of Z[t]
     lists, as a primitive Z[t] list with no factor t.
 
@@ -1034,6 +1010,9 @@ def _minor_gcd(ints, k):
     polynomial [], whose zero set is everything — there are no minors left
     to impose a condition.  The minors are Bareiss determinants, stripped
     of factors t, and the scan stops as soon as their gcd is a constant.
+    Each minor adds its cost to `work`, a one-item list that the calls of
+    one `cv_rank1_chain` share, and a total past `MINOR_LIMIT` raises
+    ValueError.
     """
     if k == 0:
         return [1]
@@ -1042,7 +1021,13 @@ def _minor_gcd(ints, k):
     acc = []
     for rows in itertools.combinations(range(nrows), k):
         for cols in itertools.combinations(range(ncols), k):
-            det = _zt_det([[ints[r][c] for c in cols] for r in rows])
+            work[0] += k * k
+            det = _zt_det([[ints[r][c] for c in cols] for r in rows], work)
+            if work[0] > MINOR_LIMIT:
+                raise ValueError(
+                    f"rank-1 locus too large: its minors need more than "
+                    f"{MINOR_LIMIT} steps"
+                )
             acc = _zt_gcd(acc, _zt_strip(det))
             if len(acc) == 1:
                 return [1]
@@ -1061,7 +1046,7 @@ def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPo
     gcd of minors; the gcds and their product stay in Z[t], primitive with
     no factor t, and become a LaurentPolynomial only at the end.  The zero
     polynomial means the whole torus jumps; a nonzero constant means no
-    character does.
+    character does.  Minors past `MINOR_LIMIT` are refused (`_minor_gcd`).
     """
     if not (0 <= i <= chain.top()):
         raise ValueError(f"degree {i} out of range 0..{chain.top()}")
@@ -1075,8 +1060,8 @@ def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPo
     for entry in itertools.chain(*down, *up):
         _check_degree_span(entry)
     down, up = _zt_rows(down), _zt_rows(up)
-    result = [1]
+    result, work = [1], [0]
     for r in range(budget + 1):
-        g = _zt_gcd(_minor_gcd(down, r + 1), _minor_gcd(up, budget - r + 1))
+        g = _zt_gcd(_minor_gcd(down, r + 1, work), _minor_gcd(up, budget - r + 1, work))
         result = _zt_mul(result, g)
     return _zt_to_poly(result)

@@ -21,10 +21,12 @@ same equations.
 Every rank, RREF and kernel over Q comes from one integer elimination
 kernel, `_echelon`: rows are scaled to primitive integer rows once, and
 `rank_int` reads its pivots, while `_reduced` back-substitutes them into
-the reduced rows that subspaces, kernels and `rref` are read off.  Two
+the reduced rows that subspaces, kernels and `rref` are read off.  Three
 eliminations stay apart because they answer different questions:
 `hermite_reduce` uses only unimodular row operations, since the row lattice
-over Z must not change, and `laurent._zt_det` eliminates over Z[t].
+over Z must not change, `laurent._zt_det` eliminates over Z[t], and
+`laurent._annihilate` cuts an annihilator down one vector at a time inside
+the tangent-cone search, where no subspace is built.
 """
 
 from __future__ import annotations

@@ -219,16 +219,3 @@ def link_faces(link, w: int) -> frozenset:
     """
     outside = ~w
     return frozenset(t for t in link if not t & outside)
-
-
-def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
-    """Simplicial join; the second complex's vertices are shifted past n1."""
-    shift = k1.n
-    f1s = k1.facets or (frozenset(),)
-    f2s = k2.facets or (frozenset(),)
-    facets = [
-        f1 | frozenset(v + shift for v in f2)
-        for f1 in f1s
-        for f2 in f2s
-    ]
-    return SimplicialComplex(facets, n=k1.n + k2.n)

@@ -5,7 +5,8 @@ ranks come from sympy, coset membership from bounded brute-force search,
 partitions from restricted-growth strings, toric and graph resonance from
 sweeps over every vertex subset, vertex connectivity from every vertex
 cut, one-variable factorizations, gcds and chain loci from sympy's
-polynomial arithmetic, and the resonance components of
+polynomial arithmetic, tangent-cone equality from sympy's factoring of the
+form into linear pieces, and the resonance components of
 line arrangements from their defining equations.  The tests freeze expected
 values computed by these slow oracles and then assert the fast code
 paths agree.
@@ -519,6 +520,28 @@ def tc1_sympy(n, terms):
         num = gcd(num, int(c * denom))
     scale = Fraction(denom, num) * (1 if part[0][1] > 0 else -1)
     return {m: c * scale for m, c in part}
+
+
+def linear_factor_kernels_sympy(tc):
+    """The kernels of the rational linear factors of a tangent-cone form,
+    one hyperplane per distinct factor, from sympy's factor_list over Q;
+    None when some factor is not linear.  A constant has no factors."""
+    if tc.is_constant():
+        return []
+    n = tc.n_vars
+    syms = sympy.symbols(f"z1:{n + 1}")
+    # scaled to integers, the form factors over Z as over Q (Gauss's lemma)
+    scale = lcm(*(c.denominator for c in tc.terms.values()))
+    poly = sympy.Poly.from_dict(
+        {e: int(c * scale) for e, c in tc.terms.items()}, *syms, domain="ZZ"
+    )
+    kernels = []
+    for fac, _mult in poly.factor_list()[1]:
+        if fac.total_degree() != 1:
+            return None
+        row = [Fraction(str(fac.coeff_monomial(s))) for s in syms]
+        kernels.append(RationalSubspace.from_equations(n, [row]))
+    return kernels
 
 
 # ---------------------------------------------------------------------------

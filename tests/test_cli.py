@@ -616,6 +616,50 @@ def test_one_variable_commands_do_not_import_sympy(tmp_path):
     assert done.stdout == "False\n"
 
 
+def test_tcone_does_not_import_sympy(tmp_path):
+    # the cones are compared by exact division, so no form is factored
+    def poly(n, terms):
+        return {
+            "n_vars": n,
+            "terms": [{"exponents": list(e), "coeff": c} for e, c in terms],
+        }
+
+    forms = [
+        # (t1 - 1)^2 + (t2 - 1)^2: z1^2 + z2^2 does not split over Q
+        poly(2, [((2, 0), "1"), ((1, 0), "-2"), ((0, 2), "1"), ((0, 1), "-2"), ((0, 0), "2")]),
+        # (t1 - 1)^2 (t2 - 1): z1^2 z2 splits into repeated linear factors
+        poly(2, [((2, 1), "1"), ((1, 1), "-2"), ((0, 1), "1"), ((2, 0), "-1"), ((1, 0), "2"), ((0, 0), "-1")]),
+        # (t1 t2 - 1)(t3 - 1) + (t1 - 1)^2: a quadric in three variables
+        poly(3, [((1, 1, 1), "1"), ((1, 1, 0), "-1"), ((0, 0, 1), "-1"), ((2, 0, 0), "1"), ((1, 0, 0), "-2"), ((0, 0, 0), "2")]),
+        POLY_CHAIN_LINK,
+    ]
+    commands = [
+        ["tcone", "--poly", write_json(tmp_path, f"f{i}.json", f)]
+        for i, f in enumerate(forms)
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from jumploci.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    rep = json.loads(out.getvalue())\n"
+        "    print(rep['equal'], max(sum(t['exponents']) for t in rep['tc1']['terms']))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(jumploci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False 2", "True 3", "False 2", "False 1", "False"]
+
+
 @pytest.mark.parametrize(
     "argv, modules",
     [

@@ -1,10 +1,14 @@
 """Translated-torus models: straightness, cover invariants, witnesses."""
 
 import random
+import time
 from fractions import Fraction
+
+import pytest
 
 from jumploci import codec
 from jumploci.cvmodel import (
+    WITNESS_LIMIT,
     CVModel,
     TranslatedTorus,
     classify_straightness,
@@ -214,6 +218,25 @@ def test_witness_search_can_exhaust():
     found = strictness_witness(comp, res, 1)
     assert found is not None
     assert sigma_member(res, found) is False
+
+
+def test_witness_search_past_the_limit_is_refused():
+    # the resonance component contains the line's direction, so every plane
+    # through it meets the component and no translate is a witness
+    n = 5
+    comp = TranslatedTorus(
+        RationalSubspace.span(n, [(1, 0, 0, 0, 0)]), (Q(0), Q(1, 2), Q(0), Q(0), Q(0))
+    )
+    res = SubspaceArrangement(
+        n, [RationalSubspace.span(n, [[int(i == j) for j in range(n)] for i in range(3)])]
+    )
+    # bound 3 tries the 7^5 = 16,807 translates of its box, within the limit
+    assert 7**n <= WITNESS_LIMIT < 9**n
+    assert strictness_witness(comp, res, 3) is None
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {WITNESS_LIMIT} translates"):
+        strictness_witness(comp, res, 5)
+    assert time.perf_counter() - start < 5
 
 
 def test_witness_validation():

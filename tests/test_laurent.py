@@ -15,10 +15,10 @@ from jumploci import codec
 from jumploci.laurent import (
     CONE_STEP_LIMIT,
     CONE_SUPPORT_LIMIT,
+    MINOR_LIMIT,
     SUPPORT_LIMIT,
     EquivariantChainComplex1,
     LaurentPolynomial,
-    _linear_factor_kernels,
     _minor_gcd,
     _vanishes_on,
     _zt_from_poly,
@@ -41,6 +41,8 @@ from oracles import (
     direction_subspace,
     exp_tangent_cone_by_partitions,
     factor_one_variable_sympy,
+    linear_factor_kernels_sympy,
+    normalize_poly1,
     past_the_cone_step_limit,
     poly1_gcd_sympy,
     random_laurent_terms,
@@ -357,6 +359,102 @@ def test_nonvanishing_at_identity_means_empty_cones():
     assert rep["equal"] is True
 
 
+def _cone_equality_inputs(rng):
+    """Seeded hypersurfaces for the equality check: random supports, products
+    of up to three binomials with repeated factors, and sums of products of
+    two polynomials vanishing at 1, whose forms often do not split over Q."""
+    for _ in range(800):
+        n = rng.randint(1, 4)
+        yield P(n, random_laurent_terms(rng, n, 8))
+    for _ in range(800):
+        n = rng.randint(1, 4)
+        f = P(n, {(0,) * n: Q(rng.choice((1, -1, 2)))})
+        binomials = []
+        for _ in range(rng.randint(1, 3)):
+            if binomials and rng.random() < 0.4:
+                b = rng.choice(binomials)
+            else:
+                b = P(n, random_laurent_terms(rng, n, 2))
+                binomials.append(b)
+            f = f * b
+        yield f
+    for _ in range(500):
+        n = rng.randint(2, 4)
+        f = P(n, {})
+        for _ in range(rng.randint(1, 2)):
+            g = P(n, random_laurent_terms(rng, n, 3))
+            h = P(n, random_laurent_terms(rng, n, 3))
+            f = f + g * h * rng.choice((1, -1, 2))
+        if not f.is_zero():
+            yield f
+
+
+def test_cone_equality_against_linear_factoring():
+    """`equal` against sympy's factoring of the form over Q: where the form
+    splits into linear factors, the cones are equal exactly when the
+    exponential cone is the union of their kernels; where it does not, TC1
+    is not a union of rational subspaces and the cones differ."""
+    rng = random.Random(2020)
+    seen = {}
+    count = 0
+    for f in _cone_equality_inputs(rng):
+        rep = compare_tangent_cones(f)
+        kernels = linear_factor_kernels_sympy(rep["tc1"])
+        if kernels is None:
+            expect = False
+        else:
+            expect = SubspaceArrangement(f.n_vars, kernels) == rep["tau1"]
+        assert rep["equal"] is expect, f
+        assert rep["tau1_inside_tc1"] is True, f
+        key = (kernels is None, expect)
+        seen[key] = seen.get(key, 0) + 1
+        count += 1
+    assert count >= 2000
+    assert set(seen) == {(False, True), (False, False), (True, False)}
+    assert min(seen.values()) >= 100, seen
+
+
+def test_cone_equality_on_pinned_forms():
+    z = P(2, {(1, 0): Q(1), (0, 0): Q(-1)})  # t1 - 1
+    w = P(2, {(0, 1): Q(1), (0, 0): Q(-1)})  # t2 - 1
+    # (t1 - 1)^2 + (t2 - 1)^2: the form z1^2 + z2^2 has no rational linear
+    # factor, TC1 is two conjugate complex lines and tau1 is trivial
+    rep = compare_tangent_cones(z * z + w * w)
+    assert rep["tc1"].terms == {(0, 2): Q(1), (2, 0): Q(1)}
+    assert rep["tau1"].is_trivial()
+    assert rep["tau1_inside_tc1"] is True and rep["equal"] is False
+    # z1^2 - 2 z2^2 splits only over Q(sqrt 2)
+    rep = compare_tangent_cones(z * z - w * w * 2)
+    assert rep["tc1"].terms == {(0, 2): Q(2), (2, 0): Q(-1)}
+    assert rep["equal"] is False
+    # repeated factors: z1^2 z2 and z1 z2 are both cut out by two lines
+    for f in (z * z * w, z * w, z * z * z * w * w):
+        rep = compare_tangent_cones(f)
+        assert rep["tau1"].components == (
+            RationalSubspace.span(2, [(0, 1)]),
+            RationalSubspace.span(2, [(1, 0)]),
+        )
+        assert rep["equal"] is True
+    # (t1 - 1)(t1 t2 - 1) has the form z1 (z1 + z2) and both lines in tau1;
+    # adding (t1 - 1)^3 keeps the form but leaves tau1 the line z1 = 0
+    line = P(2, {(1, 1): Q(1), (0, 0): Q(-1)})
+    rep = compare_tangent_cones(z * line)
+    assert rep["tc1"].terms == {(1, 1): Q(1), (2, 0): Q(1)}
+    assert len(rep["tau1"]) == 2 and rep["equal"] is True
+    rep = compare_tangent_cones(z * line + z * z * z)
+    assert rep["tc1"].terms == {(1, 1): Q(1), (2, 0): Q(1)}
+    assert rep["tau1"].components == (RationalSubspace.span(2, [(0, 1)]),)
+    assert rep["tau1_inside_tc1"] is True and rep["equal"] is False
+    # in Q^1 both cones are the origin, whatever the order of vanishing
+    t = P(1, {(1,): Q(1), (0,): Q(-1)})
+    for f in (t, t * t * t, t * P(1, {(2,): Q(1), (0,): Q(1)}), t * t + t * t * t):
+        rep = compare_tangent_cones(f)
+        assert rep["tau1"].is_trivial() and rep["equal"] is True, f
+    # f(1) != 0: the form is the constant 1 and both cones are empty
+    rep = compare_tangent_cones(z * w + 3)
+    assert rep["tc1"].terms == {(0, 0): Q(1)} and rep["equal"] is True
+
+
 def test_exp_cone_inclusion_on_seeded_samples():
     rng = random.Random(77)
     for _ in range(30):
@@ -448,15 +546,15 @@ def test_composition_is_checked_up_to_units_on_rows_and_columns():
 
 
 def test_minor_gcd_units_and_zero():
-    assert _minor_gcd([], 0) == [1]
-    assert _minor_gcd([[[0, 2, 2]]], 0) == [1]
-    assert _minor_gcd([[[0, 2, 2]]], 2) == []
-    assert _minor_gcd([], 1) == []
+    assert _minor_gcd([], 0, [0]) == [1]
+    assert _minor_gcd([[[0, 2, 2]]], 0, [0]) == [1]
+    assert _minor_gcd([[[0, 2, 2]]], 2, [0]) == []
+    assert _minor_gcd([], 1, [0]) == []
     # 2t + 2t^2: the factor t and the content go, t + 1 stays
-    assert _minor_gcd([[[0, 2, 2]]], 1) == [1, 1]
-    assert _minor_gcd([[[-1, 1], [1, 1]]], 1) == [1]
+    assert _minor_gcd([[[0, 2, 2]]], 1, [0]) == [1, 1]
+    assert _minor_gcd([[[-1, 1], [1, 1]]], 1, [0]) == [1]
     # diag(t - 1, t^2 - 1): (t - 1)^2 (t + 1)
-    assert _minor_gcd([[[-1, 1], []], [[], [-1, 0, 1]]], 2) == [1, -1, -1, 1]
+    assert _minor_gcd([[[-1, 1], []], [[], [-1, 0, 1]]], 2, [0]) == [1, -1, -1, 1]
 
 
 def test_general_paths_answer_the_constant_cases():
@@ -468,7 +566,7 @@ def test_general_paths_answer_the_constant_cases():
         assert factor_one_variable(f) == []
         assert link_cv1(f).root_factors() == []
     for n in range(4):
-        assert _linear_factor_kernels(P(n, {(0,) * n: Q(1)})) == []
+        assert linear_factor_kernels_sympy(P(n, {(0,) * n: Q(1)})) == []
     # f(1) != 0: both cones are empty and equal, and the form is the constant 1
     rng = random.Random(65)
     cases = [P(2, {(1, 0): Q(1), (0, 0): Q(2)}), P(1, {(2,): Q(1), (0,): Q(1)})]
@@ -656,6 +754,34 @@ def test_rank_one_chain_against_sympy_oracle():
             for d in (1, 2):
                 expect = cv_rank1_chain_sympy(chain, i, d)
                 assert cv_rank1_chain(chain, i, d) == expect, (chain, i, d)
+
+
+def test_minor_work_past_the_limit_is_refused():
+    # every entry (t - 1) * c: each k x k minor has the factor (t - 1)^k, so
+    # no gcd of minors becomes constant and every minor would be computed
+    rng = random.Random(12)
+    t_minus_1 = P(1, {(1,): Q(1), (0,): Q(-1)})
+    mat = [[t_minus_1 * rng.randint(1, 9) for _ in range(12)] for _ in range(12)]
+    chain = EquivariantChainComplex1((12, 12), (mat,))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {MINOR_LIMIT} steps"):
+        cv_rank1_chain(chain, 0, 1)
+    assert time.perf_counter() - start < 5
+    # the same size answers when the scan of each size stops at once: with
+    # constant entries and t - 1 added in one corner, the 12 x 12 minor is
+    # the determinant, linear in t, and two 11 x 11 minors have gcd 1
+    consts = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+    mat = [[LaurentPolynomial.constant(1, c) for c in row] for row in consts]
+    mat[0][0] = mat[0][0] + t_minus_1
+    chain = EquivariantChainComplex1((12, 12), (mat,))
+    t = sympy.Symbol("t")
+    det = sympy.Matrix(consts).det()
+    cofactor = sympy.Matrix([row[1:] for row in consts[1:]]).det()
+    expect = sympy.Poly(det + (t - 1) * cofactor, t)
+    start = time.perf_counter()
+    w = cv_rank1_chain(chain, 0, 1)
+    assert time.perf_counter() - start < 1
+    assert w == normalize_poly1(P(1, {(i,): Q(int(c)) for (i,), c in expect.terms()}))
 
 
 def test_rank_one_chain_accepts_laurent_entries():
