@@ -4,9 +4,9 @@ An arrangement is given by rational linear forms in three variables
 (lines in the projective plane).  Its degree-1 resonance variety is a
 finite union of linear subspaces of Q^n, n the number of lines: one
 "local" component for every intersection point lying on at least three
-lines, plus "braid" components attached to six-line sub-arrangements
-whose induced intersection pattern is four triple points covering each
-line twice.
+lines, plus "braid" components attached to the complete quadrangles of
+the arrangement: four points of multiplicity >= 3, no three on a line,
+whose six joins are lines of the arrangement.
 
 Every component this module reports is certified exactly before being
 returned: its basis vectors multiply pairwise to 0 in the degree-2
@@ -25,7 +25,7 @@ points, not a proof.
 Each arrangement computes its incidence data (multiple_points), its
 degree-2 Orlik-Solomon algebra (os_algebra_deg2) and its braid
 components (braid_subarrangements) once, on first use, and keeps them.
-The braid scan is refused above LINE_LIMIT lines.
+The braid search is refused above LINE_LIMIT lines.
 
 Components beyond the local and braid patterns can exist for
 arrangements rich enough in triple points; see r1_completeness_note,
@@ -49,8 +49,8 @@ from .qlinalg import (
 
 Q = Fraction
 
-# Most lines the braid scan accepts.  Its cost grows like C(n, 6) times the
-# number of intersection points: 43-143 s at 32 lines on a 2-vCPU VM.
+# Most lines the braid search accepts.  At 32 lines (1,096 braids) it takes
+# about 0.1 s and `arr res1` 7-9 s, nearly all in the pairwise meet check.
 LINE_LIMIT = 32
 
 
@@ -194,11 +194,11 @@ def _signed_row(n, plus, minus):
 
 @dataclass(frozen=True, slots=True)
 class BraidComponent:
-    """A six-line sub-arrangement with the four-triple pattern and its subspace.
+    """The six joins of a complete quadrangle and their resonance component.
 
     ``lines`` is the sorted 6-tuple of (1-based) line indices, ``pairs``
-    the three pairs of lines sharing no triple point, and ``subspace``
-    the 2-dimensional resonance component they span.
+    the three pairs of opposite sides (lines sharing no triple point),
+    and ``subspace`` the 2-dimensional resonance component they span.
     """
 
     lines: tuple
@@ -212,37 +212,6 @@ class BraidComponent:
         )
 
 
-def _braid_pattern(points, subset):
-    """Pairs of the matching when `subset` carries the braid pattern, else None.
-
-    The pattern: the induced intersection points of the six chosen lines
-    include exactly four triples, and each chosen line lies on exactly
-    two of them.  (A point of higher induced multiplicity is then
-    impossible by pair counting.)  Two lines are matched when they share
-    no induced triple; the counts force this to be a perfect matching
-    into three pairs.
-    """
-    chosen = set(subset)
-    triples = []
-    for mp in points:
-        induced = chosen.intersection(mp.lines)
-        if len(induced) == 3:
-            triples.append(induced)
-        elif len(induced) > 3:
-            return None
-    if len(triples) != 4:
-        return None
-    if any(sum(line in t for t in triples) != 2 for line in subset):
-        return None
-    # the two triples on a line meet only in it, so they miss exactly one line
-    pairs = []
-    for line in subset:
-        (mate,) = chosen.difference(*(t for t in triples if line in t))
-        if line < mate:
-            pairs.append((line, mate))
-    return tuple(sorted(pairs))
-
-
 def _check_line_limit(arr):
     if arr.n > LINE_LIMIT:
         raise ValueError(
@@ -253,33 +222,54 @@ def _check_line_limit(arr):
 def braid_subarrangements(arr: ProjLineArrangement):
     """All certified braid components, in index-tuple order.
 
-    Scans every 6-subset of lines for the four-triple pattern.  With
-    pairs p1, p2, p3 and u_p the indicator vector of pair p, the
-    component is spanned by u1 - u3 and u2 - u3.  Each candidate is
-    certified exactly, by isotropy in the degree-2 algebra (see the
-    module docstring; Libgober-Yuzvinsky): this proves it lies in the
-    resonance variety, not that it is maximal, and a candidate that
-    fails raises OracleError naming the nonzero product.  The sampled
-    check off the union, not a proof, belongs to r1_arrangement and does
-    not run here; r1_completeness_note is unchanged.  The scan runs on
-    the first call and its result is kept on `arr`.  More than
-    LINE_LIMIT lines raise ValueError before any of this work starts.
+    A braid sub-arrangement is a complete quadrangle of `arr`: four points
+    of multiplicity >= 3, no three on a line, whose six joins are lines of
+    `arr`.  Opposite sides are the matched pairs; they meet in the three
+    diagonal points, which are double, as a complete quadrangle over Q has
+    three distinct ones.  So the search joins every two such points by
+    their common line, if any, and grows a < b < c < d along joined pairs,
+    keeping the quadruples whose six joins are distinct.  With pairs p1,
+    p2, p3 and u_p the indicator vector of pair p, the component is
+    spanned by u1 - u3 and u2 - u3.  Each candidate is certified exactly,
+    by isotropy in the degree-2 algebra (see the module docstring;
+    Libgober-Yuzvinsky): this proves it lies in the resonance variety,
+    not that it is maximal, and a candidate that fails raises OracleError
+    naming the nonzero product.  The sampled check off the union, not a
+    proof, belongs to r1_arrangement and does not run here;
+    r1_completeness_note is unchanged.  The search runs on the first call
+    and its result is kept on `arr`.  More than LINE_LIMIT lines raise
+    ValueError before any of this work starts.
     """
     _check_line_limit(arr)
     if arr._braids is None:
-        n = arr.n
-        points = multiple_points(arr)
         algebra = os_algebra_deg2(arr)
+        rich = [p.lines for p in multiple_points(arr) if p.multiplicity >= 3]
+        join, later = {}, [set() for _ in rich]
+        for (a, p), (b, q) in combinations(enumerate(rich), 2):
+            common = set(p).intersection(q)  # two points share at most one line
+            if common:
+                join[a, b] = common.pop()
+                later[a].add(b)
         found = []
-        for subset in combinations(range(1, n + 1), 6):
-            pairs = _braid_pattern(points, subset)
-            if pairs is None:
-                continue
-            sub = RationalSubspace(n, [_signed_row(n, p, pairs[2]) for p in pairs[:2]])
-            _certify(algebra, sub, f"braid candidate {subset}")
-            found.append(BraidComponent(subset, pairs, sub))
+        for a, b in join:
+            for c in later[a] & later[b]:
+                for d in later[a] & later[b] & later[c]:
+                    sides = [join[e] for e in combinations((a, b, c, d), 2)]
+                    if len(set(sides)) == 6:
+                        found.append(_braid(arr.n, sides))
+        found.sort(key=lambda braid: braid.lines)
+        for braid in found:
+            _certify(algebra, braid.subspace, f"braid candidate {braid.lines}")
         object.__setattr__(arr, "_braids", tuple(found))
     return arr._braids
+
+
+def _braid(n, sides):
+    """The braid component on the joins of four points in `combinations`
+    order, where sides i and 5 - i are opposite."""
+    pairs = sorted(tuple(sorted((sides[i], sides[5 - i]))) for i in range(3))
+    sub = RationalSubspace(n, [_signed_row(n, p, pairs[2]) for p in pairs[:2]])
+    return BraidComponent(sides, pairs, sub)
 
 
 def _certify(algebra, subspace, what):
@@ -302,7 +292,7 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     certificate below leaves it unchanged.
 
     Every component is certified exactly, once: the local ones here and
-    the braid ones by the scan that finds them.  The certificate is
+    the braid ones by the search that finds them.  The certificate is
     isotropy in the degree-2 algebra (Libgober-Yuzvinsky), which proves
     containment in the resonance variety, not maximality.  Then 10 random
     points off the union, drawn from `seed`, are checked to show no jump;

@@ -316,9 +316,8 @@ def strictness_witness(component: TranslatedTorus, res: SubspaceArrangement, bou
                     f"translates within bound {bound} in dimension {n}"
                 )
             shifted = tuple(qi + li for qi, li in zip(component.q, lam))
+            # a 2-plane: q + lam on the line would put the identity on the component
             plane = RationalSubspace.span(n, line.rows + (shifted,))
-            if plane.dim != 2:
-                continue
             if meets_nontrivially(plane, res):
                 continue
             return plane

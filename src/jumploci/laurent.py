@@ -717,6 +717,14 @@ def _zt_rows(mat):
     return out
 
 
+def _short_first(mat):
+    """A Z[t] matrix with its rows, then its columns, ordered by their longest
+    entry, shortest first: its minors change by sign only."""
+    rows = sorted(mat, key=lambda row: max(map(len, row), default=0))
+    cols = sorted(zip(*rows), key=lambda col: max(map(len, col)))
+    return [list(row) for row in zip(*cols)] if cols else rows
+
+
 def _zt_to_poly(a) -> LaurentPolynomial:
     return LaurentPolynomial(1, {(i,): Fraction(c) for i, c in enumerate(a) if c})
 
@@ -1009,7 +1017,9 @@ def _minor_gcd(ints, k, work):
     k = 0 gives the unit [1]; k larger than either dimension gives the zero
     polynomial [], whose zero set is everything — there are no minors left
     to impose a condition.  The minors are Bareiss determinants, stripped
-    of factors t, and the scan stops as soon as their gcd is a constant.
+    of factors t, in lexicographic order of rows and columns (which
+    `cv_rank1_chain` puts short first, `_short_first`); the scan stops
+    once their gcd is a constant.
     Each minor adds its cost to `work`, a one-item list that the calls of
     one `cv_rank1_chain` share, and a total past `MINOR_LIMIT` raises
     ValueError.
@@ -1059,7 +1069,7 @@ def cv_rank1_chain(chain: EquivariantChainComplex1, i: int, d: int) -> LaurentPo
     up = chain.boundary(i + 1)      # out of degree i + 1
     for entry in itertools.chain(*down, *up):
         _check_degree_span(entry)
-    down, up = _zt_rows(down), _zt_rows(up)
+    down, up = _short_first(_zt_rows(down)), _short_first(_zt_rows(up))
     result, work = [1], [0]
     for r in range(budget + 1):
         g = _zt_gcd(_minor_gcd(down, r + 1, work), _minor_gcd(up, budget - r + 1, work))

@@ -476,7 +476,6 @@ def hermite_reduce(rows):
     if not mat:
         return ()
     ncols = len(mat[0])
-    done = []
     r = 0
     for c in range(ncols):
         piv = None

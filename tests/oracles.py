@@ -7,7 +7,8 @@ sweeps over every vertex subset, vertex connectivity from every vertex
 cut, one-variable factorizations, gcds and chain loci from sympy's
 polynomial arithmetic, tangent-cone equality from sympy's factoring of the
 form into linear pieces, and the resonance components of
-line arrangements from their defining equations.  The tests freeze expected
+line arrangements from their defining equations and their braid
+sub-arrangements from a scan of every six lines.  The tests freeze expected
 values computed by these slow oracles and then assert the fast code
 paths agree.
 
@@ -198,6 +199,48 @@ def braid_component_equations(n, pairs):
     firsts = {a for a, _ in pairs}
     eqs.append(tuple(int(k in firsts) for k in range(1, n + 1)))
     return eqs + _unit_equations(n, {line for p in pairs for line in p})
+
+
+def braid_pattern(points, subset):
+    """Pairs of the matching when `subset` carries the braid pattern, else None.
+
+    The pattern: the induced intersection points of the six chosen lines
+    include exactly four triples, and each chosen line lies on exactly
+    two of them.  (A point of higher induced multiplicity is then
+    impossible by pair counting.)  Two lines are matched when they share
+    no induced triple; the counts force this to be a perfect matching
+    into three pairs.
+    """
+    chosen = set(subset)
+    triples = []
+    for mp in points:
+        induced = chosen.intersection(mp.lines)
+        if len(induced) == 3:
+            triples.append(induced)
+        elif len(induced) > 3:
+            return None
+    if len(triples) != 4:
+        return None
+    if any(sum(line in t for t in triples) != 2 for line in subset):
+        return None
+    # the two triples on a line meet only in it, so they miss exactly one line
+    pairs = []
+    for line in subset:
+        (mate,) = chosen.difference(*(t for t in triples if line in t))
+        if line < mate:
+            pairs.append((line, mate))
+    return tuple(sorted(pairs))
+
+
+def braid_scan(n, points):
+    """(lines, pairs) of every braid sub-arrangement, in index-tuple order,
+    by testing every 6-subset of the n lines against the multiple points."""
+    found = []
+    for subset in itertools.combinations(range(1, n + 1), 6):
+        pairs = braid_pattern(points, subset)
+        if pairs is not None:
+            found.append((subset, pairs))
+    return found
 
 
 def points_without_jump(alg, subspace, rng, samples=10):

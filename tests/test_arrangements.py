@@ -5,11 +5,12 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from oracles import (
     braid_component_equations,
+    braid_scan,
     local_component_equations,
     points_without_jump,
     quotient_exterior_algebra_by_reduction,
@@ -290,6 +291,62 @@ def test_spans_match_the_equation_oracles():
     assert components_sampled > braids_seen
 
 
+def _hub_forms(rng, n):
+    """n small-integer forms: the six joins of four hub points in general
+    position, then lines through one hub each, so rich in triple points."""
+    cross = arrangements._cross
+    while True:
+        hubs = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4)]
+        forms = [cross(p, q) for p, q in itertools.combinations(hubs, 2)]
+        try:
+            ProjLineArrangement(forms)  # three hubs on a line repeat a join
+            break
+        except ValueError:
+            continue
+    while len(forms) < n:
+        f = cross(hubs[len(forms) % 4], tuple(rng.randint(-4, 4) for _ in range(3)))
+        try:
+            ProjLineArrangement(forms + [f])
+        except ValueError:
+            continue
+        forms.append(f)
+    rng.shuffle(forms)
+    return forms
+
+
+def _braid_inputs():
+    """303 seeded arrangements: 6-13 lines of the 13 primitive forms with
+    entries in {-1, 0, 1}, 8-14 of the 49 in {-2, ..., 2}, hubs on 9-12
+    lines, and the named B3, deleted B3 and SIXTEEN."""
+    rng = random.Random(21)
+    for bound, low, high, count in ((1, 6, 13, 150), (2, 8, 14, 130)):
+        pool = [
+            f
+            for f in itertools.product(range(-bound, bound + 1), repeat=3)
+            if f > (0, 0, 0) and gcd(*f) == 1
+        ]
+        for _ in range(count):
+            yield rng.sample(pool, rng.randint(low, high))
+    for _ in range(20):
+        yield _hub_forms(rng, rng.randint(9, 12))
+    yield from (FULL_B3, DELETED_B3, SIXTEEN)
+
+
+def test_braids_are_the_complete_quadrangles_the_six_line_scan_finds():
+    seen = 0
+    for forms in _braid_inputs():
+        arr = ProjLineArrangement(forms)
+        n = arr.n
+        expected = [
+            (lines, pairs, RationalSubspace.from_equations(n, braid_component_equations(n, pairs)))
+            for lines, pairs in braid_scan(n, multiple_points(arr))
+        ]
+        got = [(b.lines, b.pairs, b.subspace) for b in braid_subarrangements(arr)]
+        assert got == expected, forms
+        seen += len(got)
+    assert seen > 1000
+
+
 def test_isotropy_certificate_on_b3():
     arr = ProjLineArrangement(FULL_B3)
     alg = os_algebra_deg2(arr)
@@ -386,7 +443,7 @@ def test_sixteen_lines_keep_their_components():
 
 @pytest.mark.parametrize("name", ["braid", "deleted-b3"])
 def test_each_arrangement_is_analysed_once(monkeypatch, name):
-    calls = {"points": 0, "algebra": 0, "compile": 0, "scan": 0, "betti": 0}
+    calls = {"points": 0, "algebra": 0, "compile": 0, "certify": 0, "betti": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -407,9 +464,9 @@ def test_each_arrangement_is_analysed_once(monkeypatch, name):
         counted("algebra", arrangements.quotient_exterior_algebra),
     )
     monkeypatch.setattr(aomoto, "_compile", counted("compile", aomoto._compile))
-    # the braid scan tests the pattern once per 6-subset of lines
+    # each local and each braid component is certified once
     monkeypatch.setattr(
-        arrangements, "_braid_pattern", counted("scan", arrangements._braid_pattern)
+        arrangements, "_certify", counted("certify", arrangements._certify)
     )
     # certification is exact, so the rank oracle runs only for the 10
     # sampled points off the union
@@ -417,12 +474,12 @@ def test_each_arrangement_is_analysed_once(monkeypatch, name):
         arrangements, "aomoto_betti", counted("betti", arrangements.aomoto_betti)
     )
     report = run_fixture(name, seed=0)
-    n = {"braid": 6, "deleted-b3": 8}[name]
+    n, components = {"braid": (6, 5), "deleted-b3": (8, 12)}[name]
     assert calls == {
         "points": comb(n, 2),
         "algebra": 1,
         "compile": 1,
-        "scan": comb(n, 6),
+        "certify": components,
         "betti": 10,
     }
     assert report["algebra_dims"][1] == n

@@ -11,6 +11,9 @@ import pytest
 import jumploci
 from jumploci import codec
 from jumploci.cli import main
+from jumploci.cvmodel import omega_member, strictness_witness
+from jumploci.laurent import exp_tangent_cone
+from jumploci.toric import toric_cv, toric_omega_member
 
 from oracles import past_the_cone_step_limit
 
@@ -523,6 +526,74 @@ def test_floats_and_non_integer_counts_exit_3(tmp_path, capsys, argv, files):
     code, out = run_cli(capsys, *(paths.get(a, a) for a in argv))
     assert code == 3
     assert json.loads(out)["error"]["type"] == "parse"
+
+
+# Paths that no other test runs, each with the library's answer through
+# codec: argv with one-letter placeholders for input files, the files, and
+# a function of the files giving the expected report.
+LIBRARY_ANSWERS = {
+    "toric-cv": (
+        ["toric", "cv", "--complex", "K"],
+        {"K": _COMPLEX},
+        lambda f: {
+            "degree": 1,
+            "depth": 1,
+            "cv": codec.coordinate_arrangement(toric_cv(codec.read_complex(f["K"]), 1, 1)),
+        },
+    ),
+    "tcone-list": (
+        ["tcone", "--poly", "F"],
+        {"F": [POLY_CHAIN_LINK, {"n_vars": 3, "terms": [
+            {"exponents": [1, 1, 1], "coeff": "1"}, {"exponents": [0, 0, 0], "coeff": "-1"}]}]},
+        lambda f: {"tau1": codec.arrangement(exp_tangent_cone(codec.read_polynomials(f["F"])))},
+    ),
+    # the TSV cases print null, true and false
+    "cv-omega-tsv": (
+        ["cv", "omega", "--model", "M", "--plane", "P", "--format", "tsv"],
+        {
+            "M": {**_MODEL, "components": [{"direction": [["0", "1"]], "q": ["0", "1/3"]}]},
+            "P": {"n": 2, "basis": [["0", "1"]]},
+        },
+        lambda f: {"member": omega_member(codec.read_model(f["M"]), codec.read_subspace(f["P"]))},
+    ),
+    "cv-witness-none-tsv": (
+        ["cv", "witness", "--model", "M", "--bound", "0", "--format", "tsv"],
+        {"M": _WITNESS},
+        lambda f: {
+            "witness": strictness_witness(*codec.read_witness_input(f["M"]), 0),
+            "reason": "search exhausted within bound",
+        },
+    ),
+    "toric-omega-tsv": (
+        ["toric", "omega", "--complex", "K", "--plane", "P", "--r", "1", "--format", "tsv"],
+        {"K": _COMPLEX, "P": {"n": 3, "basis": [["1", "1", "1"]]}},
+        lambda f: {
+            "degree": 1,
+            "r": 1,
+            "member": toric_omega_member(
+                codec.read_complex(f["K"]), 1, 1, codec.read_subspace(f["P"])
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, files, answer", LIBRARY_ANSWERS.values(), ids=LIBRARY_ANSWERS.keys()
+)
+def test_commands_print_the_library_answer(tmp_path, capsys, argv, files, answer):
+    paths = {k: write_json(tmp_path, f"{k}.json", data) for k, data in files.items()}
+    code, out = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 0
+    expected = answer(files)
+    if "tsv" in argv:
+        # a flat report: strings as they are, everything else as JSON spells it
+        assert out == "".join(
+            f"{k}\t{v if isinstance(v, str) else json.dumps(v)}\n"
+            for k, v in sorted(expected.items())
+        )
+    else:
+        assert json.loads(out) == expected
 
 
 def test_round_trip_arrangement_output(tmp_path, capsys):

@@ -784,6 +784,22 @@ def test_minor_work_past_the_limit_is_refused():
     assert w == normalize_poly1(P(1, {(i,): Q(int(c)) for (i,), c in expect.terms()}))
 
 
+@pytest.mark.parametrize("m", [10, 12])
+@pytest.mark.parametrize("corner", ["first", "last"])
+def test_a_unit_diagonal_answers_wherever_its_one_nonunit_sits(m, corner):
+    # diag(t - 1, 1, ..., 1): every minor through the t - 1 entry carries
+    # that factor or vanishes, so a scan of the minors that begins there
+    # runs past MINOR_LIMIT before it meets a constant one
+    t_minus_1 = P(1, {(1,): Q(1), (0,): Q(-1)})
+    mat = [[LaurentPolynomial.constant(1, int(i == j)) for j in range(m)] for i in range(m)]
+    k = 0 if corner == "first" else m - 1
+    mat[k][k] = t_minus_1
+    chain = EquivariantChainComplex1((m, m), (mat,))
+    start = time.perf_counter()
+    assert cv_rank1_chain(chain, 0, 1) == t_minus_1
+    assert time.perf_counter() - start < 1
+
+
 def test_rank_one_chain_accepts_laurent_entries():
     t_inv_minus_1 = P(1, {(-1,): Q(1), (0,): Q(-1)})
     chain = EquivariantChainComplex1((1, 1), ([[t_inv_minus_1]],))

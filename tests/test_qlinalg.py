@@ -1,5 +1,6 @@
 """Rational linear algebra against sympy and brute force."""
 
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -469,6 +470,50 @@ def test_hermite_lattice_membership():
     h2 = hermite_reduce([(2, 1)])
     assert in_row_lattice(h2, (4, 2))
     assert not in_row_lattice(h2, (2, 0))
+
+
+def _det(m):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+    )
+
+
+def test_row_lattice_membership_against_residues():
+    # Integer rows with a zero column inserted and negative entries, so
+    # hermite_reduce skips a column and flips negative pivots.  The rows
+    # span the other k columns, so N Z^k lies in their row lattice L for N
+    # the gcd of their k x k minors: v is in L exactly when some
+    # coefficient vector in [0, N)^rows reaches v mod N.
+    rng = random.Random(71)
+    checked = 0
+    while checked < 40:
+        k = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(k, k + 1))]
+        index = gcd(*(_det(list(m)) for m in itertools.combinations(rows, k)))
+        if not 0 < index <= 8:
+            continue
+        reach = {
+            tuple(sum(c * row[j] for c, row in zip(cs, rows)) % index for j in range(k))
+            for cs in itertools.product(range(index), repeat=len(rows))
+        }
+        zero = rng.randint(0, k)
+
+        def widen(v):
+            return tuple(v[:zero]) + (0,) + tuple(v[zero:])
+
+        h = hermite_reduce([widen(row) for row in rows])
+        assert all(next(x for x in row if x) > 0 for row in h)
+        for _ in range(25):
+            v = [rng.randint(-9, 9) for _ in range(k)]
+            assert in_row_lattice(h, widen(v)) == (tuple(x % index for x in v) in reach)
+        off = [0] * (k + 1)
+        off[zero] = 1
+        assert not in_row_lattice(h, off)
+        checked += 1
 
 
 def test_primitive_integer_vector_normalization():
