@@ -41,6 +41,10 @@ class GradedAlgebraPresentation:
     The first evaluation compiles the tensors into a source-major sparse
     integer form, the nonzero coordinates of e_j * u_b listed per u_b, and
     checks square-zero symbolically there (see `_compiled_form`).
+
+    `from_sparse` builds a presentation the other way round, from that
+    compiled form: it derives the dense tensors and runs both checks on
+    the sparse triples at construction.
     """
 
     dims: tuple
@@ -84,6 +88,28 @@ class GradedAlgebraPresentation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mult", tuple(tensors))
 
+    @classmethod
+    def from_sparse(cls, dims, compiled) -> "GradedAlgebraPresentation":
+        """The presentation whose compiled form (see `_compiled_form`) is
+        `compiled`, for dims of the form (1, n, ...).
+
+        Every slot is filled here: `mult` is derived from the triples, with
+        one shared Fraction per distinct entry, and the compiled form is
+        kept as given.  Graded commutativity and symbolic square-zero are
+        checked on the triples, and fail with the messages of the dense
+        route.
+        """
+        dims = tuple(dims)
+        compiled = tuple(compiled)
+        if compiled:
+            _check_sparse_commutativity(dims[1], compiled[0][2])
+        _check_square_zero(dims[1], compiled)
+        alg = object.__new__(cls)
+        object.__setattr__(alg, "dims", dims)
+        object.__setattr__(alg, "mult", _dense(dims, compiled))
+        object.__setattr__(alg, "_compiled", compiled)
+        return alg
+
     @property
     def top(self) -> int:
         return len(self.dims) - 1
@@ -100,7 +126,8 @@ class GradedAlgebraPresentation:
         denominators of tensor i and dst = dims[i+1], so a * u_b is
         sum a_j c / scale over the triples, in coordinate r.  Built and
         checked for symbolic square-zero on first use, then kept; a
-        presentation that fails the check raises on every call.
+        presentation that fails the check raises on every call.  One built
+        by `from_sparse` was given this form, and checked, at construction.
         """
         if self._compiled is None:
             object.__setattr__(self, "_compiled", _compile(self))
@@ -118,6 +145,44 @@ class GradedAlgebraPresentation:
         return GradedAlgebraPresentation(
             self.dims + (0,), self.mult + (zero_tensor,)
         )
+
+
+def _check_sparse_commutativity(n, cols):
+    """Graded commutativity on the compiled degree-1 tensor: the triples
+    (r, j, c) of u_l = e_l give e_j e_l, which must be -(e_l e_j), for
+    every pair j <= l in order.  The common scale cancels."""
+    product = {}
+    for l, col in enumerate(cols):
+        for r, j, c in col:
+            product.setdefault((j, l), {})[r] = c
+    for j in range(n):
+        for l in range(j, n):
+            mirror = product.get((l, j), {})
+            if product.get((j, l), {}) != {r: -c for r, c in mirror.items()}:
+                raise ValueError(
+                    f"graded commutativity fails on basis pair ({j + 1}, {l + 1})"
+                )
+
+
+def _dense(dims, compiled):
+    """mult[i-1][j][b][r] = c / scale for each triple (r, j, c) of u_b in
+    degree i, and 0 elsewhere; each distinct value is one shared Fraction."""
+    n = dims[1]
+    tensors = []
+    for (scale, dst, cols), src in zip(compiled, dims[1:]):
+        value = {0: Fraction(0)}
+        zero = (value[0],) * dst
+        tensor = [[zero] * src for _ in range(n)]
+        for b, col in enumerate(cols):
+            for r, j, c in col:
+                vec = tensor[j][b]
+                if vec is zero:
+                    vec = tensor[j][b] = list(zero)
+                if c not in value:
+                    value[c] = Fraction(c, scale)
+                vec[r] = value[c]
+        tensors.append(tuple(tuple(map(tuple, per_gen)) for per_gen in tensor))
+    return tuple(tensors)
 
 
 def _is_negation(x, y):
@@ -318,12 +383,19 @@ def _compile(alg: GradedAlgebraPresentation):
                     if x
                 )
         compiled.append((scale, alg.dims[deg + 1], tuple(map(tuple, cols))))
+    _check_square_zero(alg.n, compiled)
+    return tuple(compiled)
+
+
+def _check_square_zero(n, compiled):
+    """Symbolic square-zero of every two consecutive degrees, from 0 up,
+    on the compiled triples of degrees >= 1 of an algebra with n degree-one
+    generators."""
     sparse = [cols for _, _, cols in compiled]
-    if alg.top >= 1:
-        sparse.insert(0, (tuple((j, j, 1) for j in range(alg.n)),))  # 1 |-> sum x_j e_j
+    if compiled:
+        sparse.insert(0, (tuple((j, j, 1) for j in range(n)),))  # 1 |-> sum x_j e_j
     for where in range(len(sparse) - 1):
         _check_symbolic_square_zero(sparse[where + 1], sparse[where], where)
-    return tuple(compiled)
 
 
 def _check_symbolic_square_zero(b, a, where):

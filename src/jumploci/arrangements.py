@@ -25,7 +25,12 @@ points, not a proof.
 Each arrangement computes its incidence data (multiple_points), its
 degree-2 Orlik-Solomon algebra (os_algebra_deg2) and its braid
 components (braid_subarrangements) once, on first use, and keeps them.
-The braid search is refused above LINE_LIMIT lines.
+The incidence data is integer arithmetic on the forms scaled to
+primitive integers.  The algebra is written in closed form from it, with
+no row reduction: by Brieskorn's decomposition A^2 = sum over points p of
+A^2_p (Orlik and Terao, "Arrangements of Hyperplanes", 1992), A^2 has
+the basis e_a e_L, one for each point and each of its lines a below its
+last line L.  The braid search is refused above LINE_LIMIT lines.
 
 Components beyond the local and braid patterns can exist for
 arrangements rich enough in triple points; see r1_completeness_note,
@@ -34,23 +39,20 @@ which the certificate leaves unchanged.
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from .aomoto import aomoto_betti, isotropy_obstruction, quotient_exterior_algebra
+from .aomoto import GradedAlgebraPresentation, aomoto_betti, isotropy_obstruction
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
     _primitive,
     intersection_dim,
-    primitive_integer_vector,
     qvector,
 )
 
-Q = Fraction
-
 # Most lines the braid search accepts.  At 32 lines (1,096 braids) it takes
-# about 0.1 s and `arr res1` 7-9 s, nearly all in the pairwise meet check.
+# about 0.1 s and `arr res1` about 3 s, nearly all in the pairwise meet check.
 LINE_LIMIT = 32
 
 
@@ -138,6 +140,16 @@ def _dot3(f, p):
     return f[0] * p[0] + f[1] * p[1] + f[2] * p[2]
 
 
+def _meet(f, g):
+    """The point where the lines of the integer forms f and g cross: their
+    cross product divided by its gcd, first nonzero entry positive."""
+    p = _cross(f, g)
+    d = gcd(*p)
+    if (p[0] or p[1] or p[2]) < 0:
+        d = -d
+    return (p[0] // d, p[1] // d, p[2] // d)
+
+
 def multiple_points(arr: ProjLineArrangement):
     """All intersection points, each with the full set of lines through it.
 
@@ -146,7 +158,8 @@ def multiple_points(arr: ProjLineArrangement):
     makes equality exact, and the line set of each point is recomputed
     by substitution so it is complete, whatever pair produced the point.
     Both run on the forms scaled once to primitive integers, which
-    changes neither a normalized point nor an incidence.  Computed on the
+    changes neither a normalized point nor an incidence, so crossing,
+    normalizing and substituting are integer arithmetic.  Computed on the
     first call and kept on `arr`.
     """
     if arr._points is None:
@@ -154,7 +167,7 @@ def multiple_points(arr: ProjLineArrangement):
         seen = {}
         for i in range(arr.n):
             for j in range(i + 1, arr.n):
-                p = primitive_integer_vector(_cross(forms[i], forms[j]))
+                p = _meet(forms[i], forms[j])
                 if p not in seen:
                     lines = [k + 1 for k, f in enumerate(forms) if not _dot3(f, p)]
                     seen[p] = MultiplePoint(p, lines)
@@ -297,10 +310,12 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     containment in the resonance variety, not maximality.  Then 10 random
     points off the union, drawn from `seed`, are checked to show no jump;
     that check is sampled, not a proof.  Last, the components are
-    verified to meet each other only in 0.  Any of these checks failing
-    raises (OracleError for a failed certificate or a jump off the
-    union).  More than LINE_LIMIT lines raise ValueError before any work
-    starts.
+    verified to meet each other only in 0: every component lies in the
+    hyperplane sum a_i = 0, which is checked, so only pairs whose
+    supports share two or more lines need an elimination.  Any of these
+    checks failing raises (OracleError for a failed certificate or a jump
+    off the union).  More than LINE_LIMIT lines raise ValueError before
+    any work starts.
     """
     _check_line_limit(arr)
     algebra = os_algebra_deg2(arr)
@@ -316,11 +331,16 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
         if aomoto_betti(algebra, a, 1) != 0:
             raise OracleError(f"rank oracle sees a jump off the union at {a}")
     pieces = result.components
+    # Inside the hyperplane sum a_i = 0 a nonzero vector has at least two
+    # nonzero coordinates, so two components whose supports share at most
+    # one coordinate meet only in 0.  That skip needs every component there.
+    if any(sum(row) for piece in pieces for row in piece.rows):
+        raise ValueError("components must pairwise meet only in 0")
     supports = [_support(p) for p in pieces]
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            # components on disjoint coordinates meet only in 0
-            if supports[i] & supports[j] and intersection_dim(pieces[i], pieces[j]) != 0:
+            shared = (supports[i] & supports[j]).bit_count()
+            if shared >= 2 and intersection_dim(pieces[i], pieces[j]) != 0:
                 raise ValueError("components must pairwise meet only in 0")
     return result
 
@@ -398,15 +418,47 @@ def os_algebra_deg2(arr: ProjLineArrangement):
 
     Degree 1 has one generator per line; degree 2 is the exterior square
     modulo one relation (e_i - e_j)(e_j - e_k) for every concurrent
-    triple i < j < k of lines.  Built on the first call and kept on
-    `arr`, so all callers share one presentation and aomoto_betti
-    compiles it once.
+    triple i < j < k of lines.  By Brieskorn's decomposition
+    A^2 = sum over points p of A^2_p (Orlik and Terao, "Arrangements of
+    Hyperplanes", 1992) it has a basis read off the incidence data alone:
+    for each point on the lines l_0 < ... < L, the products e_a e_L with
+    a < L, all these pairs (a, L) sorted.  They are the non-pivot pairs
+    of the row-reduced relations (aomoto.quotient_exterior_algebra), so
+    the presentation is the same.  A product e_j e_l, j < l, is e_j e_L
+    when l = L and e_j e_L - e_l e_L otherwise, so it is written straight
+    into the compiled sparse form, every entry 1 or -1.  Built on the
+    first call and kept on `arr`, so all callers share one presentation.
     """
     if arr._algebra is None:
-        relations = [
-            {(i - 1, j - 1): Q(1), (i - 1, k - 1): Q(-1), (j - 1, k - 1): Q(1)}
-            for mp in multiple_points(arr)
-            for i, j, k in combinations(mp.lines, 3)
-        ]
-        object.__setattr__(arr, "_algebra", quotient_exterior_algebra(arr.n, relations))
+        object.__setattr__(arr, "_algebra", _orlik_solomon(arr.n, multiple_points(arr)))
     return arr._algebra
+
+
+def _orlik_solomon(n, points):
+    """The degree-2 Orlik-Solomon presentation of n lines with the given
+    multiple points, in the closed form of os_algebra_deg2."""
+    last, kept = {}, []
+    for p in points:
+        lines = [k - 1 for k in p.lines]
+        kept.extend((a, lines[-1]) for a in lines[:-1])
+        for pair in combinations(lines, 2):
+            last[pair] = lines[-1]
+    kept.sort()
+    index = {pair: r for r, pair in enumerate(kept)}
+    product = {}  # e_j e_l for j < l, as (r, c) by increasing r
+    for (j, l), top in last.items():
+        if l == top:
+            product[j, l] = ((index[j, l], 1),)
+        else:
+            product[j, l] = ((index[j, top], 1), (index[l, top], -1))
+    cols = tuple(
+        tuple(
+            (r, j, c if j < b else -c)
+            for j in range(n)
+            if j != b
+            for r, c in product[min(j, b), max(j, b)]
+        )
+        for b in range(n)
+    )
+    c2 = len(kept)
+    return GradedAlgebraPresentation.from_sparse((1, n, c2), ((1, c2, cols),))

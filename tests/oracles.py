@@ -29,7 +29,9 @@ nothing in the package calls them.
 The Fraction reduction route is kept here as the oracle of the integer
 predicates: a vector lies in a subspace exactly when reducing it against
 the RREF basis leaves zero, and the degree-2 Orlik-Solomon products are
-the wedges reduced against the relation rows.
+the wedges reduced against the relation rows.  The multiple points of a
+line arrangement are likewise recomputed from the Fraction forms as
+given, with Fraction crossings and substitutions.
 """
 
 import functools
@@ -43,8 +45,15 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from jumploci.aomoto import GradedAlgebraPresentation, aomoto_betti
+from jumploci.arrangements import MultiplePoint
 from jumploci.laurent import LaurentPolynomial, admissible_partitions
-from jumploci.qlinalg import RationalSubspace, SubspaceArrangement, qscalar, qvector
+from jumploci.qlinalg import (
+    RationalSubspace,
+    SubspaceArrangement,
+    primitive_integer_vector,
+    qscalar,
+    qvector,
+)
 from jumploci.simplicial import (
     SimplicialComplex,
     link_faces,
@@ -241,6 +250,27 @@ def braid_scan(n, points):
         if pairs is not None:
             found.append((subset, pairs))
     return found
+
+
+def multiple_points_by_fractions(forms):
+    """The intersection points of the lines `forms`, as the package found
+    them in Fractions: each pair of forms crossed as given, the crossing
+    scaled to primitive integers with its first nonzero entry positive,
+    and every line through it found by Fraction substitution.  Sorted by
+    decreasing multiplicity, then by lines."""
+    forms = [qvector(f) for f in forms]
+    seen = {}
+    for f, g in itertools.combinations(forms, 2):
+        cross = (
+            f[1] * g[2] - f[2] * g[1],
+            f[2] * g[0] - f[0] * g[2],
+            f[0] * g[1] - f[1] * g[0],
+        )
+        p = primitive_integer_vector(cross)
+        if p not in seen:
+            lines = [k + 1 for k, h in enumerate(forms) if not sum(x * y for x, y in zip(h, p))]
+            seen[p] = MultiplePoint(p, lines)
+    return tuple(sorted(seen.values(), key=lambda m: (-m.multiplicity, m.lines)))
 
 
 def points_without_jump(alg, subspace, rng, samples=10):

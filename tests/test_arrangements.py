@@ -2,7 +2,9 @@
 resonance components, certification."""
 
 import itertools
+import json
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb, gcd
@@ -12,11 +14,12 @@ from oracles import (
     braid_component_equations,
     braid_scan,
     local_component_equations,
+    multiple_points_by_fractions,
     points_without_jump,
     quotient_exterior_algebra_by_reduction,
 )
 
-from jumploci import aomoto, arrangements
+from jumploci import aomoto, arrangements, codec
 from jumploci.aomoto import isotropy_obstruction
 from jumploci.arrangements import (
     LINE_LIMIT,
@@ -31,6 +34,7 @@ from jumploci.arrangements import (
     r1_arrangement,
     r1_completeness_note,
 )
+from jumploci.cli import main
 from jumploci.fixtures import run_fixture
 from jumploci.qlinalg import RationalSubspace, intersection_dim
 
@@ -314,17 +318,23 @@ def _hub_forms(rng, n):
     return forms
 
 
+def _primitive_forms(bound):
+    """The primitive integer forms with entries in {-bound, ..., bound},
+    first nonzero entry positive: 13 for bound 1, 49 for bound 2."""
+    return [
+        f
+        for f in itertools.product(range(-bound, bound + 1), repeat=3)
+        if f > (0, 0, 0) and gcd(*f) == 1
+    ]
+
+
 def _braid_inputs():
     """303 seeded arrangements: 6-13 lines of the 13 primitive forms with
     entries in {-1, 0, 1}, 8-14 of the 49 in {-2, ..., 2}, hubs on 9-12
     lines, and the named B3, deleted B3 and SIXTEEN."""
     rng = random.Random(21)
     for bound, low, high, count in ((1, 6, 13, 150), (2, 8, 14, 130)):
-        pool = [
-            f
-            for f in itertools.product(range(-bound, bound + 1), repeat=3)
-            if f > (0, 0, 0) and gcd(*f) == 1
-        ]
+        pool = _primitive_forms(bound)
         for _ in range(count):
             yield rng.sample(pool, rng.randint(low, high))
     for _ in range(20):
@@ -392,17 +402,34 @@ def _lines(subspace):
 
 
 def test_components_on_disjoint_lines_skip_the_elimination(monkeypatch):
+    # every component lies in sum a_i = 0, so two sharing at most one line
+    # meet only in 0: only pairs sharing two or more lines are ranked
     ranked = []
     real = arrangements.intersection_dim
     monkeypatch.setattr(
-        arrangements, "intersection_dim", lambda u, v: ranked.append(1) or real(u, v)
+        arrangements, "intersection_dim", lambda u, v: ranked.append((u, v)) or real(u, v)
     )
-    comps = r1_arrangement(ProjLineArrangement(DELETED_B3)).components
-    overlapping = [
-        (u, v) for u, v in itertools.combinations(comps, 2) if _lines(u) & _lines(v)
-    ]
-    assert len(ranked) == len(overlapping) == comb(len(comps), 2) - 1
-    assert all(real(u, v) == 0 for u, v in itertools.combinations(comps, 2))
+    for forms in (DELETED_B3, SIXTEEN):
+        ranked.clear()
+        comps = r1_arrangement(ProjLineArrangement(forms)).components
+        shared = [
+            (u, v, len(_lines(u) & _lines(v))) for u, v in itertools.combinations(comps, 2)
+        ]
+        assert ranked == [(u, v) for u, v, k in shared if k >= 2]
+        # on deleted B3, 41 of the 65 pairs that share a line
+        assert 0 < len(ranked) < sum(1 for *_, k in shared if k)
+        assert all(real(u, v) == 0 for u, v in itertools.combinations(comps, 2))
+
+
+def test_a_component_off_the_sum_zero_hyperplane_is_refused(monkeypatch):
+    # it could meet another component in a vector on their one shared line
+    arr = ProjLineArrangement(BRAID)
+    line = RationalSubspace(arr.n, [[1, 0, 0, 0, 0, 0]])
+    monkeypatch.setattr(arrangements, "_certify", lambda *args: None)
+    real = arrangements._local_subspaces
+    monkeypatch.setattr(arrangements, "_local_subspaces", lambda a: real(a) + [line])
+    with pytest.raises(ValueError, match="pairwise meet only in 0"):
+        r1_arrangement(arr)
 
 
 def test_planted_overlapping_component_is_refused(monkeypatch):
@@ -423,16 +450,108 @@ def test_planted_overlapping_component_is_refused(monkeypatch):
         r1_arrangement(arr)
 
 
+def _os_relations(arr):
+    return [
+        {(i - 1, j - 1): 1, (i - 1, k - 1): -1, (j - 1, k - 1): 1}
+        for mp in multiple_points(arr)
+        for i, j, k in itertools.combinations(mp.lines, 3)
+    ]
+
+
+# five lines through (0 : 0 : 1)
+PENCIL = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (1, 2, 0))
+
+
+def _closed_form_inputs():
+    """The named arrangements, a pencil, n = 0, 1, 2, 200 seeded samples of
+    3-20 of the 49 primitive forms in {-2, ..., 2}, and 10 hub arrangements."""
+    yield from (FULL_B3, DELETED_B3, SIXTEEN, BRAID, NEAR_PENCIL, PENCIL)
+    yield from ((), ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))
+    rng = random.Random(22)
+    pool = _primitive_forms(2)
+    for _ in range(200):
+        yield rng.sample(pool, rng.randint(3, 20))
+    for _ in range(10):
+        yield _hub_forms(rng, rng.randint(9, 14))
+
+
+def test_closed_form_algebra_is_the_row_reduced_presentation():
+    for forms in _closed_form_inputs():
+        arr = ProjLineArrangement(forms)
+        got = os_algebra_deg2(arr)
+        want = aomoto.quotient_exterior_algebra(arr.n, _os_relations(arr))
+        assert got == want and hash(got) == hash(want), forms
+        assert got.dims == want.dims and got.mult == want.mult, forms
+        assert got._compiled_form() == want._compiled_form(), forms
+        assert all(type(x) is Q for per_gen in got.mult[0] for vec in per_gen for x in vec)
+    # the pencil keeps the four pairs through its last line
+    assert os_algebra_deg2(ProjLineArrangement(PENCIL)).dims == (1, 5, 4)
+
+
+def test_a_flipped_sign_in_the_sparse_form_is_refused():
+    alg = os_algebra_deg2(ProjLineArrangement(FULL_B3))
+    ((scale, dst, cols),) = alg._compiled_form()
+    b = 4
+    (r, j, c), *rest = cols[b]
+    flipped = cols[:b] + (((r, j, -c), *rest),) + cols[b + 1:]
+    message = f"graded commutativity fails on basis pair ({j + 1}, {b + 1})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        aomoto.GradedAlgebraPresentation.from_sparse(alg.dims, ((scale, dst, flipped),))
+    # the dense route refuses the same tensor with the same message
+    tensor = [list(per_gen) for per_gen in alg.mult[0]]
+    tensor[j][b] = tuple(-x if k == r else x for k, x in enumerate(tensor[j][b]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        aomoto.GradedAlgebraPresentation(alg.dims, (tensor,))
+    # above degree 2 a flipped sign is caught by the square-zero check
+    ext = aomoto.exterior_algebra(4)
+    compiled = ext._compiled_form()
+    (r, j, c), *rest = compiled[1][2][0]
+    top = (compiled[1][0], compiled[1][1], (((r, j, -c), *rest),) + compiled[1][2][1:])
+    with pytest.raises(ValueError, match="symbolic composition at degree 1 is nonzero"):
+        aomoto.GradedAlgebraPresentation.from_sparse(ext.dims, (compiled[0], top, compiled[2]))
+    rebuilt = aomoto.GradedAlgebraPresentation.from_sparse(ext.dims, compiled)
+    assert rebuilt == ext and rebuilt._compiled_form() == compiled
+
+
+def _fractional_forms(rng, n):
+    """n pairwise non-proportional forms with 'p/q' strings, Fractions and
+    negative entries, each a rescaled primitive form in {-2, ..., 2}."""
+    scales = [Q(-3, 2), Q(2, 5), Q(-1), Q(7, 3)]
+    forms = []
+    for f in rng.sample(_primitive_forms(2), n):
+        s = rng.choice(scales)
+        forms.append(tuple(str(s * x) if rng.random() < 0.5 else s * x for x in f))
+    return forms
+
+
+def test_multiple_points_match_the_fraction_route():
+    rng = random.Random(23)
+    inputs = [BRAID, NEAR_PENCIL, DELETED_B3, FULL_B3, SIXTEEN, PENCIL]
+    inputs += [_fractional_forms(rng, rng.randint(2, 16)) for _ in range(60)]
+    for forms in inputs:
+        got = multiple_points(ProjLineArrangement(forms))
+        assert got == multiple_points_by_fractions(forms), forms
+        assert all(type(x) is Q for p in got for x in p.point)
+
+
+def test_arr_points_prints_the_fraction_route(tmp_path, capsys):
+    rng = random.Random(24)
+    inputs = [BRAID, NEAR_PENCIL, DELETED_B3, FULL_B3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    inputs.append(_fractional_forms(rng, 9))
+    for k, forms in enumerate(inputs):
+        path = tmp_path / f"forms{k}.json"
+        path.write_text(json.dumps([[str(x) for x in f] for f in forms]))
+        assert main(["arr", "points", "--forms", str(path)]) == 0
+        points = [codec.multiple_point(p) for p in multiple_points_by_fractions(forms)]
+        want = json.dumps({"points": points}, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want
+
+
 def test_orlik_solomon_algebra_matches_the_reduction_oracle():
     for forms in (BRAID, NEAR_PENCIL, DELETED_B3, FULL_B3, SIXTEEN):
         arr = ProjLineArrangement(forms)
-        relations = [
-            {(i - 1, j - 1): 1, (i - 1, k - 1): -1, (j - 1, k - 1): 1}
-            for mp in multiple_points(arr)
-            for i, j, k in itertools.combinations(mp.lines, 3)
-        ]
         assert os_algebra_deg2(arr) == quotient_exterior_algebra_by_reduction(
-            arr.n, relations
+            arr.n, _os_relations(arr)
         )
 
 
@@ -453,15 +572,10 @@ def test_each_arrangement_is_analysed_once(monkeypatch, name):
         return wrapper
 
     # the multiple-point loop normalizes each of the C(n, 2) pairwise crossings
+    monkeypatch.setattr(arrangements, "_meet", counted("points", arrangements._meet))
+    # the algebra is built once, in closed form, already compiled
     monkeypatch.setattr(
-        arrangements,
-        "primitive_integer_vector",
-        counted("points", arrangements.primitive_integer_vector),
-    )
-    monkeypatch.setattr(
-        arrangements,
-        "quotient_exterior_algebra",
-        counted("algebra", arrangements.quotient_exterior_algebra),
+        arrangements, "_orlik_solomon", counted("algebra", arrangements._orlik_solomon)
     )
     monkeypatch.setattr(aomoto, "_compile", counted("compile", aomoto._compile))
     # each local and each braid component is certified once
@@ -478,7 +592,7 @@ def test_each_arrangement_is_analysed_once(monkeypatch, name):
     assert calls == {
         "points": comb(n, 2),
         "algebra": 1,
-        "compile": 1,
+        "compile": 0,
         "certify": components,
         "betti": 10,
     }
