@@ -7,14 +7,17 @@ turns that data into a complex of exact matrices; the dimension drop of its
 cohomology at a is what membership in a resonance locus means.  The module
 stays a point oracle on purpose — components are enumerated elsewhere, and
 here every reported number is an exact rank count over Q.
+
+A presentation is stored in one form, sparse integer tensors, and checked
+once, when it is constructed; every rank test reads those tensors.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .qlinalg import (
     RationalSubspace,
@@ -26,88 +29,53 @@ from .qlinalg import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+class InconsistentPresentation(ValueError):
+    """Well-formed tensors that fail symbolic square-zero: they cannot come
+    from an associative algebra with a * a = 0."""
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class GradedAlgebraPresentation:
     """Dimensions c_0..c_k plus degree-one multiplication tensors.
 
-    dims[0] must be 1 (the unit).  mult[i-1][j][b] is the coordinate vector
-    in degree i+1 of e_j * u_b, for e_j the j-th degree-one basis element
-    and u_b the b-th basis element of degree i (1 <= i <= k-1).  The
-    degree-zero multiplication e_j * 1 = e_j is implicit.
+    dims[0] must be 1 (the unit).  The constructor takes the tensors dense:
+    mult[i-1][j][b] is the coordinate vector in degree i+1 of e_j * u_b,
+    for e_j the j-th degree-one basis element and u_b the b-th basis
+    element of degree i (1 <= i <= k-1).  The degree-zero multiplication
+    e_j * 1 = e_j is implicit.
 
-    Construction checks graded commutativity in the only place the data
-    can see it: e_j * e_l = -(e_l * e_j) in degree 2, once per pair
-    j <= l, which for j = l is e_j * e_j = 0.
-    The first evaluation compiles the tensors into a source-major sparse
-    integer form, the nonzero coordinates of e_j * u_b listed per u_b, and
-    checks square-zero symbolically there (see `_compiled_form`).
+    They are stored once, as sparse integers: tensors[i-1] is
+    (scale, dst, cols) with dst = dims[i+1], and cols[b] lists, sorted by
+    (j, r), the triples (r, j, c) with c = scale * mult[i-1][j][b][r]
+    nonzero, so a * u_b is sum a_j c / scale over the triples, in
+    coordinate r.  scale and the entries share no common factor, so equal
+    algebras store equal tensors whichever way they were built:
+    `from_sparse` takes this form directly, and `mult` rebuilds the dense
+    one on every read.
 
-    `from_sparse` builds a presentation the other way round, from that
-    compiled form: it derives the dense tensors and runs both checks on
-    the sparse triples at construction.
+    Every presentation is checked once, at construction, on the triples:
+    graded commutativity, e_j * e_l = -(e_l * e_j) in degree 2 for every
+    pair j <= l (for j = l, e_j * e_j = 0), and symbolic square-zero of
+    every two consecutive degrees (else `InconsistentPresentation`).
     """
 
     dims: tuple
-    mult: tuple = ()
-    _compiled: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    tensors: tuple
 
-    def __post_init__(self):
-        dims = tuple(int(c) for c in self.dims)
-        if not dims or dims[0] != 1:
-            raise ValueError("dims must start with c_0 = 1")
-        if any(c < 0 for c in dims):
-            raise ValueError("negative dimension")
-        k = len(dims) - 1
-        n = dims[1] if k >= 1 else 0
-        tensors = []
-        mult = tuple(self.mult)
-        if len(mult) != max(k - 1, 0):
-            raise ValueError(
-                f"need {max(k - 1, 0)} multiplication tensors for top degree {k}"
-            )
-        for i, tensor in enumerate(mult, start=1):
-            src, dst = dims[i], dims[i + 1]
-            tensor = tuple(
-                tuple(qvector(vec) for vec in per_gen) for per_gen in tensor
-            )
-            if len(tensor) != n or any(len(per_gen) != src for per_gen in tensor):
-                raise ValueError(f"tensor {i} must be indexed by {n} x {src}")
-            for per_gen in tensor:
-                for vec in per_gen:
-                    if len(vec) != dst:
-                        raise ValueError(f"tensor {i} values must live in Q^{dst}")
-            tensors.append(tensor)
-        if k >= 2:
-            t1 = tensors[0]
-            for j in range(n):
-                for l in range(j, n):
-                    if not _is_negation(t1[j][l], t1[l][j]):
-                        raise ValueError(
-                            f"graded commutativity fails on basis pair ({j + 1}, {l + 1})"
-                        )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "mult", tuple(tensors))
+    def __init__(self, dims, mult=()):
+        mult = tuple(mult)
+        dims = _checked_dims(dims, len(mult))
+        _fill(self, dims, [_compile(i, dims, tensor) for i, tensor in enumerate(mult, start=1)])
 
     @classmethod
-    def from_sparse(cls, dims, compiled) -> "GradedAlgebraPresentation":
-        """The presentation whose compiled form (see `_compiled_form`) is
-        `compiled`, for dims of the form (1, n, ...).
-
-        Every slot is filled here: `mult` is derived from the triples, with
-        one shared Fraction per distinct entry, and the compiled form is
-        kept as given.  Graded commutativity and symbolic square-zero are
-        checked on the triples, and fail with the messages of the dense
-        route.
-        """
-        dims = tuple(dims)
-        compiled = tuple(compiled)
-        if compiled:
-            _check_sparse_commutativity(dims[1], compiled[0][2])
-        _check_square_zero(dims[1], compiled)
+    def from_sparse(cls, dims, tensors) -> "GradedAlgebraPresentation":
+        """The presentation whose sparse tensors are `tensors`, each
+        (scale, dst, cols) as described in the class docstring.  The
+        triples may come in any order, scale need not be reduced, and
+        repeated (r, j) pairs are summed."""
+        tensors = tuple(tensors)
         alg = object.__new__(cls)
-        object.__setattr__(alg, "dims", dims)
-        object.__setattr__(alg, "mult", _dense(dims, compiled))
-        object.__setattr__(alg, "_compiled", compiled)
+        _fill(alg, _checked_dims(dims, len(tensors)), tensors)
         return alg
 
     @property
@@ -118,39 +86,97 @@ class GradedAlgebraPresentation:
     def n(self) -> int:
         return self.dims[1] if self.top >= 1 else 0
 
-    def _compiled_form(self):
-        """The tensors as sparse integers, one (scale, dst, cols) per degree.
-
-        Source-major: cols[b] lists the triples (r, j, c) with
-        c = scale * mult[i-1][j][b][r] nonzero, scale being the lcm of the
-        denominators of tensor i and dst = dims[i+1], so a * u_b is
-        sum a_j c / scale over the triples, in coordinate r.  Built and
-        checked for symbolic square-zero on first use, then kept; a
-        presentation that fails the check raises on every call.  One built
-        by `from_sparse` was given this form, and checked, at construction.
-        """
-        if self._compiled is None:
-            object.__setattr__(self, "_compiled", _compile(self))
-        return self._compiled
+    @property
+    def mult(self) -> tuple:
+        """The dense tensors: mult[i-1][j][b][r] = c / scale for each triple
+        (r, j, c) of u_b in tensors[i-1], and 0 elsewhere."""
+        dense = []
+        for (scale, dst, cols), src in zip(self.tensors, self.dims[1:]):
+            zero = (Fraction(0),) * dst
+            tensor = [[zero] * src for _ in range(self.n)]
+            for b, col in enumerate(cols):
+                for r, j, c in col:
+                    vec = tensor[j][b]
+                    if vec is zero:
+                        vec = tensor[j][b] = list(zero)
+                    vec[r] = Fraction(c, scale)
+            dense.append(tuple(tuple(map(tuple, per_gen)) for per_gen in tensor))
+        return tuple(dense)
 
     def padded(self) -> "GradedAlgebraPresentation":
         """Append a zero graded piece on top, so the old top degree gets a
         (zero) outgoing differential and becomes rank-testable."""
-        if self.top == 0:
-            return GradedAlgebraPresentation(self.dims + (0,), ())
-        zero_tensor = tuple(
-            tuple(() for _ in range(self.dims[self.top]))
-            for _ in range(self.n)
-        )
-        return GradedAlgebraPresentation(
-            self.dims + (0,), self.mult + (zero_tensor,)
-        )
+        zero = ((1, 0, ((),) * self.dims[-1]),) if self.top else ()
+        return GradedAlgebraPresentation.from_sparse(self.dims + (0,), self.tensors + zero)
 
 
-def _check_sparse_commutativity(n, cols):
-    """Graded commutativity on the compiled degree-1 tensor: the triples
-    (r, j, c) of u_l = e_l give e_j e_l, which must be -(e_l e_j), for
-    every pair j <= l in order.  The common scale cancels."""
+def _checked_dims(dims, count):
+    """dims as a tuple of ints, checked, for `count` multiplication tensors."""
+    dims = tuple(int(c) for c in dims)
+    if not dims or dims[0] != 1:
+        raise ValueError("dims must start with c_0 = 1")
+    if any(c < 0 for c in dims):
+        raise ValueError("negative dimension")
+    k = len(dims) - 1
+    if count != max(k - 1, 0):
+        raise ValueError(f"need {max(k - 1, 0)} multiplication tensors for top degree {k}")
+    return dims
+
+
+def _compile(i, dims, tensor):
+    """Dense tensor i, n x dims[i] vectors in Q^dims[i+1], as
+    (scale, dst, cols): scale is the lcm of its denominators."""
+    n, src, dst = dims[1], dims[i], dims[i + 1]
+    tensor = tuple(tuple(qvector(vec) for vec in per_gen) for per_gen in tensor)
+    if len(tensor) != n or any(len(per_gen) != src for per_gen in tensor):
+        raise ValueError(f"tensor {i} must be indexed by {n} x {src}")
+    if any(len(vec) != dst for per_gen in tensor for vec in per_gen):
+        raise ValueError(f"tensor {i} values must live in Q^{dst}")
+    scale = lcm(*(x.denominator for per_gen in tensor for vec in per_gen for x in vec))
+    cols = [[] for _ in range(src)]
+    for j, per_gen in enumerate(tensor):
+        for col, vec in zip(cols, per_gen):
+            col.extend(
+                (r, j, x.numerator * (scale // x.denominator)) for r, x in enumerate(vec) if x
+            )
+    return scale, dst, cols
+
+
+def _fill(alg, dims, tensors):
+    """Store dims and the canonical form of the sparse `tensors` in alg,
+    after checking them: the one check path of every presentation."""
+    n = dims[1] if len(dims) > 1 else 0
+    canonical = []
+    for i, (scale, dst, cols) in enumerate(tensors, start=1):
+        if len(cols) != dims[i]:
+            raise ValueError(f"tensor {i} must be indexed by {n} x {dims[i]}")
+        if dst != dims[i + 1]:
+            raise ValueError(f"tensor {i} values must live in Q^{dims[i + 1]}")
+        if not (type(scale) is int and scale > 0):
+            raise ValueError(f"tensor {i} needs a positive integer scale")
+        merged = []
+        for col in cols:
+            entries = {}
+            for r, j, c in col:
+                if not (0 <= j < n and 0 <= r < dst):
+                    raise ValueError(f"tensor {i} has a triple ({r}, {j}, {c}) out of range")
+                entries[j, r] = entries.get((j, r), 0) + c
+            merged.append(sorted((jr, c) for jr, c in entries.items() if c))
+        g = gcd(scale, *(c for col in merged for _, c in col))
+        canonical.append(
+            (scale // g, dst, tuple(tuple((r, j, c // g) for (j, r), c in col) for col in merged))
+        )
+    if canonical:
+        _check_commutativity(n, canonical[0][2])
+    _check_square_zero(n, canonical)
+    object.__setattr__(alg, "dims", dims)
+    object.__setattr__(alg, "tensors", tuple(canonical))
+
+
+def _check_commutativity(n, cols):
+    """Graded commutativity on the degree-1 tensor: the triples (r, j, c)
+    of u_l = e_l give e_j e_l, which must be -(e_l e_j), for every pair
+    j <= l in order.  The common scale cancels."""
     product = {}
     for l, col in enumerate(cols):
         for r, j, c in col:
@@ -164,43 +190,13 @@ def _check_sparse_commutativity(n, cols):
                 )
 
 
-def _dense(dims, compiled):
-    """mult[i-1][j][b][r] = c / scale for each triple (r, j, c) of u_b in
-    degree i, and 0 elsewhere; each distinct value is one shared Fraction."""
-    n = dims[1]
-    tensors = []
-    for (scale, dst, cols), src in zip(compiled, dims[1:]):
-        value = {0: Fraction(0)}
-        zero = (value[0],) * dst
-        tensor = [[zero] * src for _ in range(n)]
-        for b, col in enumerate(cols):
-            for r, j, c in col:
-                vec = tensor[j][b]
-                if vec is zero:
-                    vec = tensor[j][b] = list(zero)
-                if c not in value:
-                    value[c] = Fraction(c, scale)
-                vec[r] = value[c]
-        tensors.append(tuple(tuple(map(tuple, per_gen)) for per_gen in tensor))
-    return tuple(tensors)
-
-
-def _is_negation(x, y):
-    """Is the Fraction vector x equal to -y?  Compared on the normalised
-    numerators and denominators, with no Fraction arithmetic."""
-    return all(
-        a.numerator == -b.numerator and a.denominator == b.denominator
-        for a, b in zip(x, y)
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class AomotoEvaluation:
     """The complex of exact matrices at one rational point.
 
     matrices[i] maps degree i to degree i+1, rows indexed by the target
     basis.  Consecutive matrices compose to zero: the presentation was
-    checked symbolically, once, when it was first evaluated.
+    checked symbolically, once, when it was constructed.
     """
 
     point: tuple
@@ -232,7 +228,7 @@ def _integer_point(alg: GradedAlgebraPresentation, a):
 
 def _source_rows(dst, cols, ints):
     """Row b holds scale * (a * u_b) at an integer point a, skipping the
-    generators with a_j = 0: the transposed matrix of one compiled degree."""
+    generators with a_j = 0: the transposed matrix of one sparse tensor."""
     rows = [[0] * dst for _ in cols]
     for row, col in zip(rows, cols):
         for r, j, c in col:
@@ -242,20 +238,13 @@ def _source_rows(dst, cols, ints):
 
 
 def aomoto_matrices(alg: GradedAlgebraPresentation, a) -> AomotoEvaluation:
-    """Exact matrices of multiplication by a in every degree 0..k-1.
-
-    Raises if the presentation is internally inconsistent, i.e. if some
-    consecutive pair of its linear-form matrices fails to compose to zero
-    — the tensors then cannot come from an associative algebra with
-    a*a = 0.  That check runs once per presentation, not per point.
-    """
-    compiled = alg._compiled_form()
+    """Exact matrices of multiplication by a in every degree 0..k-1."""
     ints, den = _integer_point(alg, a)
     a = tuple(Fraction(x, den) for x in ints)
     mats = []
     if alg.top >= 1:
         mats.append(tuple((x,) for x in a))  # 1 |-> sum a_j e_j
-    for scale, dst, cols in compiled:
+    for scale, dst, cols in alg.tensors:
         rows = _source_rows(dst, cols, ints)
         mats.append(
             tuple(
@@ -279,13 +268,12 @@ def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
         raise ValueError(
             f"degree out of range: i = {i}, need 0 <= i <= {alg.top - 1}"
         )
-    compiled = alg._compiled_form()
     ints, _ = _integer_point(alg, a)
 
     def rank_from(deg):
         if deg == 0:
             return 1 if any(ints) else 0
-        return rank_int(_source_rows(*compiled[deg - 1][1:], ints))
+        return rank_int(_source_rows(*alg.tensors[deg - 1][1:], ints))
 
     rank_in = rank_from(i - 1) if i >= 1 else 0
     return alg.dims[i] - rank_in - rank_from(i)
@@ -301,13 +289,13 @@ def isotropy_obstruction(alg: GradedAlgebraPresentation, basis):
     resonance: for nonzero a in L, a * L = 0, so the kernel of a on A^1
     holds L while its image from A^0 is the line through a, hence
     b_1(A, a) >= dim L - 1 >= 1.  Each basis vector is scaled to integers,
-    and the products are read off the compiled degree-1 tensor.
+    and the products are read off the sparse degree-1 tensor.
     """
     if alg.top < 2:
         raise ValueError("isotropy needs the degree-2 piece")
     if len(basis) < 2:
         raise ValueError(f"isotropy needs at least 2 basis vectors, got {len(basis)}")
-    scale, dst, cols = alg._compiled_form()[0]
+    scale, dst, cols = alg.tensors[0]
     scaled = [_integer_point(alg, u) for u in basis]
     pairs = itertools.combinations(enumerate(scaled, start=1), 2)
     for (i, (u, du)), (j, (v, dv)) in pairs:
@@ -338,11 +326,9 @@ def universal_aomoto(alg: GradedAlgebraPresentation):
     """Matrices of linear forms x_1..x_n, one per degree 0..k-1.
 
     Each entry is the tuple of rational coefficients of (x_1, ..., x_n).
-    The composition of consecutive matrices is expanded as a quadratic
-    form in the x's and must vanish identically; a presentation that
-    fails this cannot come from an algebra, and is rejected.
+    Consecutive matrices compose to the zero quadratic form in the x's:
+    the presentation was checked symbolically at construction.
     """
-    alg._compiled_form()  # the symbolic square-zero check
     n = alg.n
     mats = []
     if alg.top >= 1:
@@ -366,30 +352,9 @@ def universal_aomoto(alg: GradedAlgebraPresentation):
     return mats
 
 
-def _compile(alg: GradedAlgebraPresentation):
-    """Source-major sparse integer tensors (see _compiled_form), read in
-    one pass over mult[i-1][j][b] and checked for symbolic square-zero."""
-    compiled = []
-    for deg, tensor in enumerate(alg.mult, start=1):
-        scale = lcm(
-            *(x.denominator for per_gen in tensor for vec in per_gen for x in vec)
-        )
-        cols = [[] for _ in range(alg.dims[deg])]
-        for j, per_gen in enumerate(tensor):
-            for col, vec in zip(cols, per_gen):
-                col.extend(
-                    (r, j, x.numerator * (scale // x.denominator))
-                    for r, x in enumerate(vec)
-                    if x
-                )
-        compiled.append((scale, alg.dims[deg + 1], tuple(map(tuple, cols))))
-    _check_square_zero(alg.n, compiled)
-    return tuple(compiled)
-
-
 def _check_square_zero(n, compiled):
     """Symbolic square-zero of every two consecutive degrees, from 0 up,
-    on the compiled triples of degrees >= 1 of an algebra with n degree-one
+    on the sparse triples of degrees >= 1 of an algebra with n degree-one
     generators."""
     sparse = [cols for _, _, cols in compiled]
     if compiled:
@@ -411,7 +376,7 @@ def _check_symbolic_square_zero(b, a, where):
                 key = (r, j, l) if j <= l else (r, l, j)
                 quad[key] = quad.get(key, 0) + x * y
         if any(quad.values()):
-            raise ValueError(
+            raise InconsistentPresentation(
                 f"inconsistent presentation: symbolic composition at degree "
                 f"{where} is nonzero"
             )

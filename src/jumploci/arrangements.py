@@ -426,7 +426,7 @@ def os_algebra_deg2(arr: ProjLineArrangement):
     of the row-reduced relations (aomoto.quotient_exterior_algebra), so
     the presentation is the same.  A product e_j e_l, j < l, is e_j e_L
     when l = L and e_j e_L - e_l e_L otherwise, so it is written straight
-    into the compiled sparse form, every entry 1 or -1.  Built on the
+    into the sparse integer form, every entry 1 or -1.  Built on the
     first call and kept on `arr`, so all callers share one presentation.
     """
     if arr._algebra is None:

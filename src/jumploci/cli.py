@@ -27,7 +27,8 @@ class CliParseError(Exception):
 
 def _read(path, decode, what):
     """Load the JSON file at `path` and decode it.  Any failure is a parse
-    error, except a complex refused as too large, which is a precondition."""
+    error, except a complex refused as too large or an algebra refused as
+    inconsistent: those are well formed, so they are preconditions."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -38,10 +39,11 @@ def _read(path, decode, what):
     try:
         return decode(data)
     except Exception as e:
-        # imported here so that runs which never build a complex skip it
+        # imported here, on failure only, so that other runs skip them
+        from .aomoto import InconsistentPresentation
         from .simplicial import ComplexTooLarge
 
-        if isinstance(e, ComplexTooLarge):
+        if isinstance(e, (ComplexTooLarge, InconsistentPresentation)):
             raise  # well formed but refused: a precondition, exit 2
         raise CliParseError(f"bad {what}: {e}") from e
 

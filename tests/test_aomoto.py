@@ -1,8 +1,10 @@
 """Rank tests on presented graded algebras: stock algebras, the symbolic
 complex, and the structural properties every presentation must satisfy."""
 
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import sympy
 from jumploci import codec
 from jumploci.aomoto import (
     GradedAlgebraPresentation,
+    InconsistentPresentation,
     _integer_point,
     aomoto_betti,
     aomoto_matrices,
@@ -457,19 +460,12 @@ def _cancelling_json():
     }
 
 
-def test_inconsistent_presentation_is_rejected_at_every_point(tmp_path, capsys):
+def test_inconsistent_presentation_is_refused_at_construction(tmp_path, capsys):
+    message = "inconsistent presentation: symbolic composition at degree 1 is nonzero"
     for data in (_inconsistent_json(), _cancelling_json()):
-        alg = codec.read_algebra(data)
-        # at (0, 0) and (0, 1) the composed matrices vanish, yet the
-        # presentation is still rejected there
-        for a in ((0, 0), (0, 1), (1, 0), (Q(3, 2), Q(-1, 2))):
-            for i in range(alg.top):
-                with pytest.raises(ValueError, match="inconsistent presentation"):
-                    aomoto_betti(alg, a, i)
-            with pytest.raises(ValueError, match="inconsistent presentation"):
-                aomoto_matrices(alg, a)
-        with pytest.raises(ValueError, match="inconsistent presentation"):
-            universal_aomoto(alg)
+        with pytest.raises(InconsistentPresentation) as err:
+            codec.read_algebra(data)
+        assert str(err.value) == message
 
     algebra = tmp_path / "alg.json"
     algebra.write_text(json.dumps(_inconsistent_json()))
@@ -478,6 +474,49 @@ def test_inconsistent_presentation_is_rejected_at_every_point(tmp_path, capsys):
     code = main(["aomoto", "betti", "--algebra", str(algebra), "--point", str(origin)])
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "precondition"
+
+
+def _non_commutative_json():
+    """dims (1, 2, 1): e1 e2 = e2 e1 = w, where graded commutativity wants
+    e2 e1 = -w."""
+    return {"dims": [1, 2, 1], "mult": [{"deg": 1, "table": [[["0"], ["1"]], [["1"], ["0"]]]}]}
+
+
+def test_non_commutative_algebra_is_a_parse_error(tmp_path, capsys):
+    algebra = tmp_path / "alg.json"
+    algebra.write_text(json.dumps(_non_commutative_json()))
+    origin = tmp_path / "a.json"
+    origin.write_text(json.dumps(["0", "0"]))
+    message = "bad algebra: graded commutativity fails on basis pair (1, 2)"
+    for argv in (["betti"], ["member", "--depth", "1"]):
+        argv = ["aomoto", *argv, "--algebra", str(algebra), "--point", str(origin)]
+        assert main(argv) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": {"type": "parse", "message": message}}
+
+
+def test_a_presentation_stores_dims_and_tensors_only():
+    cases = (
+        (_fractional_quotient(), _FRACTIONAL_PLANE),
+        (surface_algebra(2).padded(), ((1, 0, 0, 0), (0, 0, 1, 0))),
+    )
+    for alg, plane in cases:
+        assert type(alg).__slots__ == ("dims", "tensors")
+        assert not hasattr(alg, "__dict__")
+        dims, tensors = alg.dims, alg.tensors
+        snapshot = copy.deepcopy((dims, tensors))
+        a = (1,) + (0,) * (alg.n - 1)
+        for i in range(alg.top):
+            aomoto_betti(alg, a, i)
+        aomoto_matrices(alg, a)
+        universal_aomoto(alg)
+        isotropy_obstruction(alg, plane)
+        assert len(alg.mult) == alg.top - 1
+        assert alg.dims is dims and alg.tensors is tensors
+        assert (alg.dims, alg.tensors) == snapshot
+        for twin in (pickle.loads(pickle.dumps(alg)), copy.deepcopy(alg)):
+            assert (twin.dims, twin.tensors) == snapshot
+            assert twin == alg and hash(twin) == hash(alg)
 
 
 def test_evaluation_leaves_equality_and_hash_alone():

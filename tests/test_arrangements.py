@@ -482,7 +482,7 @@ def test_closed_form_algebra_is_the_row_reduced_presentation():
         want = aomoto.quotient_exterior_algebra(arr.n, _os_relations(arr))
         assert got == want and hash(got) == hash(want), forms
         assert got.dims == want.dims and got.mult == want.mult, forms
-        assert got._compiled_form() == want._compiled_form(), forms
+        assert got.tensors == want.tensors, forms
         assert all(type(x) is Q for per_gen in got.mult[0] for vec in per_gen for x in vec)
     # the pencil keeps the four pairs through its last line
     assert os_algebra_deg2(ProjLineArrangement(PENCIL)).dims == (1, 5, 4)
@@ -490,7 +490,7 @@ def test_closed_form_algebra_is_the_row_reduced_presentation():
 
 def test_a_flipped_sign_in_the_sparse_form_is_refused():
     alg = os_algebra_deg2(ProjLineArrangement(FULL_B3))
-    ((scale, dst, cols),) = alg._compiled_form()
+    ((scale, dst, cols),) = alg.tensors
     b = 4
     (r, j, c), *rest = cols[b]
     flipped = cols[:b] + (((r, j, -c), *rest),) + cols[b + 1:]
@@ -504,13 +504,52 @@ def test_a_flipped_sign_in_the_sparse_form_is_refused():
         aomoto.GradedAlgebraPresentation(alg.dims, (tensor,))
     # above degree 2 a flipped sign is caught by the square-zero check
     ext = aomoto.exterior_algebra(4)
-    compiled = ext._compiled_form()
-    (r, j, c), *rest = compiled[1][2][0]
-    top = (compiled[1][0], compiled[1][1], (((r, j, -c), *rest),) + compiled[1][2][1:])
+    tensors = ext.tensors
+    (r, j, c), *rest = tensors[1][2][0]
+    top = (tensors[1][0], tensors[1][1], (((r, j, -c), *rest),) + tensors[1][2][1:])
     with pytest.raises(ValueError, match="symbolic composition at degree 1 is nonzero"):
-        aomoto.GradedAlgebraPresentation.from_sparse(ext.dims, (compiled[0], top, compiled[2]))
-    rebuilt = aomoto.GradedAlgebraPresentation.from_sparse(ext.dims, compiled)
-    assert rebuilt == ext and rebuilt._compiled_form() == compiled
+        aomoto.GradedAlgebraPresentation.from_sparse(ext.dims, (tensors[0], top, tensors[2]))
+    rebuilt = aomoto.GradedAlgebraPresentation.from_sparse(ext.dims, tensors)
+    assert rebuilt == ext and rebuilt.tensors == tensors
+
+
+def _shuffled_double(alg, rng):
+    """The sparse tensors of alg, not canonical: scale and entries doubled,
+    every column's triples shuffled, and its first triple split in two."""
+    tensors = []
+    for scale, dst, cols in alg.tensors:
+        shuffled = []
+        for col in cols:
+            col = [(r, j, 2 * c) for r, j, c in col]
+            if col:
+                (r, j, c), *rest = col
+                col = [(r, j, c - 1), (r, j, 1), *rest]
+            rng.shuffle(col)
+            shuffled.append(tuple(col))
+        tensors.append((2 * scale, dst, tuple(shuffled)))
+    return tuple(tensors)
+
+
+def test_equality_does_not_depend_on_the_constructor():
+    rng = random.Random(25)
+    algebras = [aomoto.exterior_algebra(4), aomoto.exterior_algebra(4).padded()]
+    for forms in (FULL_B3, DELETED_B3):
+        arr = ProjLineArrangement(forms)
+        closed = os_algebra_deg2(arr)
+        assert closed.padded() == aomoto.quotient_exterior_algebra(arr.n, _os_relations(arr)).padded()
+        algebras += [closed, closed.padded()]
+    for alg in algebras:
+        # the dense route, with the zero piece on top written out
+        dense = aomoto.GradedAlgebraPresentation(alg.dims, alg.mult)
+        sparse = aomoto.GradedAlgebraPresentation.from_sparse(alg.dims, _shuffled_double(alg, rng))
+        for twin in (dense, sparse):
+            assert twin == alg and hash(twin) == hash(alg)
+            assert twin.tensors == alg.tensors and repr(twin) == repr(alg)
+    top = aomoto.exterior_algebra(4)
+    padded = aomoto.GradedAlgebraPresentation(
+        top.dims + (0,), top.mult + ((((),) * top.dims[-1],) * top.n,)
+    )
+    assert top.padded() == padded and hash(top.padded()) == hash(padded)
 
 
 def _fractional_forms(rng, n):

@@ -38,9 +38,9 @@ def _values():
     torus = TranslatedTorus(line, (Q(1, 2), Q(0)))
     arr = ProjLineArrangement(BRAID)
     analysed = ProjLineArrangement(BRAID)
-    r1_arrangement(analysed)  # keeps its multiple points, compiled algebra and braids
+    r1_arrangement(analysed)  # keeps its multiple points, algebra and braids
     alg = surface_algebra(2)
-    aomoto_betti(alg, (1, 0, 0, 0), 1)  # fills the compiled tensors
+    aomoto_betti(alg, (1, 0, 0, 0), 1)  # reads, and leaves as built, its sparse tensors
     return {
         "complex": k,
         "empty complex": SimplicialComplex((), 0),
@@ -86,7 +86,7 @@ def test_value_types_are_frozen_and_survive_pickle_and_deepcopy():
         assert toric_resonance.__wrapped__(twin, i, d) == toric_resonance(k, i, d)
     f = values["polynomial"]
     assert compare_tangent_cones(pickle.loads(pickle.dumps(f))) == compare_tangent_cones(f)
-    # an evaluated presentation carries its compiled tensors across
+    # an evaluated presentation carries its sparse tensors across
     alg = values["evaluated algebra"]
     twin = pickle.loads(pickle.dumps(alg))
     for a in ((1, 0, 0, 0), (0, 0, 0, 0), (1, 2, 3, Q(1, 2))):
@@ -96,7 +96,7 @@ def test_value_types_are_frozen_and_survive_pickle_and_deepcopy():
     arr = values["analysed line arrangement"]
     for twin in (pickle.loads(pickle.dumps(arr)), copy.deepcopy(arr)):
         assert twin._points == arr._points and twin._algebra == arr._algebra
-        assert twin._algebra._compiled == arr._algebra._compiled is not None
+        assert twin._algebra.tensors == arr._algebra.tensors
         assert twin._braids == arr._braids is not None
         assert r1_arrangement(twin) == r1_arrangement(arr)
 
