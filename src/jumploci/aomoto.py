@@ -22,6 +22,7 @@ from math import comb, gcd, lcm
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
+    _echelon,  # aomoto_betti needs the incoming map's pivots, not only its rank
     qscalar,
     qvector,
     rank_int,
@@ -262,21 +263,35 @@ def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
     part of the data.  To rank-test the top degree itself, pad the algebra
     with a zero piece first.  Only degrees i-1 and i are built, as
     transposed integer matrices (a scaled to integers leaves every rank
-    unchanged).
+    unchanged): row b of the outgoing map is a * u_b.
+
+    Not every row of the outgoing map is ranked.  The presentation passed
+    symbolic square-zero, so a * e = 0 for each e in the image of the
+    incoming map, and sum_b e_b (a * u_b) = 0 is a relation among the
+    rows.  The echelon rows of the incoming map span that image, each
+    with its leading entry at a pivot column p, so row p is a combination
+    of rows with larger indices; from the last pivot down, every pivot row
+    lies in the span of the non-pivot rows.  Hence
+
+        b_i = c_i - rank(incoming) - rank(outgoing without the pivot rows),
+
+    exactly.  The incoming map needs its pivots, not just its rank, so it
+    is eliminated by `_echelon`; in degree 1 it is the single row a, whose
+    one pivot is the first j with a_j != 0.
     """
     if not (0 <= i <= alg.top - 1):
         raise ValueError(
             f"degree out of range: i = {i}, need 0 <= i <= {alg.top - 1}"
         )
     ints, _ = _integer_point(alg, a)
-
-    def rank_from(deg):
-        if deg == 0:
-            return 1 if any(ints) else 0
-        return rank_int(_source_rows(*alg.tensors[deg - 1][1:], ints))
-
-    rank_in = rank_from(i - 1) if i >= 1 else 0
-    return alg.dims[i] - rank_in - rank_from(i)
+    if i == 0:
+        return alg.dims[0] - (1 if any(ints) else 0)
+    incoming = [ints] if i == 1 else _source_rows(*alg.tensors[i - 2][1:], ints)
+    pivots = _echelon(incoming)[1]
+    skip = set(pivots)
+    _, dst, cols = alg.tensors[i - 1]
+    kept = [col for b, col in enumerate(cols) if b not in skip]
+    return alg.dims[i] - len(pivots) - rank_int(_source_rows(dst, kept, ints))
 
 
 def isotropy_obstruction(alg: GradedAlgebraPresentation, basis):
@@ -310,11 +325,13 @@ def isotropy_obstruction(alg: GradedAlgebraPresentation, basis):
 
 
 def resonance_member(alg: GradedAlgebraPresentation, a, i: int, d: int) -> bool:
-    """Does the degree-i cohomology at a have dimension >= d?"""
+    """Does the degree-i cohomology at a have dimension >= d?
+
+    Depth 0 is answered by the same rank test as every other depth, so it
+    refuses the degrees and points that depth 1 refuses.
+    """
     if d < 0:
         raise ValueError("depth must be >= 0")
-    if d == 0:
-        return True
     return aomoto_betti(alg, a, i) >= d
 
 

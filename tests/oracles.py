@@ -71,6 +71,26 @@ def sympy_rank(rows):
     return m.rank()
 
 
+def sympy_betti(alg, a, i):
+    """Betti number from dense Fraction matrices built straight from
+    alg.mult and ranked by sympy."""
+
+    def matrix(deg):
+        if deg == 0:
+            return [[x] for x in a]
+        tensor = alg.mult[deg - 1]
+        return [
+            [
+                sum((a[j] * tensor[j][b][r] for j in range(alg.n)), Q(0))
+                for b in range(alg.dims[deg])
+            ]
+            for r in range(alg.dims[deg + 1])
+        ]
+
+    rank_in = sympy_rank(matrix(i - 1)) if i >= 1 else 0
+    return alg.dims[i] - rank_in - sympy_rank(matrix(i))
+
+
 def rref_sympy(rows):
     """(rows, pivots) of the reduced row-echelon form, zero rows dropped,
     from sympy.Matrix.rref over the rationals."""

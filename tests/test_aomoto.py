@@ -37,7 +37,7 @@ from oracles import (
     evaluate_universal,
     quotient_exterior_algebra_by_reduction,
     random_vector,
-    sympy_rank,
+    sympy_betti,
     zero_multiplication_algebra,
 )
 
@@ -287,6 +287,26 @@ def test_presentation_validation():
     assert aomoto_betti(zero.padded(), (1, 1, 1), 1) == 2
 
 
+def test_depth_zero_membership_checks_the_degree_and_the_point():
+    alg = surface_algebra(1)  # dims (1, 2, 1)
+    assert resonance_member(alg, (1, 0), 1, 0) is True
+    assert resonance_member(alg, (Q(1, 2), 0), 0, 0) is True
+    # depth 0 refuses what depth 1 refuses, with the same error
+    for i, a in ((7, (0, 0)), (2, (0, 0)), (-1, (0, 0)), (1, (0, 0, 1)), (1, (0.5, 0))):
+        errors = []
+        for d in (0, 1):
+            with pytest.raises((ValueError, TypeError)) as err:
+                resonance_member(alg, a, i, d)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+    with pytest.raises(ValueError, match="degree out of range: i = 7, need 0 <= i <= 1"):
+        resonance_member(alg, (0, 0), 7, 0)
+    with pytest.raises(ValueError, match="point length 3 != c_1 = 2"):
+        resonance_member(alg, (0, 0, 1), 1, 0)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        resonance_member(alg, (0, 0, 1), 7, -1)
+
+
 def _random_relations(rng, n):
     """Degree-two relations with fractional coefficients, some of them
     repeated, rescaled or combined from earlier ones."""
@@ -387,26 +407,6 @@ def test_universal_evaluation_matches_direct():
             ]
 
 
-def _sympy_betti(alg, a, i):
-    """Betti number from dense Fraction matrices built straight from
-    alg.mult and ranked by sympy."""
-
-    def matrix(deg):
-        if deg == 0:
-            return [[x] for x in a]
-        tensor = alg.mult[deg - 1]
-        return [
-            [
-                sum((a[j] * tensor[j][b][r] for j in range(alg.n)), Q(0))
-                for b in range(alg.dims[deg])
-            ]
-            for r in range(alg.dims[deg + 1])
-        ]
-
-    rank_in = sympy_rank(matrix(i - 1)) if i >= 1 else 0
-    return alg.dims[i] - rank_in - sympy_rank(matrix(i))
-
-
 def test_betti_matches_sympy_ranks_in_every_degree():
     fractional = _fractional_quotient()
     assert any(
@@ -426,14 +426,17 @@ def test_betti_matches_sympy_ranks_in_every_degree():
     for alg, extra in (
         (exterior_algebra(5).padded(), []),
         (surface_algebra(3).padded(), []),
+        (s1s2_algebra(Q(3, 2)).padded(), []),
         (fractional, on_plane),
         (fractional.padded(), on_plane),
     ):
-        points = [(Q(0),) * alg.n] + extra
+        # the zero point, and a point whose one nonzero coordinate is the
+        # last: the row aomoto_betti leaves out in degree 1 is then the last
+        points = [(Q(0),) * alg.n, (Q(0),) * (alg.n - 1) + (fraction() or Q(1),)] + extra
         points += [tuple(fraction() for _ in range(alg.n)) for _ in range(6)]
         for a in points:
             for i in range(alg.top):
-                assert aomoto_betti(alg, a, i) == _sympy_betti(alg, a, i), (alg, a, i)
+                assert aomoto_betti(alg, a, i) == sympy_betti(alg, a, i), (alg, a, i)
 
 
 def _inconsistent_json():

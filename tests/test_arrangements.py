@@ -17,6 +17,7 @@ from oracles import (
     multiple_points_by_fractions,
     points_without_jump,
     quotient_exterior_algebra_by_reduction,
+    sympy_betti,
 )
 
 from jumploci import aomoto, arrangements, codec
@@ -375,6 +376,46 @@ def test_isotropy_certificate_on_b3():
     assert isotropy_obstruction(alg, (half, E_X, triple)) == (1, 3, scaled)
     with pytest.raises(ValueError, match="at least 2"):
         isotropy_obstruction(alg, (E_X,))
+
+
+def test_os_algebra_betti_matches_sympy_ranks_in_every_degree():
+    # aomoto_betti leaves out the rows of the outgoing map at the pivots of
+    # the incoming one, and sympy ranks every row: points on a component,
+    # points whose first nonzero coordinate is the last, where that pivot
+    # is the last row, the zero point and fractional points
+    rng = random.Random(24)
+
+    def fraction():
+        return Q(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def on(basis):
+        """Two nonzero fractional points of the span of `basis`."""
+        points = []
+        while len(points) < 2:
+            coeffs = [fraction() for _ in basis]
+            point = tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis))
+            if any(point):
+                points.append(point)
+        return points
+
+    for forms in (BRAID, DELETED_B3, FULL_B3):
+        arr = ProjLineArrangement(forms)
+        alg = os_algebra_deg2(arr)
+        # the last multiple point and the last braid miss line 1 on B3
+        # and deleted B3, so their first nonzero coordinate is not the first
+        resonant = on(local_components(arr).components[-1].rows)
+        resonant += on(braid_subarrangements(arr)[-1].subspace.rows)
+        if forms == FULL_B3:
+            resonant += on(B3_MULTINET)
+        assert all(aomoto.aomoto_betti(alg, a, 1) >= 1 for a in resonant)
+        n = arr.n
+        points = [(0,) * n, (0,) * (n - 1) + (1,), (0,) * (n - 1) + (Q(-2, 3),)]
+        points += resonant + [tuple(fraction() for _ in range(n)) for _ in range(4)]
+        for algebra in (alg, alg.padded()):
+            for a in points:
+                for i in range(algebra.top):
+                    got = aomoto.aomoto_betti(algebra, a, i)
+                    assert got == sympy_betti(algebra, a, i), (forms, a, i)
 
 
 def test_non_isotropic_component_is_refused(monkeypatch):

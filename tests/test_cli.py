@@ -180,6 +180,35 @@ def test_aomoto_subcommands(tmp_path, capsys):
     assert json.loads(out)["member"] is False
 
 
+def test_depth_zero_membership_refuses_bad_input(tmp_path, capsys):
+    algebra = write_json(
+        tmp_path,
+        "alg.json",
+        {
+            "dims": [1, 2, 1],
+            "mult": [{"deg": 1, "table": [[["0"], ["1"]], [["-1"], ["0"]]]}],
+        },
+    )
+    origin = write_json(tmp_path, "a0.json", ["0", "0"])
+    three = write_json(tmp_path, "a3.json", ["0", "0", "1"])
+    for point, degree, message in (
+        (origin, "7", "degree out of range: i = 7, need 0 <= i <= 1"),
+        (three, "1", "point length 3 != c_1 = 2"),
+    ):
+        for depth in ("0", "1"):
+            code, out = run_cli(
+                capsys, "aomoto", "member", "--algebra", algebra, "--point", point,
+                "--degree", degree, "--depth", depth,
+            )
+            assert code == 2
+            assert json.loads(out) == {"error": {"type": "precondition", "message": message}}
+    code, out = run_cli(
+        capsys, "aomoto", "member", "--algebra", algebra, "--point", origin, "--depth", "0"
+    )
+    assert code == 0
+    assert json.loads(out) == {"degree": 1, "depth": 0, "member": True}
+
+
 def test_fixtures_subcommands(capsys):
     code, out = run_cli(capsys, "fixtures", "list")
     assert code == 0
