@@ -52,7 +52,7 @@ from .qlinalg import (
 )
 
 # Most lines the braid search accepts.  At 32 lines (1,096 braids) it takes
-# about 0.1 s and `arr res1` about 3 s, nearly all in the pairwise meet check.
+# about 0.1 s and `arr res1` under 1 s.
 LINE_LIMIT = 32
 
 
@@ -310,11 +310,15 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     containment in the resonance variety, not maximality.  Then 10 random
     points off the union, drawn from `seed`, are checked to show no jump;
     that check is sampled, not a proof.  Last, the components are
-    verified to meet each other only in 0: every component lies in the
-    hyperplane sum a_i = 0, which is checked, so only pairs whose
-    supports share two or more lines need an elimination.  Any of these
-    checks failing raises (OracleError for a failed certificate or a jump
-    off the union).  More than LINE_LIMIT lines raise ValueError before
+    verified to meet each other only in 0.  Every component lies in the
+    hyperplane sum a_i = 0, which is checked, and each of its vectors is
+    constant on its classes (its lines grouped by equal columns of its
+    rows), so two components U and V meet only in 0 unless two classes of
+    U lie inside the support of V and two classes of V inside that of U;
+    only those pairs need an elimination.  A local component's classes are
+    its lines, a braid plane's its three pairs of opposite sides.  Any of
+    these checks failing raises (OracleError for a failed certificate or a
+    jump off the union).  More than LINE_LIMIT lines raise ValueError before
     any work starts.
     """
     _check_line_limit(arr)
@@ -331,29 +335,46 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
         if aomoto_betti(algebra, a, 1) != 0:
             raise OracleError(f"rank oracle sees a jump off the union at {a}")
     pieces = result.components
-    # Inside the hyperplane sum a_i = 0 a nonzero vector has at least two
-    # nonzero coordinates, so two components whose supports share at most
-    # one coordinate meet only in 0.  That skip needs every component there.
+    # Group the support of a component U by equal columns of its rows: U's
+    # classes.  Every u in U is constant on each class and 0 off the
+    # support, so a nonzero v in U n V is nonzero on whole classes of U,
+    # all inside the support of V.  Inside the hyperplane sum a_i = 0 it
+    # needs two of them: v = x 1_C on a single class C has sum |C| x, so
+    # x = 0.  With U and V swapped the same holds, so only pairs where two
+    # classes of each lie inside the other's support need an elimination.
+    # That needs every component in the hyperplane, and columns that are
+    # equal, not proportional: a class of proportional columns can carry a
+    # nonzero vector of sum 0.
     if any(sum(row) for piece in pieces for row in piece.rows):
         raise ValueError("components must pairwise meet only in 0")
-    supports = [_support(p) for p in pieces]
-    for i in range(len(pieces)):
+    shapes = [_classes(p) for p in pieces]
+    for i, (support_u, classes_u) in enumerate(shapes):
         for j in range(i + 1, len(pieces)):
-            shared = (supports[i] & supports[j]).bit_count()
-            if shared >= 2 and intersection_dim(pieces[i], pieces[j]) != 0:
+            support_v, classes_v = shapes[j]
+            if (
+                (support_u & support_v).bit_count() >= 2
+                and _two_inside(classes_u, support_v)
+                and _two_inside(classes_v, support_u)
+                and intersection_dim(pieces[i], pieces[j]) != 0
+            ):
                 raise ValueError("components must pairwise meet only in 0")
     return result
 
 
-def _support(subspace):
-    """The coordinates where some vector of the subspace is nonzero, as a
-    bitmask (bit k for coordinate k+1)."""
-    mask = 0
-    for row in subspace.rows:
-        for k, x in enumerate(row):
-            if x:
-                mask |= 1 << k
-    return mask
+def _classes(subspace):
+    """The support of the subspace and its classes (the coordinates of the
+    support grouped by equal columns of its rows), as bitmasks (bit k for
+    coordinate k+1)."""
+    classes = {}
+    for k, column in enumerate(zip(*subspace.rows)):
+        if any(column):
+            classes[column] = classes.get(column, 0) | 1 << k
+    return sum(classes.values()), tuple(classes.values())
+
+
+def _two_inside(classes, support):
+    """Do at least two of the classes lie inside the support?"""
+    return sum(c & support == c for c in classes) >= 2
 
 
 def _random_off_union(arrangement, rng):

@@ -442,9 +442,26 @@ def _lines(subspace):
     return {k for row in subspace.basis for k, x in enumerate(row) if x}
 
 
+def _column_classes(subspace):
+    """The coordinates of the support grouped by equal columns of the basis."""
+    classes = {}
+    for k, column in enumerate(zip(*subspace.basis)):
+        if any(column):
+            classes.setdefault(column, set()).add(k)
+    return list(classes.values())
+
+
+def _may_meet(u, v):
+    """Two classes of each lie inside the other's support."""
+    return all(
+        sum(c <= _lines(b) for c in _column_classes(a)) >= 2 for a, b in ((u, v), (v, u))
+    )
+
+
 def test_components_on_disjoint_lines_skip_the_elimination(monkeypatch):
-    # every component lies in sum a_i = 0, so two sharing at most one line
-    # meet only in 0: only pairs sharing two or more lines are ranked
+    # every component lies in sum a_i = 0, and each of its vectors is
+    # constant on its classes, so two components meet only in 0 unless two
+    # classes of each lie inside the other's support: only those are ranked
     ranked = []
     real = arrangements.intersection_dim
     monkeypatch.setattr(
@@ -453,13 +470,107 @@ def test_components_on_disjoint_lines_skip_the_elimination(monkeypatch):
     for forms in (DELETED_B3, SIXTEEN):
         ranked.clear()
         comps = r1_arrangement(ProjLineArrangement(forms)).components
-        shared = [
-            (u, v, len(_lines(u) & _lines(v))) for u, v in itertools.combinations(comps, 2)
-        ]
-        assert ranked == [(u, v) for u, v, k in shared if k >= 2]
-        # on deleted B3, 41 of the 65 pairs that share a line
-        assert 0 < len(ranked) < sum(1 for *_, k in shared if k)
-        assert all(real(u, v) == 0 for u, v in itertools.combinations(comps, 2))
+        pairs = list(itertools.combinations(comps, 2))
+        assert ranked == [(u, v) for u, v in pairs if _may_meet(u, v)]
+        if forms is DELETED_B3:
+            # 6 of the 41 pairs that share two or more lines
+            assert len(ranked) == 6
+            assert sum(len(_lines(u) & _lines(v)) >= 2 for u, v in pairs) == 41
+        assert all(real(u, v) == 0 for u, v in pairs)
+
+
+def _block_subspace(rng, n, dim):
+    """A random subspace of sum a_i = 0 in Q^n, spanned by vectors constant
+    on blocks of 1-3 coordinates, some of them forced proportional."""
+    coords = rng.sample(range(n), rng.randint(4, n))
+    blocks = []
+    while coords:
+        size = min(rng.randint(1, 3), len(coords))
+        blocks.append(coords[:size])
+        coords = coords[size:]
+    rows = []
+    for _ in range(dim):
+        chosen = rng.sample(blocks, rng.randint(2, min(3, len(blocks))))
+        values = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in chosen[:-1]]
+        if len(chosen) > 2 and rng.random() < 0.5:
+            values[-1] = 2 * values[0]  # proportional, unequal columns
+        last = -sum(len(b) * x for b, x in zip(chosen, values))
+        row = [0] * n
+        for b, x in zip(chosen, values):
+            for k in b:
+                row[k] = x * len(chosen[-1])
+        for k in chosen[-1]:
+            row[k] = last
+        rows.append(row)
+    return RationalSubspace(n, rows)
+
+
+def _random_pairs(rng, count):
+    """Pairs of random block subspaces of sum a_i = 0; about half share a
+    random vector of the first, so that they meet."""
+    for _ in range(count):
+        n = rng.randint(5, 10)
+        u = _block_subspace(rng, n, rng.randint(1, 3))
+        v = _block_subspace(rng, n, rng.randint(1, 2))
+        if rng.random() < 0.5:
+            coeffs = [rng.choice((-2, -1, 1, 2)) for _ in u.rows]
+            shared = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*u.rows)]
+            v = RationalSubspace(n, v.rows + (tuple(shared),))
+        yield u, v
+
+
+def _cleared(u, v):
+    """Does r1_arrangement skip the elimination of u and v?"""
+    (support_u, classes_u), (support_v, classes_v) = map(arrangements._classes, (u, v))
+    return not (
+        (support_u & support_v).bit_count() >= 2
+        and arrangements._two_inside(classes_u, support_v)
+        and arrangements._two_inside(classes_v, support_u)
+    )
+
+
+def test_the_class_rule_clears_only_pairs_that_meet_in_0():
+    forms28 = random.Random(28).sample(_primitive_forms(2), 28)
+    for forms in (FULL_B3, DELETED_B3, SIXTEEN, BRAID, forms28):
+        comps = r1_arrangement(ProjLineArrangement(forms)).components
+        for u, v in itertools.combinations(comps, 2):
+            assert not _cleared(u, v) or intersection_dim(u, v) == 0
+    # e_1 + 2 e_2 - 3 e_3 has proportional columns in a line of its own:
+    # grouped by proportion it would be one class, and the pair cleared
+    u = RationalSubspace(5, [(1, 2, -3, 0, 0)])
+    v = RationalSubspace(5, [(1, 2, -3, 0, 0), (0, 0, 1, 1, -2)])
+    assert not _cleared(u, v) and intersection_dim(u, v) == 1
+    rng = random.Random(25)
+    met = cleared = on_two_classes = 0
+    for u, v in _random_pairs(rng, 600):
+        assert all(sum(row) == 0 for w in (u, v) for row in w.rows)
+        dim = intersection_dim(u, v)
+        if _cleared(u, v):
+            assert dim == 0
+            cleared += 1
+        elif dim:
+            met += 1
+            # pairs that a threshold of three classes would clear
+            on_two_classes += min(
+                sum(c <= _lines(b) for c in _column_classes(a)) for a, b in ((u, v), (v, u))
+            ) == 2
+    assert met > 200 and cleared > 150 and on_two_classes > 100
+
+
+def test_a_component_meeting_a_local_one_on_two_classes_is_refused(monkeypatch):
+    # span(e_1 - e_2, e_5 - e_6): lines 1 and 2 meet in the triple point
+    # (1, 2, 4), lines 5 and 6 are off it.  The plane meets that local
+    # component in e_1 - e_2, on two classes of each, and no triple point
+    # holds three of its lines, so every pair it is in has only two classes
+    # of one side inside the other's support.
+    arr = ProjLineArrangement(BRAID)
+    plane = RationalSubspace(arr.n, [(1, -1, 0, 0, 0, 0), (0, 0, 0, 0, 1, -1)])
+    assert intersection_dim(_point_component(arr.n, (1, 2, 4)), plane) == 1
+    monkeypatch.setattr(arrangements, "_certify", lambda *args: None)
+    real = arrangements._local_subspaces
+    monkeypatch.setattr(arrangements, "_local_subspaces", lambda a: real(a) + [plane])
+    with pytest.raises(ValueError, match="pairwise meet only in 0"):
+        r1_arrangement(arr)
 
 
 def test_a_component_off_the_sum_zero_hyperplane_is_refused(monkeypatch):
