@@ -82,8 +82,9 @@ class SimplicialComplex:
         return frozenset(sigma) in self.faces
 
     def dim(self) -> int:
-        """Dimension of the complex; -1 for the empty complex."""
-        return max((len(f) for f in self.facets), default=0) - 1
+        """Dimension of the complex; -1 for the empty complex.  The facets
+        are ordered by size, so the last one is the largest."""
+        return len(self.facets[-1]) - 1 if self.facets else -1
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         """The k-skeleton (all faces with at most k+1 vertices)."""
@@ -147,32 +148,34 @@ def reduced_betti_faces(faces, i: int) -> int:
     counted (1 if there is a vertex; vertices minus connected components),
     so degrees -1 and 0 never eliminate and degree 1 eliminates only ∂_2.
     Each call ranks afresh; callers that revisit the same link memoize it
-    themselves.
+    themselves.  Only the faces with i, i+1 and i+2 vertices are kept, so a
+    degree above the dimension costs one pass over the faces, whatever its
+    size.
     """
     if i < -1:
         return 0
-    by_size = [[] for _ in range(i + 3)]
+    groups = ([], [], [])
     for f in faces:
-        size = f.bit_count()
-        if size <= i + 2:
-            by_size[size].append(f)
-    cells = by_size[i + 1]
+        offset = f.bit_count() - i
+        if 0 <= offset <= 2:
+            groups[offset].append(f)
+    lower, cells, upper = groups
     if not cells:
         return 0
-    rank_down = _boundary_rank(by_size, i) if i >= 0 else 0
-    rank_up = _boundary_rank(by_size, i + 1) if by_size[i + 2] else 0
+    rank_down = _boundary_rank(lower, cells, i) if i >= 0 else 0
+    rank_up = _boundary_rank(cells, upper, i + 1) if upper else 0
     return len(cells) - rank_down - rank_up
 
 
-def _boundary_rank(by_size, k: int) -> int:
+def _boundary_rank(lower, upper, k: int) -> int:
     """Rank of the augmented boundary map ∂_k from the faces with k+1
-    vertices, by_size[k + 1], to those with k; by_size[k + 1] is nonempty."""
+    vertices, `upper` (nonempty), to those with k, `lower`."""
     if k == 0:
         return 1
     if k == 1:
-        adj = edge_adjacency(by_size[1], by_size[2])
-        return len(by_size[1]) - count_components(sum(by_size[1]), adj)
-    return rank_int(_boundary_matrix(by_size[k], by_size[k + 1]))
+        adj = edge_adjacency(lower, upper)
+        return len(lower) - count_components(sum(lower), adj)
+    return rank_int(_boundary_matrix(lower, upper))
 
 
 def edge_adjacency(vertices, edges) -> dict:

@@ -35,6 +35,14 @@ arithmetic is exact.  The graph layer (right-angled Artin groups =
 test suite plays against the homological one; vertex connectivity, which
 bounds where the graph's invariants vanish, is counted by disjoint paths
 instead, so it is never refused.
+
+The translated-torus invariant of degree i reads off the depth-1 loci of
+all degrees j <= i at once.  Toric complexes are straight (Papadima-Suciu,
+Adv. Math. 2009), so a cover query tests a plane against one coordinate
+arrangement: the union of those loci, pruned to its maximal pieces and
+cached per (K, min(i, dim K + 1)).  T_K has no cells above dimension
+dim K + 1, so the loci of higher degrees are empty and a larger i asks
+nothing more.
 """
 
 from __future__ import annotations
@@ -64,8 +72,8 @@ class CoordinateArrangement:
     whether the origin itself belongs to the locus is a separate flag, since
     the empty subset would otherwise be invisible.  `_columns` holds, per
     piece, the number of columns outside W and a getter that reads them off
-    a row; the first `meets_subspace` call builds it, and it takes no part
-    in equality, hashing or repr.
+    a row, fewest columns first; the first `meets_subspace` call builds it,
+    and it takes no part in equality, hashing or repr.
     """
 
     n: int
@@ -99,7 +107,10 @@ class CoordinateArrangement:
         dim(P ∩ Q^W) = dim P - rank(basis columns outside W), so a piece
         with fewer than dim P columns outside W meets P without a rank
         test; otherwise the columns outside W of P's rows are ranked.  The
-        columns of each piece are picked once per locus, on the first call.
+        columns of each piece are picked once per locus, on the first call,
+        and the pieces are tried fewest outside columns first: the largest
+        pieces are the likeliest to meet P, and those needing no rank test
+        come before every rank test.
         """
         if p.n != self.n:
             raise ValueError("ambient dimensions differ")
@@ -114,7 +125,7 @@ class CoordinateArrangement:
                 # rank test, and P = 0 has no rows to read.
                 cols = outside * 2 if len(outside) == 1 else outside
                 columns.append((len(outside), itemgetter(*cols) if cols else None))
-            columns = tuple(columns)
+            columns = tuple(sorted(columns, key=itemgetter(0)))
             object.__setattr__(self, "_columns", columns)
         dim = p.dim
         for count, get in columns:
@@ -475,7 +486,8 @@ def toric_omega_member(
     P belongs iff it meets no component of the resonance accumulated over
     degrees <= i (depth 1) in positive dimension.  The degrees below i all
     count: the invariants are nested in i even though the single-degree loci
-    are not.
+    are not.  That union is one pruned arrangement, cached per
+    (K, min(i, dim K + 1)) (module docstring).
     """
     if i < 0:
         raise ValueError("degree must be >= 0")
@@ -485,4 +497,13 @@ def toric_omega_member(
         raise ValueError("plane ambient dimension differs from the vertex count")
     if p.dim != r:
         raise ValueError(f"subspace has dimension {p.dim}, expected rank {r}")
-    return not any(toric_resonance(k, j, 1).meets_subspace(p) for j in range(i + 1))
+    return not _accumulated_resonance(k, min(i, k.dim() + 1)).meets_subspace(p)
+
+
+@lru_cache(maxsize=256)
+def _accumulated_resonance(k: SimplicialComplex, i: int) -> CoordinateArrangement:
+    """The union of the depth-1 resonance loci of degrees 0..i, as one
+    arrangement of maximal pieces; the loci of toric_resonance are only
+    read.  It holds the origin, as the degree-0 locus does."""
+    pieces = [w for j in range(i + 1) for w in toric_resonance(k, j, 1).subsets]
+    return CoordinateArrangement(k.n, pieces)

@@ -70,6 +70,18 @@ def test_toric_subcommands(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["member"] is True
 
+    # degrees above dim K + 1 = 2 answer as degree 2 does, at once
+    line = write_json(tmp_path, "e1.json", {"n": 3, "basis": [["1", "0", "0"]]})
+    for degree in ("2", "100000"):
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys, "toric", "omega", "--complex", complex_file,
+            "--plane", line, "--r", "1", "--degree", degree,
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out) == {"degree": int(degree), "r": 1, "member": False}
+
 
 def test_linkcv_trefoil(tmp_path, capsys):
     poly = write_json(

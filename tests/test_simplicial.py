@@ -152,6 +152,17 @@ def test_skeleton_and_validation():
         pass
 
 
+def test_betti_far_above_the_dimension_is_zero_at_once():
+    rng = random.Random(10)
+    facets = [rng.sample(range(1, 11), 3) for _ in range(15)]
+    k = SimplicialComplex(facets + [(v,) for v in range(1, 11)], 10)
+    assert k.dim() == 2
+    start = time.perf_counter()
+    assert reduced_betti(k, 10**9) == 0
+    assert reduced_betti_faces(k.face_masks(), 10**9) == 0
+    assert time.perf_counter() - start < 1
+
+
 def test_complexes_with_too_many_faces_are_refused_before_building(monkeypatch):
     # one facet on 24 vertices has 2^24 subsets, and a refusal builds none
     assert FACE_LIMIT < 1 << 24

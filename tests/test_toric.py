@@ -306,6 +306,59 @@ def test_cover_membership_matches_the_sweeps_of_every_lower_degree():
     assert answers == {(r, b) for r in (1, 2, 3, 4) for b in (True, False)}
 
 
+def test_cover_membership_matches_the_per_degree_loci():
+    # the union over degrees <= i, one pruned arrangement, against the test
+    # of each degree's locus in turn, ranked piece by piece
+    toric_resonance.cache_clear()
+    toric._accumulated_resonance.cache_clear()
+    rng = random.Random(2026)
+    answers = set()
+    loci = []
+    for n in (5, 6, 7, 8, 9):
+        for dim in (1, 2, 3):
+            k = _random_complex(rng, n, dim)
+            top = k.dim() + 1
+            for i in range(top + 4):
+                for r in (1, 2, 3, 4):
+                    basis = _plane_in_random_support(rng, n, r)
+                    expect = not any(
+                        meets_coordinate_piece(basis, w, n)
+                        for j in range(i + 1)
+                        for w in toric_resonance(k, j, 1).subsets
+                    )
+                    p = RationalSubspace.span(n, basis)
+                    assert toric_omega_member(k, i, r, p) is expect, (k, i, basis)
+                    answers.add((i > top, expect))
+            # T_K has no cells above dimension dim K + 1
+            for j in range(top + 4):
+                locus = toric_resonance(k, j, 1)
+                loci.append(locus)
+                if j > top:
+                    assert (locus.subsets, locus.contains_origin) == ((), False)
+    assert answers == {(above, b) for above in (True, False) for b in (True, False)}
+    # cover queries pick the columns of their own union, not of these loci
+    assert all(locus._columns is None for locus in loci)
+
+
+def test_cover_membership_above_the_top_degree_answers_at_once():
+    k = _path3()
+    for basis, expect in (([(0, 1, 0)], True), ([(1, 0, 0)], False)):
+        p = RationalSubspace.span(3, basis)
+        start = time.perf_counter()
+        assert toric_omega_member(k, 100_000, 1, p) is expect
+        assert time.perf_counter() - start < 1
+        assert toric_omega_member(k, 2, 1, p) is expect
+
+
+def test_resonance_far_above_the_top_degree_is_empty_at_once():
+    rng = random.Random(10)
+    k = _random_complex(rng, 10, 2)
+    start = time.perf_counter()
+    locus = toric_resonance(k, 10**9, 1)
+    assert time.perf_counter() - start < 1
+    assert (locus.subsets, locus.contains_origin) == ((), False)
+
+
 def test_meets_subspace_matches_the_rank_oracle():
     rng = random.Random(2017)
     kinds = ("all", "all but one", "single", "mixed")
