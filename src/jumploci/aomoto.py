@@ -275,9 +275,9 @@ def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
 
         b_i = c_i - rank(incoming) - rank(outgoing without the pivot rows),
 
-    exactly.  The incoming map needs its pivots, not just its rank, so it
-    is eliminated by `_echelon`; in degree 1 it is the single row a, whose
-    one pivot is the first j with a_j != 0.
+    exactly.  The incoming map needs its pivots, not just its rank, so its
+    nonzero rows, built fresh here, are handed to `_echelon`; in degree 1
+    it is the single row a, whose one pivot is the first j with a_j != 0.
     """
     if not (0 <= i <= alg.top - 1):
         raise ValueError(
@@ -287,7 +287,7 @@ def aomoto_betti(alg: GradedAlgebraPresentation, a, i: int) -> int:
     if i == 0:
         return alg.dims[0] - (1 if any(ints) else 0)
     incoming = [ints] if i == 1 else _source_rows(*alg.tensors[i - 2][1:], ints)
-    pivots = _echelon(incoming)[1]
+    pivots = _echelon([r for r in incoming if any(r)])[1]
     skip = set(pivots)
     _, dst, cols = alg.tensors[i - 1]
     kept = [col for b, col in enumerate(cols) if b not in skip]

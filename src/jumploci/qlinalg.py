@@ -19,14 +19,17 @@ stacked, which reads no equations; and the lattice coset test reads the
 same equations.
 
 Every rank, RREF and kernel over Q comes from one integer elimination
-kernel, `_echelon`: rows are scaled to primitive integer rows once, and
-`rank_int` reads its pivots, while `_reduced` back-substitutes them into
-the reduced rows that subspaces, kernels and `rref` are read off.  Three
-eliminations stay apart because they answer different questions:
-`hermite_reduce` uses only unimodular row operations, since the row lattice
-over Z must not change, `laurent._zt_det` eliminates over Z[t], and
-`laurent._annihilate` cuts an annihilator down one vector at a time inside
-the tangent-cone search, where no subspace is built.
+kernel, `_echelon`, which eliminates in place the list of rows its caller
+hands over and never writes into a row.  `rank_int` and `aomoto_betti`
+read its pivots.  Every other path goes through `_primitive_rows`, which
+checks every length and scales each row to primitive integers, then
+`_reduced`, whose rows come out canonical: a subspace stores them as they
+are, and kernels and `rref` are read off them.  Three eliminations stay
+apart because they answer different questions: `hermite_reduce` uses only
+unimodular row operations, since the row lattice over Z must not change,
+`laurent._zt_det` eliminates over Z[t], and `laurent._annihilate` cuts an
+annihilator down one vector at a time inside the tangent-cone search,
+where no subspace is built.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from math import gcd, lcm
 
 Q = Fraction
@@ -68,85 +72,90 @@ def _primitive(v):
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _primitive_rows(rows):
-    """Each row scaled to primitive integers.  A row of plain ints is
-    divided by its gcd; other entries may be Fractions, bools or anything
-    qscalar accepts, and only the entries that are neither int nor Fraction
-    are coerced."""
-    out = []
+def _primitive_rows(rows, n):
+    """The nonzero rows scaled to primitive integers, as fresh lists.
+
+    Every length is checked against n (n None: against the first row, else
+    the matrix is ragged) before any entry is read.  Entries may be ints,
+    Fractions, bools or anything qscalar accepts; only those neither int
+    nor Fraction are coerced, and a matrix of plain ints is not at all.
+    """
+    rows = [list(r) for r in rows]
+    m = n if n is not None else len(rows[0]) if rows else 0
     for r in rows:
-        r = tuple(r)
-        if all(type(x) is int for x in r):
+        if len(r) != m:
+            if n is None:
+                raise ValueError("ragged matrix")
+            raise ValueError(f"vector length {len(r)} != ambient dimension {n}")
+    out = []
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        for r in rows:
             g = gcd(*r)
-            out.append([x // g for x in r] if g > 1 else r)
-        else:
-            out.append(_primitive([x if isinstance(x, (int, Q)) else qscalar(x) for x in r]))
+            if g:
+                out.append([x // g for x in r] if g > 1 else r)
+        return out
+    for r in rows:
+        r = _primitive([x if isinstance(x, (int, Q)) else qscalar(x) for x in r])
+        if any(r):
+            out.append(r)
     return out
 
 
-def _echelon(rows):
-    """Forward elimination of integer rows: (echelon rows, pivot columns).
+def _echelon(mat, reduce=False):
+    """Elimination of the integer rows in `mat`, a list the caller hands
+    over (zero rows best left out): (mat, pivot columns), in place.
 
-    Zero rows are dropped.  Each pivot row clears the column below itself
-    by integer row combinations a*row - b*pivot_row with a, b the pivot and
-    entry divided by their gcd; rows above the pivot are left alone and no
-    row is rescaled, so entries stay exact and Fraction-free.
+    Each pivot row clears its column below itself, and with `reduce` above
+    too, by combinations a*row - b*pivot_row, a and b the pivot and entry
+    over their gcd.  A combination is a new list put in the row's slot, so
+    no row handed over is written to.  On return `mat` holds one row per
+    pivot: echelon rows, or with `reduce` multiples of the RREF rows.
     """
-    mat = [list(r) for r in rows if any(r)]
     pivots = []
-    if not mat:
-        return mat, pivots
-    ncols = len(mat[0])
+    m = len(mat)
     rk = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rk, len(mat)):
+    for c in range(len(mat[0]) if m else 0):
+        for i in range(rk, m):
             if mat[i][c]:
-                piv = i
                 break
-        if piv is None:
+        else:
             continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        prow = mat[rk]
+        prow = mat[i]
+        mat[i] = mat[rk]
+        mat[rk] = prow
         pv = prow[c]
-        for i in range(rk + 1, len(mat)):
+        for i in range(0 if reduce else rk + 1, m):
             v = mat[i][c]
-            if v:
-                row = mat[i]
+            if v and i != rk:
                 g = gcd(pv, v)
                 a, b = pv // g, v // g
-                mat[i] = [a * x - b * y for x, y in zip(row, prow)]
+                mat[i] = [a * x - b * y for x, y in zip(mat[i], prow)]
         pivots.append(c)
         rk += 1
-        if rk == len(mat):
+        if rk == m:
             break
     del mat[rk:]
     return mat, pivots
 
 
-def _reduced(rows):
-    """Integer rows in reduced echelon form: (rows, pivot columns).
-
-    After forward elimination, each pivot row, bottom up, clears its column
-    in the rows above by the same integer combinations.  Each row is then a
-    nonzero integer multiple of the matching RREF row.
+def _reduced(mat):
+    """The canonical rows of `mat`, handed over to `_echelon` to be reduced:
+    (rows, pivot columns).  Each row is divided by its content, signed like
+    its pivot, so the rows come back as the RREF rows scaled to coprime
+    integers with a positive pivot, in tuples: the form a subspace stores.
     """
-    mat, pivots = _echelon(rows)
-    for k in range(len(pivots) - 1, 0, -1):
-        prow, c = mat[k], pivots[k]
-        pv = prow[c]
-        for i in range(k):
-            v = mat[i][c]
-            if v:
-                g = gcd(pv, v)
-                a, b = pv // g, v // g
-                mat[i] = [a * x - b * y for x, y in zip(mat[i], prow)]
-    return mat, pivots
+    mat, pivots = _echelon(mat, reduce=True)
+    for k, c in enumerate(pivots):
+        r = mat[k]
+        g = gcd(*r) if r[c] > 0 else -gcd(*r)
+        mat[k] = tuple(r) if g == 1 else tuple([x // g for x in r])
+    return tuple(mat), pivots
 
 
 def _kernel(mat, pivots, n):
     """Sparse integer vectors spanning {x : M x = 0}, for M in reduced
-    echelon form with n columns (as `_reduced` returns it).
+    echelon form with n columns, such as the canonical rows `_reduced`
+    returns and a subspace stores; M is only read.
 
     One vector per non-pivot column j: L at j and -(L / d) r[j] at the
     pivot column of each row r with pivot entry d, where L is the lcm of
@@ -181,9 +190,10 @@ def _dense(n, sparse):
 def rank_int(rows) -> int:
     """Rank of an integer matrix: the pivot count of its forward elimination.
 
-    Rows may be any iterables of ints.
+    Rows may be any sequences of ints.  The nonzero ones, uncopied, make up
+    the list that `_echelon` eliminates, which only reads them.
     """
-    return len(_echelon(rows)[1])
+    return len(_echelon([r for r in rows if any(r)])[1])
 
 
 def rref(rows):
@@ -191,14 +201,12 @@ def rref(rows):
 
     Returns (rows, pivots): the nonzero rows of the RREF as Fraction tuples
     and the tuple of pivot column indices.  The input is not modified.
-    Entries may be ints, Fractions or anything qscalar accepts.  The rows
-    are scaled to primitive integers and reduced over the integers; only
-    then is each row divided by its pivot.
+    Entries may be ints, Fractions or anything qscalar accepts; rows of
+    unequal length are refused before any entry is read.  The rows are
+    reduced over the integers to the canonical rows a subspace stores;
+    only then is each row divided by its pivot.
     """
-    rows = _primitive_rows(rows)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    mat, pivots = _reduced(rows)
+    mat, pivots = _reduced(_primitive_rows(rows, None))
     out = tuple(
         tuple(Q(x, row[c]) for x in row) for row, c in zip(mat, pivots)
     )
@@ -241,17 +249,9 @@ class RationalSubspace:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("ambient dimension must be >= 0")
-        rows = [tuple(r) for r in self.rows]
-        for r in rows:
-            if len(r) != self.n:
-                raise ValueError(f"vector length {len(r)} != ambient dimension {self.n}")
-        mat, pivots = _reduced(_primitive_rows(rows))
-        canonical = []
-        for r, c in zip(mat, pivots):
-            g = gcd(*r) if r[c] > 0 else -gcd(*r)
-            canonical.append(tuple(x // g for x in r))
-        object.__setattr__(self, "rows", tuple(canonical))
-        object.__setattr__(self, "dim", len(canonical))
+        rows = _reduced(_primitive_rows(self.rows, self.n))[0]
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "dim", len(rows))
 
     @property
     def equations(self):
@@ -290,11 +290,7 @@ class RationalSubspace:
     @classmethod
     def from_equations(cls, n, eqs):
         """Solution space of the homogeneous system eqs . x = 0."""
-        eqs = [tuple(e) for e in eqs]
-        for e in eqs:
-            if len(e) != n:
-                raise ValueError("equation length mismatch")
-        mat, pivots = _reduced(_primitive_rows(eqs))
+        mat, pivots = _reduced(_primitive_rows(eqs, n))
         return cls(n, _dense(n, _kernel(mat, pivots, n)))
 
     # -- predicates --------------------------------------------------------

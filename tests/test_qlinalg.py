@@ -1,5 +1,6 @@
 """Rational linear algebra against sympy and brute force."""
 
+import copy
 import itertools
 import pickle
 import random
@@ -8,6 +9,7 @@ from math import gcd, lcm
 
 import pytest
 
+from jumploci.aomoto import aomoto_betti, exterior_algebra
 from jumploci.qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
@@ -23,6 +25,7 @@ from jumploci.qlinalg import (
     subspace_intersect,
     subspace_sum,
 )
+from jumploci.toric import CoordinateArrangement
 
 from oracles import (
     brute_coset_hits,
@@ -134,6 +137,22 @@ def test_rref_rejects_floats_and_ragged_rows():
         rref([[1, 2], [3]])
     with pytest.raises(ValueError):
         rref([["1/2"], [1, Q(2)]])
+
+
+def test_lengths_are_checked_before_entries():
+    # a short row is reported even when another row holds a float
+    with pytest.raises(ValueError, match="vector length 1 != ambient dimension 2"):
+        RationalSubspace(2, [[0.5, 1], [1]])
+    with pytest.raises(ValueError, match="vector length 1 != ambient dimension 2"):
+        RationalSubspace.from_equations(2, [["1/2", 1], [0.5]])
+    # a zero row still sets the width the other rows must have
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rref([[0, 0], [1]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        rref([[1, 2], [0.5]])
+    # with every length right, the float is refused
+    with pytest.raises(TypeError):
+        RationalSubspace(2, [[0.5, 1], [1, 0]])
 
 
 def test_nullspace_matches_sympy_after_canonicalising():
@@ -285,6 +304,82 @@ def test_every_constructor_stores_primitive_reduced_rows():
                 assert all(type(c) is int for _, c in eq)
                 assert all(sum(c * row[k] for k, c in eq) == 0 for row in u.rows)
             assert u.annihilator().annihilator() == u
+
+
+def _primitive_rref_rows(rows):
+    """sympy's RREF rows, each scaled to coprime integers; every pivot is
+    1, so the scale is positive."""
+    out = []
+    for row in rref_sympy(rows)[0]:
+        den = lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        g = gcd(*ints)
+        out.append(tuple(x // g for x in ints))
+    return tuple(out)
+
+
+def test_subspace_rows_are_sympy_rref_scaled_to_primitive_integers():
+    rng = random.Random(67)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        plain = rng.random() < 0.4
+        entry = (lambda: Q(rng.randint(-4, 4))) if plain else (
+            lambda: Q(rng.randint(-4, 4), rng.randint(1, 3)))
+        # rows drawn from a span of lower rank than their number, with
+        # zero and repeated rows mixed in
+        basis = [[entry() for _ in range(n)] for _ in range(rng.randint(0, min(n, 5)))]
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            roll = rng.random()
+            if roll < 0.15:
+                rows.append([Q(0)] * n)
+            elif roll < 0.3 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                rows.append([sum((c * b[k] for c, b in zip(coeffs, basis)), Q(0)) for k in range(n)])
+        if plain:
+            given = [[int(x) for x in r] for r in rows]
+        else:
+            given = [[_as_other_exact_type(rng, x) for x in r] for r in rows]
+        kinds.update(type(x) for r in given for x in r)
+        u = RationalSubspace(n, given)
+        assert u.rows == _primitive_rref_rows(rows)
+        assert u.dim == sympy_rank(rows)
+    assert kinds == {int, bool, str, Q}
+
+
+def test_elimination_leaves_the_callers_rows_alone():
+    rng = random.Random(71)
+
+    def check(call, *data):
+        before = copy.deepcopy(data)
+        call(*data)
+        assert data == before
+
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        ints += [list(r) for r in ints[:1]] + [[0] * n]
+        fracs = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(3)]
+        check(rank_int, ints)
+        for rows in (ints, fracs):
+            check(lambda r: RationalSubspace(n, r), rows)
+            check(lambda r: RationalSubspace.from_equations(n, r), rows)
+            check(rref, rows)
+
+        def built(rows):
+            return RationalSubspace(n, rows)
+
+        check(lambda a, b: subspace_sum(built(a), built(b)), ints, fracs)
+        check(lambda a, b: subspace_intersect(built(a), built(b)), ints, fracs)
+        pieces = [[j + 1 for j in range(n) if rng.random() < 0.5] for _ in range(3)]
+        check(lambda w, r: CoordinateArrangement(n, w).meets_subspace(built(r)), pieces, ints)
+    alg = exterior_algebra(4)
+    for point in ([1, -2, 0, 3], [Q(1, 2), 0, "-3/4", 1]):
+        for i in (1, 2, 3):
+            check(lambda a: aomoto_betti(alg, a, i), point)
 
 
 def test_contains_vector_matches_reduction_oracle():
