@@ -307,19 +307,26 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     Every component is certified exactly, once: the local ones here and
     the braid ones by the search that finds them.  The certificate is
     isotropy in the degree-2 algebra (Libgober-Yuzvinsky), which proves
-    containment in the resonance variety, not maximality.  Then 10 random
-    points off the union, drawn from `seed`, are checked to show no jump;
-    that check is sampled, not a proof.  Last, the components are
-    verified to meet each other only in 0.  Every component lies in the
-    hyperplane sum a_i = 0, which is checked, and each of its vectors is
-    constant on its classes (its lines grouped by equal columns of its
-    rows), so two components U and V meet only in 0 unless two classes of
-    U lie inside the support of V and two classes of V inside that of U;
-    only those pairs need an elimination.  A local component's classes are
-    its lines, a braid plane's its three pairs of opposite sides.  Any of
-    these checks failing raises (OracleError for a failed certificate or a
-    jump off the union).  More than LINE_LIMIT lines raise ValueError before
-    any work starts.
+    containment in the resonance variety, not maximality.  The checks then
+    run in this order:
+
+    - every component lies in the hyperplane sum a_i = 0 (Yuzvinsky);
+    - 10 random points off the union, drawn from `seed`, show no jump.  A
+      draw off the hyperplane is off the union with no membership test.
+      This check is sampled, not a proof;
+    - the components meet each other only in 0.  Each vector of a
+      component is constant on its classes (its lines grouped by equal
+      columns of its rows), so two components U and V meet only in 0
+      unless two classes of U lie inside the support of V and two classes
+      of V inside that of U.  A local component's classes are its lines, a
+      braid plane's its three pairs of opposite sides.  An index from each
+      line to the components whose support holds it finds, for each U, the
+      later components that hold two whole classes of U; only those that
+      also pass the test the other way round get an elimination.
+
+    Any of these checks failing raises (OracleError for a failed
+    certificate or a jump off the union, ValueError for the other two).
+    More than LINE_LIMIT lines raise ValueError before any work starts.
     """
     _check_line_limit(arr)
     algebra = os_algebra_deg2(arr)
@@ -328,13 +335,17 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
         _certify(algebra, sub, f"component of dim {sub.dim}")
     comps.extend(b.subspace for b in braid_subarrangements(arr))
     result = SubspaceArrangement(arr.n, comps)
+    pieces = result.components
+    # The pair check below needs every component in the hyperplane, and the
+    # sampling leans on it too, so it is checked first.
+    if any(sum(row) for piece in pieces for row in piece.rows):
+        raise ValueError("components must pairwise meet only in 0")
     rng = random.Random(seed)
     # with no lines Q^0 holds only the origin, so no point is off the union
     for _ in range(10 if arr.n else 0):
         a = _random_off_union(result, rng)
         if aomoto_betti(algebra, a, 1) != 0:
             raise OracleError(f"rank oracle sees a jump off the union at {a}")
-    pieces = result.components
     # Group the support of a component U by equal columns of its rows: U's
     # classes.  Every u in U is constant on each class and 0 off the
     # support, so a nonzero v in U n V is nonzero on whole classes of U,
@@ -342,23 +353,36 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     # needs two of them: v = x 1_C on a single class C has sum |C| x, so
     # x = 0.  With U and V swapped the same holds, so only pairs where two
     # classes of each lie inside the other's support need an elimination.
-    # That needs every component in the hyperplane, and columns that are
-    # equal, not proportional: a class of proportional columns can carry a
-    # nonzero vector of sum 0.
-    if any(sum(row) for piece in pieces for row in piece.rows):
-        raise ValueError("components must pairwise meet only in 0")
+    # The columns must be equal, not proportional: a class of proportional
+    # columns can carry a nonzero vector of sum 0.
     shapes = [_classes(p) for p in pieces]
+    holding = [0] * arr.n  # bit j of holding[k]: line k+1 is in supp of piece j
+    for j, (support, _) in enumerate(shapes):
+        for k in _bits(support):
+            holding[k] |= 1 << j
     for i, (support_u, classes_u) in enumerate(shapes):
-        for j in range(i + 1, len(pieces)):
-            support_v, classes_v = shapes[j]
-            if (
-                (support_u & support_v).bit_count() >= 2
-                and _two_inside(classes_u, support_v)
-                and _two_inside(classes_v, support_u)
-                and intersection_dim(pieces[i], pieces[j]) != 0
+        once = twice = 0  # the pieces holding one, and two, whole classes of U
+        for c in classes_u:
+            hold = -1
+            for k in _bits(c):
+                hold &= holding[k]
+            twice |= once & hold
+            once |= hold
+        for j in _bits(twice >> (i + 1)):
+            j += i + 1
+            if _two_inside(shapes[j][1], support_u) and intersection_dim(
+                pieces[i], pieces[j]
             ):
                 raise ValueError("components must pairwise meet only in 0")
     return result
+
+
+def _bits(mask):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _classes(subspace):
@@ -378,9 +402,12 @@ def _two_inside(classes, support):
 
 
 def _random_off_union(arrangement, rng):
+    """A random nonzero point of Q^n, entries in -9..9, in no component.
+    Every component lies in sum a_i = 0, so a draw off that hyperplane is
+    taken with no membership test."""
     while True:
         v = tuple(rng.randint(-9, 9) for _ in range(arrangement.n))
-        if any(v) and not arrangement.contains_vector(v):
+        if sum(v) or (any(v) and not arrangement.contains_vector(v)):
             return v
 
 

@@ -37,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd, lcm
+from operator import attrgetter
 
 Q = Fraction
 
@@ -440,15 +441,32 @@ def _basis_order(u, v):
 
 
 def _prune_maximal(comps):
-    """The distinct members not contained in another member.  Only a member
-    of larger dimension is tested: two distinct subspaces of the same
-    dimension never contain each other."""
-    uniq = list(dict.fromkeys(comps))
-    return [
-        c
-        for c in uniq
-        if not any(d.dim > c.dim and d.contains_subspace(c) for d in uniq)
-    ]
+    """The distinct members not contained in another member, largest
+    dimension first.
+
+    The members are taken one dimension at a time, from the largest down,
+    and each is tested only against the members already kept, all of
+    larger dimension, whose support covers its own; only then is
+    `contains_subspace` called.  Two distinct subspaces of one dimension
+    never contain each other, U in V forces supp U in supp V, and a member
+    inside a dropped one is inside the kept member that holds that one.
+    """
+    kept = []  # (support, member) of each member kept so far
+    by_dim = sorted(dict.fromkeys(comps), key=attrgetter("dim"), reverse=True)
+    for _, group in groupby(by_dim, attrgetter("dim")):
+        maximal = []
+        for c in group:
+            s = _support(c.rows)
+            if not any(t & s == s and d.contains_subspace(c) for t, d in kept):
+                maximal.append((s, c))
+        kept.extend(maximal)
+    return [c for _, c in kept]
+
+
+def _support(rows):
+    """The coordinates where some row is nonzero, as a bitmask (bit k for
+    coordinate k+1)."""
+    return sum(1 << k for k, column in enumerate(zip(*rows)) if any(column))
 
 
 def meets_nontrivially(p: RationalSubspace, arr: SubspaceArrangement) -> bool:

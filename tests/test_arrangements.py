@@ -37,7 +37,7 @@ from jumploci.arrangements import (
 )
 from jumploci.cli import main
 from jumploci.fixtures import run_fixture
-from jumploci.qlinalg import RationalSubspace, intersection_dim
+from jumploci.qlinalg import RationalSubspace, SubspaceArrangement, intersection_dim
 
 Q = Fraction
 
@@ -461,22 +461,33 @@ def _may_meet(u, v):
 def test_components_on_disjoint_lines_skip_the_elimination(monkeypatch):
     # every component lies in sum a_i = 0, and each of its vectors is
     # constant on its classes, so two components meet only in 0 unless two
-    # classes of each lie inside the other's support: only those are ranked
+    # classes of each lie inside the other's support: only those are ranked,
+    # in pair order, whatever index r1_arrangement walks to find them
     ranked = []
     real = arrangements.intersection_dim
     monkeypatch.setattr(
         arrangements, "intersection_dim", lambda u, v: ranked.append((u, v)) or real(u, v)
     )
-    for forms in (DELETED_B3, SIXTEEN):
+    forms28 = random.Random(28).sample(_primitive_forms(2), 28)
+    counts = {BRAID: 0, DELETED_B3: 6, FULL_B3: 9, SIXTEEN: 78, tuple(forms28): 132}
+    for forms, count in counts.items():
         ranked.clear()
         comps = r1_arrangement(ProjLineArrangement(forms)).components
-        pairs = list(itertools.combinations(comps, 2))
-        assert ranked == [(u, v) for u, v in pairs if _may_meet(u, v)]
+        shapes = [(_lines(c), _column_classes(c)) for c in comps]
+        admitted = [
+            (comps[i], comps[j])
+            for (i, (lines_u, classes_u)), (j, (lines_v, classes_v)) in itertools.combinations(
+                enumerate(shapes), 2
+            )
+            if sum(c <= lines_v for c in classes_u) >= 2 and sum(c <= lines_u for c in classes_v) >= 2
+        ]
+        assert ranked == admitted and len(ranked) == count
+        assert all(real(u, v) == 0 for u, v in ranked)
         if forms is DELETED_B3:
             # 6 of the 41 pairs that share two or more lines
-            assert len(ranked) == 6
+            pairs = list(itertools.combinations(comps, 2))
             assert sum(len(_lines(u) & _lines(v)) >= 2 for u, v in pairs) == 41
-        assert all(real(u, v) == 0 for u, v in pairs)
+            assert ranked == [(u, v) for u, v in pairs if _may_meet(u, v)]
 
 
 def _block_subspace(rng, n, dim):
@@ -574,14 +585,43 @@ def test_a_component_meeting_a_local_one_on_two_classes_is_refused(monkeypatch):
 
 
 def test_a_component_off_the_sum_zero_hyperplane_is_refused(monkeypatch):
-    # it could meet another component in a vector on their one shared line
+    # it could meet another component in a vector on their one shared line;
+    # the sampling off the union relies on the hyperplane too, so the check
+    # comes before any point is drawn or ranked
     arr = ProjLineArrangement(BRAID)
     line = RationalSubspace(arr.n, [[1, 0, 0, 0, 0, 0]])
     monkeypatch.setattr(arrangements, "_certify", lambda *args: None)
     real = arrangements._local_subspaces
     monkeypatch.setattr(arrangements, "_local_subspaces", lambda a: real(a) + [line])
+    betti = []
+    monkeypatch.setattr(arrangements, "aomoto_betti", lambda *args: betti.append(args))
     with pytest.raises(ValueError, match="pairwise meet only in 0"):
         r1_arrangement(arr)
+    assert betti == []
+
+
+def test_only_draws_on_the_sum_zero_hyperplane_are_tested_for_membership(monkeypatch):
+    # a draw off the hyperplane lies in no component, so skipping its
+    # membership test keeps every accept/reject decision and every rng call
+    tested = []
+    real = SubspaceArrangement.contains_vector
+    monkeypatch.setattr(
+        SubspaceArrangement, "contains_vector", lambda self, v: tested.append(v) or real(self, v)
+    )
+    rejected = 0
+    for forms in (BRAID, DELETED_B3, FULL_B3, PENCIL, NEAR_PENCIL):
+        union = r1_arrangement(ProjLineArrangement(forms))
+        for seed in range(20):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                while True:
+                    v = tuple(twin.randint(-9, 9) for _ in range(union.n))
+                    if any(v) and not any(c.contains_vector(v) for c in union.components):
+                        break
+                    rejected += 1
+                assert arrangements._random_off_union(union, rng) == v
+    # the pencil's one component is the whole hyperplane
+    assert rejected and len(tested) > rejected and not any(sum(v) for v in tested)
 
 
 def test_planted_overlapping_component_is_refused(monkeypatch):

@@ -674,23 +674,75 @@ def _b3_local_and_braid_subspaces():
     return _local_subspaces(b3) + [b.subspace for b in braid_subarrangements(b3)]
 
 
-def test_pruning_tests_only_larger_members(monkeypatch):
-    comps = _b3_local_and_braid_subspaces()
-    assert len(comps) == 18
-    assert sorted(c.dim for c in comps) == [2] * 15 + [3] * 3
+def _support(subspace):
+    return {k for row in subspace.basis for k, x in enumerate(row) if x}
+
+
+def _counted_containment(monkeypatch):
+    """Record each contains_subspace call as (container, member)."""
     calls = []
     real = RationalSubspace.contains_subspace
 
     def counted(self, other):
-        calls.append((self.dim, other.dim))
+        calls.append((self, other))
         return real(self, other)
 
     monkeypatch.setattr(RationalSubspace, "contains_subspace", counted)
+    return calls
+
+
+def test_pruning_tests_only_larger_members(monkeypatch):
+    comps = _b3_local_and_braid_subspaces()
+    assert len(comps) == 18
+    assert sorted(c.dim for c in comps) == [2] * 15 + [3] * 3
+    calls = _counted_containment(monkeypatch)
     arr = SubspaceArrangement(9, comps)
-    # the 3 components of dimension 3 against the 15 of dimension 2,
-    # where testing every ordered pair took 18 * 17 = 306 calls
-    assert len(calls) == 45 and set(calls) == {(3, 2)}
+    # the 3 components of dimension 3 sit on 4 lines through one point, and
+    # no triple point or braid has its 3 or 6 lines among them: testing
+    # every larger member took 45 calls, every ordered pair 18 * 17 = 306
+    assert calls == []
     assert arr.components == maximal_members(comps)
+
+    # nested supports in Q^6
+    e = lambda *coeffs: [coeffs[k] if k < len(coeffs) else 0 for k in range(6)]
+    a = RationalSubspace(6, [e(1, 1), e(0, 0, 1)])  # support {1, 2, 3}
+    d = RationalSubspace(6, [e(1, 0, -1), e(0, 1)])  # same support and dimension
+    top = RationalSubspace(6, [e(0, 0, 0, 1), e(0, 0, 0, 0, 1), e(0, 0, 0, 0, 0, 1)])
+    b = RationalSubspace(6, [e(1, -1)])  # inside the supports of a and d only
+    c = RationalSubspace(6, [e(1, 1)])  # inside a
+    g = RationalSubspace(6, [e(0, 0, 0, 1, 1)])  # inside top
+    twin = RationalSubspace(6, [e(2, 2)])  # c built along another path
+    comps = [b, c, a, g, d, top, twin]
+    calls.clear()
+    arr = SubspaceArrangement(6, comps)
+    # a and d, of one dimension, are never tested against each other, nor
+    # against top, whose support holds neither; c stops at a, the first
+    # member that holds it, and its twin is never tested
+    assert calls == [(a, b), (d, b), (a, c), (top, g)]
+    assert all(u.dim > w.dim and _support(w) <= _support(u) for u, w in calls)
+    assert set(arr.components) == {a, b, d, top}
+    assert arr.components == maximal_members(comps)
+
+
+def _members_on_shared_supports(rng, n):
+    """Subspaces of Q^n spanned on a few random coordinate sets: on each
+    set a member, one inside it, one of another dimension on the same set,
+    and sometimes a duplicate built along another path."""
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        cols = set(rng.sample(range(n), rng.randint(2, n)))
+
+        def on_cols(count):
+            return [[rng.randint(-3, 3) if k in cols else 0 for k in range(n)] for _ in range(count)]
+
+        top = RationalSubspace.span(n, on_cols(rng.randint(1, len(cols))))
+        coeffs = [[rng.randint(-2, 2) for _ in top.rows] for _ in range(rng.randint(1, top.dim))]
+        inner = [[sum(c * x for c, x in zip(cs, col)) for col in zip(*top.rows)] for cs in coeffs]
+        comps += [top, RationalSubspace.span(n, inner), RationalSubspace.span(n, on_cols(rng.randint(1, len(cols))))]
+        if rng.random() < 0.5:
+            comps.append(RationalSubspace.span(n, [[2 * x for x in r] for r in reversed(top.basis)]))
+    rng.shuffle(comps)
+    return comps
 
 
 def test_pruning_matches_the_all_pairs_oracle():
@@ -712,6 +764,21 @@ def test_pruning_matches_the_all_pairs_oracle():
         assert arr.components == maximal_members(comps)
         pruned += len(set(c for c in comps if c.dim > 0)) - len(arr)
     assert pruned > 0
+    # members of different dimensions on equal supports, where the support
+    # test passes and only the containment test decides
+    rng = random.Random(28)
+    pruned = shared = 0
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        comps = _members_on_shared_supports(rng, n)
+        arr = SubspaceArrangement(n, comps)
+        assert arr.components == maximal_members(comps)
+        pruned += len(set(c for c in comps if c.dim > 0)) - len(arr)
+        shared += sum(
+            u.dim > w.dim > 0 and _support(u) == _support(w) and not u.contains_subspace(w)
+            for u, w in itertools.permutations(set(comps), 2)
+        )
+    assert pruned > 20 and shared > 20
 
 
 def test_meets_nontrivially_matches_rank_oracle():
