@@ -9,7 +9,11 @@ stays a point oracle on purpose — components are enumerated elsewhere, and
 here every reported number is an exact rank count over Q.
 
 A presentation is stored in one form, sparse integer tensors, and checked
-once, when it is constructed; every rank test reads those tensors.
+once, when it is constructed; every rank test reads those tensors.  Every
+stock algebra is written straight into that form, the degree-2 ones
+through one builder, `_degree_two`.  Dense Fraction tensors are only a
+format: the input of `GradedAlgebraPresentation(dims, mult)` and the
+`mult` view.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
     _echelon,  # aomoto_betti needs the incoming map's pivots, not only its rank
+    _kernel,  # quotient_exterior_algebra reads its products off the relations' kernel
+    _primitive_rows,
+    _reduced,
     qscalar,
     qvector,
     rank_int,
-    rref,
 )
 
 
@@ -113,7 +119,9 @@ class GradedAlgebraPresentation:
 
 def _checked_dims(dims, count):
     """dims as a tuple of ints, checked, for `count` multiplication tensors."""
-    dims = tuple(int(c) for c in dims)
+    dims = tuple(dims)
+    if not {int}.issuperset(map(type, dims)):
+        raise ValueError(f"dims must be integers, got {dims}")
     if not dims or dims[0] != 1:
         raise ValueError("dims must start with c_0 = 1")
     if any(c < 0 for c in dims):
@@ -342,9 +350,11 @@ def resonance_member(alg: GradedAlgebraPresentation, a, i: int, d: int) -> bool:
 def universal_aomoto(alg: GradedAlgebraPresentation):
     """Matrices of linear forms x_1..x_n, one per degree 0..k-1.
 
-    Each entry is the tuple of rational coefficients of (x_1, ..., x_n).
-    Consecutive matrices compose to the zero quadratic form in the x's:
-    the presentation was checked symbolically at construction.
+    Each entry is the tuple of rational coefficients of (x_1, ..., x_n),
+    read off the sparse tensors: the triple (r, j, c) of u_b puts c / scale
+    at x_j in row r, column b.  Consecutive matrices compose to the zero
+    quadratic form in the x's: the presentation was checked symbolically
+    at construction.
     """
     n = alg.n
     mats = []
@@ -355,17 +365,13 @@ def universal_aomoto(alg: GradedAlgebraPresentation):
                 for j in range(n)
             )
         )
-    for deg, tensor in enumerate(alg.mult, start=1):
-        src, dst = alg.dims[deg], alg.dims[deg + 1]
-        rows = []
-        for r in range(dst):
-            rows.append(
-                tuple(
-                    tuple(tensor[j][b][r] for j in range(n))
-                    for b in range(src)
-                )
-            )
-        mats.append(tuple(rows))
+    zero = Fraction(0)
+    for scale, dst, cols in alg.tensors:
+        rows = [[[zero] * n for _ in cols] for _ in range(dst)]
+        for b, col in enumerate(cols):
+            for r, j, c in col:
+                rows[r][b][j] = Fraction(c, scale)
+        mats.append(tuple(tuple(map(tuple, row)) for row in rows))
     return mats
 
 
@@ -406,29 +412,41 @@ def _check_symbolic_square_zero(b, a, where):
 def exterior_algebra(n: int, top=None) -> GradedAlgebraPresentation:
     """The exterior algebra on n degree-one generators, truncated at `top`
     (default n).  Multiplication by a generator is wedge, with the sign
-    that sorts the result."""
+    that sorts the result: e_j * e_s = (-1)^#{x in s : x < j} e_(s + j)
+    for j not in s, written straight into the sparse integer form."""
     if top is None:
         top = n
     if not (0 <= top <= n):
         raise ValueError("truncation degree out of range")
     dims = tuple(comb(n, i) for i in range(top + 1))
     bases = [list(itertools.combinations(range(n), i)) for i in range(top + 1)]
-    index = [{s: b for b, s in enumerate(level)} for level in bases]
     tensors = []
     for i in range(1, top):
-        tensor = []
-        for j in range(n):
-            per_gen = []
-            for subset in bases[i]:
-                vec = [Fraction(0)] * dims[i + 1]
-                if j not in subset:
-                    merged = tuple(sorted(subset + (j,)))
-                    sign = (-1) ** sum(1 for s in subset if s < j)
-                    vec[index[i + 1][merged]] = Fraction(sign)
-                per_gen.append(tuple(vec))
-            tensor.append(tuple(per_gen))
-        tensors.append(tuple(tensor))
-    return GradedAlgebraPresentation(dims, tensors)
+        index = {s: r for r, s in enumerate(bases[i + 1])}
+        cols = [
+            [
+                (index[tuple(sorted(s + (j,)))], j, (-1) ** sum(x < j for x in s))
+                for j in range(n)
+                if j not in s
+            ]
+            for s in bases[i]
+        ]
+        tensors.append((1, dims[i + 1], cols))
+    return GradedAlgebraPresentation.from_sparse(dims, tensors)
+
+
+def _degree_two(n, c2, product, scale=1) -> GradedAlgebraPresentation:
+    """The presentation with dims (1, n, c2) in which e_j e_l, for j < l,
+    is sum c / scale times the r-th basis element of degree 2 over the
+    (r, c) in product[j, l]; a pair missing from `product` multiplies to
+    0.  Graded commutativity gives the rest: e_l e_j = -(e_j e_l) and
+    e_j e_j = 0.  The one builder of every degree-2 stock algebra."""
+    cols = [[] for _ in range(n)]
+    for (j, l), entries in product.items():
+        for r, c in entries:
+            cols[l].append((r, j, c))
+            cols[j].append((r, l, -c))
+    return GradedAlgebraPresentation.from_sparse((1, n, c2), ((scale, c2, cols),))
 
 
 def quotient_exterior_algebra(n: int, relations) -> GradedAlgebraPresentation:
@@ -436,77 +454,51 @@ def quotient_exterior_algebra(n: int, relations) -> GradedAlgebraPresentation:
     modulo the span of the given degree-two relations.
 
     Relations are dicts {(i, j): coeff} with 0-based i < j in the
-    pair-basis of the exterior square.  The quotient basis is the set of
-    non-pivot pairs after row reduction.  Each product e_j e_l, j < l, is
-    read off the RREF in closed form: a kept pair stays a unit vector, and
-    a pivot pair is minus the kept part of its relation row.  Then
-    e_l e_j = -e_j e_l, and e_j e_j = 0.
+    pair-basis of the exterior square.  Their rows are reduced over the
+    integers, and the quotient basis is the set of non-pivot pairs.  Each
+    product e_j e_l, j < l, is read off the reduced rows in units of 1/L,
+    L the lcm of the pivot entries: a kept pair is L times its basis
+    vector, and a pivot pair with pivot entry d is -(L / d) times its
+    row's kept entries.  These are the rows' kernel vectors, one per kept
+    pair, read transposed; `_degree_two` builds the rest.
     """
     pairs = list(itertools.combinations(range(n), 2))
     pair_index = {p: b for b, p in enumerate(pairs)}
-    rel_rows = []
+    rows = []
     for rel in relations:
-        row = [Fraction(0)] * len(pairs)
+        row = [0] * len(pairs)
         for (i, j), coeff in rel.items():
             if not (0 <= i < j < n):
                 raise ValueError(f"bad pair ({i}, {j})")
             row[pair_index[(i, j)]] += qscalar(coeff)
-        rel_rows.append(row)
-    red, pivots = rref(rel_rows)
-    pivot_row = dict(zip(pivots, red))
-    kept = [b for b in range(len(pairs)) if b not in pivot_row]
-    zero = (Fraction(0),) * len(kept)
-
-    product = {}  # e_j e_l for j < l, in the kept basis
-    for pos, b in enumerate(kept):
-        product[pairs[b]] = zero[:pos] + (Fraction(1),) + zero[pos + 1:]
-    for b, row in pivot_row.items():
-        product[pairs[b]] = _negated(row[c] for c in kept)
-    tensor = tuple(
-        tuple(
-            product[(j, l)] if j < l
-            else _negated(product[(l, j)]) if j > l
-            else zero
-            for l in range(n)
-        )
-        for j in range(n)
-    )
-    dims = (1, n, len(kept))
-    return GradedAlgebraPresentation(dims, (tensor,))
-
-
-def _negated(vec):
-    """-vec as a tuple; zero entries are kept as they are, not negated."""
-    return tuple(-x if x else x for x in vec)
+        rows.append(row)
+    red, pivots = _reduced(_primitive_rows(rows, len(pairs)))
+    kernel = _kernel(red, pivots, len(pairs))
+    product = {}  # e_j e_l for j < l, as (r, c) in units of 1/L
+    for r, vec in enumerate(kernel):
+        for b, c in vec:
+            product.setdefault(pairs[b], []).append((r, c))
+    scale = lcm(*(row[c] for row, c in zip(red, pivots)))
+    return _degree_two(n, len(kernel), product, scale)
 
 
 def surface_algebra(g: int) -> GradedAlgebraPresentation:
     """Cohomology of the closed orientable genus-g surface: 2g degree-one
-    generators pairing symplectically into a one-dimensional top degree."""
+    generators pairing symplectically into a one-dimensional top degree,
+    e_j e_(j+g) = 1 for j < g, built by `_degree_two`."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    n = 2 * g
-    tensor = []
-    for j in range(n):
-        per_gen = []
-        for l in range(n):
-            if l == j + g:
-                per_gen.append((Fraction(1),))
-            elif j == l + g:
-                per_gen.append((Fraction(-1),))
-            else:
-                per_gen.append((Fraction(0),))
-        tensor.append(tuple(per_gen))
-    return GradedAlgebraPresentation((1, n, 1), (tuple(tensor),))
+    return _degree_two(2 * g, 1, {(j, j + g): [(0, 1)] for j in range(g)})
 
 
 def s1s2_algebra(c) -> GradedAlgebraPresentation:
     """One generator in each degree 0..3; the only non-forced product is
-    degree 1 times degree 2, scaled by the rational parameter."""
+    degree 1 times degree 2, scaled by the rational parameter:
+    e1 * e1 = 0 and e1 * u = c w."""
     c = qscalar(c)
-    t1 = (((Fraction(0),),),)   # e1 * e1 = 0
-    t2 = (((c,),),)             # e1 * u = c w
-    return GradedAlgebraPresentation((1, 1, 1, 1), (t1, t2))
+    return GradedAlgebraPresentation.from_sparse(
+        (1, 1, 1, 1), ((1, 1, [[]]), (c.denominator, 1, [[(0, 0, c.numerator)]]))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
-from .aomoto import GradedAlgebraPresentation, aomoto_betti, isotropy_obstruction
+from .aomoto import _degree_two, aomoto_betti, isotropy_obstruction
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
@@ -473,8 +473,9 @@ def os_algebra_deg2(arr: ProjLineArrangement):
     a < L, all these pairs (a, L) sorted.  They are the non-pivot pairs
     of the row-reduced relations (aomoto.quotient_exterior_algebra), so
     the presentation is the same.  A product e_j e_l, j < l, is e_j e_L
-    when l = L and e_j e_L - e_l e_L otherwise, so it is written straight
-    into the sparse integer form, every entry 1 or -1.  Built on the
+    when l = L and e_j e_L - e_l e_L otherwise, every entry 1 or -1, and
+    `aomoto._degree_two` writes these products straight into the sparse
+    integer form, as it does for every degree-2 stock algebra.  Built on the
     first call and kept on `arr`, so all callers share one presentation.
     """
     if arr._algebra is None:
@@ -484,7 +485,8 @@ def os_algebra_deg2(arr: ProjLineArrangement):
 
 def _orlik_solomon(n, points):
     """The degree-2 Orlik-Solomon presentation of n lines with the given
-    multiple points, in the closed form of os_algebra_deg2."""
+    multiple points, in the closed form of os_algebra_deg2: the products
+    e_j e_l, j < l, handed to `aomoto._degree_two`."""
     last, kept = {}, []
     for p in points:
         lines = [k - 1 for k in p.lines]
@@ -493,20 +495,10 @@ def _orlik_solomon(n, points):
             last[pair] = lines[-1]
     kept.sort()
     index = {pair: r for r, pair in enumerate(kept)}
-    product = {}  # e_j e_l for j < l, as (r, c) by increasing r
+    product = {}  # e_j e_l for j < l, as (r, c)
     for (j, l), top in last.items():
         if l == top:
             product[j, l] = ((index[j, l], 1),)
         else:
             product[j, l] = ((index[j, top], 1), (index[l, top], -1))
-    cols = tuple(
-        tuple(
-            (r, j, c if j < b else -c)
-            for j in range(n)
-            if j != b
-            for r, c in product[min(j, b), max(j, b)]
-        )
-        for b in range(n)
-    )
-    c2 = len(kept)
-    return GradedAlgebraPresentation.from_sparse((1, n, c2), ((1, c2, cols),))
+    return _degree_two(n, len(kept), product)

@@ -94,7 +94,9 @@ class LaurentPolynomial:
         terms = self.terms
         items = terms.items() if isinstance(terms, dict) else terms
         for expo, coeff in items:
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(expo)
+            if not {int}.issuperset(map(type, expo)):
+                raise ValueError(f"exponents must be integers, got {expo}")
             if len(expo) != self.n_vars:
                 raise ValueError(
                     f"exponent vector {expo} has length {len(expo)}, expected {self.n_vars}"
@@ -965,7 +967,9 @@ class EquivariantChainComplex1:
     boundaries: tuple
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(self.ranks)
+        if not {int}.issuperset(map(type, ranks)):
+            raise ValueError(f"ranks must be integers, got {ranks}")
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be nonnegative")
         mats = []

@@ -24,12 +24,14 @@ hands over and never writes into a row.  `rank_int` and `aomoto_betti`
 read its pivots.  Every other path goes through `_primitive_rows`, which
 checks every length and scales each row to primitive integers, then
 `_reduced`, whose rows come out canonical: a subspace stores them as they
-are, and kernels and `rref` are read off them.  Three eliminations stay
-apart because they answer different questions: `hermite_reduce` uses only
-unimodular row operations, since the row lattice over Z must not change,
-`laurent._zt_det` eliminates over Z[t], and `laurent._annihilate` cuts an
-annihilator down one vector at a time inside the tangent-cone search,
-where no subspace is built.
+are, and kernels and `rref` are read off them.  The Fraction wrappers
+`rref` and `nullspace` have no caller in the package; they stay as the
+tests' references and as names the benchmark traces.  Three eliminations
+stay apart because they answer different questions: `hermite_reduce` uses
+only unimodular row operations, since the row lattice over Z must not
+change, `laurent._zt_det` eliminates over Z[t], and `laurent._annihilate`
+cuts an annihilator down one vector at a time inside the tangent-cone
+search, where no subspace is built.
 """
 
 from __future__ import annotations

@@ -29,16 +29,19 @@ nothing in the package calls them.
 The Fraction reduction route is kept here as the oracle of the integer
 predicates: a vector lies in a subspace exactly when reducing it against
 the RREF basis leaves zero, and the degree-2 Orlik-Solomon products are
-the wedges reduced against the relation rows.  The multiple points of a
-line arrangement are likewise recomputed from the Fraction forms as
-given, with Fraction crossings and substitutions.
+the wedges reduced against the relation rows.  The exterior, surface and
+s1s2 algebras are built from dense Fraction tensors, which the
+presentation compiles on its own path, apart from the sparse integer
+form the package's builders write.  The multiple points of a line
+arrangement are likewise recomputed from the Fraction forms as given,
+with Fraction crossings and substitutions.
 """
 
 import functools
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import sympy
 from sympy import ZZ
@@ -908,6 +911,49 @@ def quotient_exterior_algebra_by_reduction(n, relations):
             per_gen.append(tuple(vec[b] for b in kept))
         tensor.append(tuple(per_gen))
     return GradedAlgebraPresentation((1, n, len(kept)), (tuple(tensor),))
+
+
+def exterior_algebra_dense(n, top=None):
+    """The truncated exterior algebra as the package built it from dense
+    Fraction tensors: e_j times a basis subset s is the sorted wedge with
+    sign (-1)^#{x in s : x < j}, and 0 when j is in s."""
+    if top is None:
+        top = n
+    dims = tuple(comb(n, i) for i in range(top + 1))
+    bases = [list(itertools.combinations(range(n), i)) for i in range(top + 1)]
+    index = [{s: b for b, s in enumerate(level)} for level in bases]
+    tensors = []
+    for i in range(1, top):
+        tensor = []
+        for j in range(n):
+            per_gen = []
+            for subset in bases[i]:
+                vec = [Q(0)] * dims[i + 1]
+                if j not in subset:
+                    merged = tuple(sorted(subset + (j,)))
+                    sign = (-1) ** sum(1 for s in subset if s < j)
+                    vec[index[i + 1][merged]] = Q(sign)
+                per_gen.append(tuple(vec))
+            tensor.append(tuple(per_gen))
+        tensors.append(tuple(tensor))
+    return GradedAlgebraPresentation(dims, tensors)
+
+
+def surface_algebra_dense(g):
+    """The genus-g surface algebra from a dense Fraction tensor:
+    e_j e_(j+g) = 1 = -(e_(j+g) e_j) for j < g, every other product 0."""
+    n = 2 * g
+    tensor = tuple(
+        tuple((Q(1 if l == j + g else -1 if j == l + g else 0),) for l in range(n))
+        for j in range(n)
+    )
+    return GradedAlgebraPresentation((1, n, 1), (tensor,))
+
+
+def s1s2_algebra_dense(c):
+    """One generator per degree 0..3 from dense Fraction tensors:
+    e1 * e1 = 0 and e1 * u = c w."""
+    return GradedAlgebraPresentation((1, 1, 1, 1), ((((Q(0),),),), (((qscalar(c),),),)))
 
 
 def commutativity_failure(tensor):

@@ -6,12 +6,14 @@ import itertools
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from jumploci import codec
+from jumploci.arrangements import ProjLineArrangement, os_algebra_deg2
 from jumploci.aomoto import (
     GradedAlgebraPresentation,
     InconsistentPresentation,
@@ -35,11 +37,15 @@ from jumploci.qlinalg import RationalSubspace, SubspaceArrangement
 from oracles import (
     commutativity_failure,
     evaluate_universal,
+    exterior_algebra_dense,
     quotient_exterior_algebra_by_reduction,
     random_vector,
+    s1s2_algebra_dense,
+    surface_algebra_dense,
     sympy_betti,
     zero_multiplication_algebra,
 )
+from test_arrangements import BRAID, DELETED_B3, FULL_B3
 
 Q = Fraction
 
@@ -70,6 +76,26 @@ def _fractional_quotient():
         {(0, 4): Q(3, 4), (3, 4): Q(5, 6), (1, 4): Q(-1, 5)},
     ]
     return quotient_exterior_algebra(5, rels)
+
+
+def _stock_algebras():
+    """(sparse, dense) pairs: each stock builder's algebra and the same
+    algebra built from dense Fraction tensors."""
+    for n in range(7):
+        yield exterior_algebra(n), exterior_algebra_dense(n)
+        for top in range(n):
+            yield exterior_algebra(n, top), exterior_algebra_dense(n, top)
+    for g in range(1, 5):
+        yield surface_algebra(g), surface_algebra_dense(g)
+    for c in (0, 1, -2, Q(3, 2), "-5/7"):
+        yield s1s2_algebra(c), s1s2_algebra_dense(c)
+
+
+def test_sparse_builders_match_the_dense_references():
+    for alg, dense in _stock_algebras():
+        assert alg == dense
+        assert hash(alg) == hash(dense)
+        assert (alg.dims, alg.tensors) == (dense.dims, dense.tensors)
 
 
 def test_genus2_surface_betti():
@@ -336,6 +362,43 @@ def test_quotient_algebra_matches_the_reduction_oracle():
     assert reduced == {True, False}
 
 
+def test_quotient_algebra_edge_cases():
+    # no pair, or no relation to reduce
+    assert quotient_exterior_algebra(0, []).tensors == ((1, 0, ()),)
+    assert quotient_exterior_algebra(1, []).tensors == ((1, 0, ((),)),)
+    assert quotient_exterior_algebra(0, []).dims == (1, 0, 0)
+    assert quotient_exterior_algebra(1, []).dims == (1, 1, 0)
+    for n in range(2, 6):
+        assert quotient_exterior_algebra(n, []) == quotient_exterior_algebra(n, [{}]) \
+            == exterior_algebra(n, 2)
+    # relations that kill every pair
+    killed = quotient_exterior_algebra(4, [{p: 1} for p in itertools.combinations(range(4), 2)])
+    assert (killed.dims, killed.tensors) == ((1, 4, 0), ((1, 0, ((),) * 4),))
+    # dependent relations, the second twice the first, with Fraction and "p/q" coefficients
+    rels = [
+        {(0, 1): Q(1, 2), (2, 3): "3/4"},
+        {(0, 1): 1, (2, 3): Q(3, 2)},
+        {(0, 2): "-2/3", (1, 3): 5},
+    ]
+    alg = quotient_exterior_algebra(4, rels)
+    assert alg.dims == (1, 4, 4)
+    assert alg.tensors == ((2, 4, (
+        ((3, 1, 3), (2, 2, -15), (0, 3, -2)),
+        ((3, 0, -3), (1, 2, -2), (2, 3, -2)),
+        ((2, 0, 15), (1, 1, 2), (3, 3, -2)),
+        ((0, 0, 2), (2, 1, 2), (3, 2, 2)),
+    )),)
+    reference = quotient_exterior_algebra_by_reduction(4, rels)
+    assert alg == reference and hash(alg) == hash(reference)
+    # refusals keep their types and messages
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        quotient_exterior_algebra(3, [{(0, 1): 1.0}])
+    with pytest.raises(TypeError, match="cannot interpret True as a rational scalar"):
+        quotient_exterior_algebra(3, [{(0, 1): True}])
+    with pytest.raises(ValueError, match=re.escape("bad pair (1, 0)")):
+        quotient_exterior_algebra(3, [{(0, 1): 1}, {(1, 0): 1}])
+
+
 def test_graded_commutativity_refusals_keep_their_message():
     alg = _fractional_quotient()
     t = [list(per_gen) for per_gen in alg.mult[0]]
@@ -396,7 +459,10 @@ def test_json_round_trip():
 
 def test_universal_evaluation_matches_direct():
     rng = random.Random(71)
-    for alg in (_conf_t2_3(), _fractional_quotient().padded()):
+    algebras = [_conf_t2_3(), _fractional_quotient().padded()]
+    algebras += [alg for alg, _ in _stock_algebras()]
+    algebras += [os_algebra_deg2(ProjLineArrangement(f)) for f in (BRAID, DELETED_B3, FULL_B3)]
+    for alg in algebras:
         mats = universal_aomoto(alg)
         for _ in range(5):
             a = tuple(x / rng.randint(1, 4) for x in random_vector(rng, alg.n))

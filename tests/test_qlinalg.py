@@ -1,14 +1,17 @@
 """Rational linear algebra against sympy and brute force."""
 
+import ast
 import copy
 import itertools
 import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+import jumploci
 from jumploci.aomoto import aomoto_betti, exterior_algebra
 from jumploci.qlinalg import (
     RationalSubspace,
@@ -821,3 +824,22 @@ def test_validation_errors():
         assert False, "mixed ambients must raise"
     except ValueError:
         pass
+
+
+def test_no_package_module_uses_the_fraction_elimination():
+    # rref and nullspace stay defined, as references for these tests, but
+    # every elimination in the package runs on integer rows
+    found = []
+    for path in sorted(Path(jumploci.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names = [getattr(func, "id", None) or getattr(func, "attr", None)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {x}" for x in names if x in ("rref", "nullspace")]
+    assert found == []
+    assert rref([[2, 4]]) == (((1, 2),), (0,))
+    assert nullspace([[1, 1]]) == ((1, -1),)

@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci.aomoto import aomoto_betti, aomoto_matrices, surface_algebra
+from jumploci.aomoto import (
+    GradedAlgebraPresentation,
+    aomoto_betti,
+    aomoto_matrices,
+    surface_algebra,
+)
 from jumploci.arrangements import (
     ProjLineArrangement,
     braid_subarrangements,
@@ -153,3 +158,33 @@ def test_negative_sizes_are_refused():
     assert SubspaceArrangement(2).codim() == 2
     assert CVModel(0).components == ()
     assert CoordinateArrangement(0).codim() == 0
+
+
+def test_non_integer_sizes_are_refused():
+    zero = [[(Q(0),)] * 2] * 2
+    t = LaurentPolynomial(1, {(1,): 1})
+    refused = {
+        "dims must be integers": [
+            lambda: GradedAlgebraPresentation((1, 2.9, 1.2), [zero]),
+            lambda: GradedAlgebraPresentation((1, 2.0, 1), [zero]),
+            lambda: GradedAlgebraPresentation((True, 2, 1), [zero]),
+            lambda: GradedAlgebraPresentation.from_sparse((1, 2, 1.0), [(1, 1, ((), ()))]),
+        ],
+        "exponents must be integers": [
+            lambda: LaurentPolynomial(1, {(1.5,): 1}),
+            lambda: LaurentPolynomial(2, {(1, 2.0): 1}),
+            lambda: LaurentPolynomial(1, {(True,): 1}),
+        ],
+        "ranks must be integers": [
+            lambda: EquivariantChainComplex1((1.5, 1), ([[t]],)),
+            lambda: EquivariantChainComplex1((1, True), ([[t]],)),
+        ],
+    }
+    for message, builds in refused.items():
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build()
+    # plain ints pass, as they are
+    assert GradedAlgebraPresentation((1, 2, 1), [zero]).dims == (1, 2, 1)
+    assert LaurentPolynomial(1, {(2,): 1, (-1,): 3}).terms == {(-1,): 3, (2,): 1}
+    assert EquivariantChainComplex1((1, 1), ([[t]],)).ranks == (1, 1)
