@@ -33,7 +33,6 @@ _EXPORTS = {
     "TranslatedTorus": "cvmodel",
     "classify_straightness": "cvmodel",
     "model_tau1": "cvmodel",
-    "omega_exact_straight": "cvmodel",
     "omega_member": "cvmodel",
     "omega_upper_bound": "cvmodel",
     "plucker2": "cvmodel",

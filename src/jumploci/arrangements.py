@@ -20,7 +20,9 @@ the candidate.  The certificate proves containment, not maximality;
 maximality rests on the theory behind the local and braid patterns and
 on the check that the components meet pairwise only in 0.  The check
 that the rank oracle sees no jump off the union is sampled at random
-points, not a proof.
+points of the hyperplane sum a_i = 0, off which H^1(A, a) = 0
+(Yuzvinsky); it is not a proof, and a pencil, whose one component is
+that whole hyperplane, skips it.
 
 Each arrangement computes its incidence data (multiple_points), its
 degree-2 Orlik-Solomon algebra (os_algebra_deg2) and its braid
@@ -63,8 +65,9 @@ class OracleError(Exception):
     vectors multiply to a nonzero class in A^2, and the message names that
     product.  Isotropy proves a component lies in the resonance variety
     (Libgober-Yuzvinsky), not that it is maximal.  The check off the union
-    is sampled at random points, not a proof, and r1_completeness_note is
-    unchanged by either check.
+    is sampled at random points of the sum-zero hyperplane, not a proof
+    (a pencil, whose one component is that hyperplane, skips it), and
+    r1_completeness_note is unchanged by either check.
     """
 
 
@@ -311,9 +314,11 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     run in this order:
 
     - every component lies in the hyperplane sum a_i = 0 (Yuzvinsky);
-    - 10 random points off the union, drawn from `seed`, show no jump.  A
-      draw off the hyperplane is off the union with no membership test.
-      This check is sampled, not a proof;
+    - 10 random points of that hyperplane off the union, drawn from
+      `seed`, show no jump.  Off the hyperplane H^1(A, a) = 0 (Yuzvinsky),
+      so a draw there would test nothing.  When a component is the whole
+      hyperplane (a pencil) or n < 2, no point of it lies off the union
+      and none is drawn.  This check is sampled, not a proof;
     - the components meet each other only in 0.  Each vector of a
       component is constant on its classes (its lines grouped by equal
       columns of its rows), so two components U and V meet only in 0
@@ -340,12 +345,14 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     # sampling leans on it too, so it is checked first.
     if any(sum(row) for piece in pieces for row in piece.rows):
         raise ValueError("components must pairwise meet only in 0")
-    rng = random.Random(seed)
-    # with no lines Q^0 holds only the origin, so no point is off the union
-    for _ in range(10 if arr.n else 0):
-        a = _random_off_union(result, rng)
-        if aomoto_betti(algebra, a, 1) != 0:
-            raise OracleError(f"rank oracle sees a jump off the union at {a}")
+    shapes = [_classes(p) for p in pieces]
+    if arr.n >= 2 and all(p.dim < arr.n - 1 for p in pieces):
+        rng = random.Random(seed)
+        supports = [support for support, _ in shapes]
+        for _ in range(10):
+            a = _random_off_union(pieces, supports, arr.n, rng)
+            if aomoto_betti(algebra, a, 1) != 0:
+                raise OracleError(f"rank oracle sees a jump off the union at {a}")
     # Group the support of a component U by equal columns of its rows: U's
     # classes.  Every u in U is constant on each class and 0 off the
     # support, so a nonzero v in U n V is nonzero on whole classes of U,
@@ -355,7 +362,6 @@ def r1_arrangement(arr: ProjLineArrangement, seed=0) -> SubspaceArrangement:
     # classes of each lie inside the other's support need an elimination.
     # The columns must be equal, not proportional: a class of proportional
     # columns can carry a nonzero vector of sum 0.
-    shapes = [_classes(p) for p in pieces]
     holding = [0] * arr.n  # bit j of holding[k]: line k+1 is in supp of piece j
     for j, (support, _) in enumerate(shapes):
         for k in _bits(support):
@@ -401,13 +407,19 @@ def _two_inside(classes, support):
     return sum(c & support == c for c in classes) >= 2
 
 
-def _random_off_union(arrangement, rng):
-    """A random nonzero point of Q^n, entries in -9..9, in no component.
-    Every component lies in sum a_i = 0, so a draw off that hyperplane is
-    taken with no membership test."""
+def _random_off_union(pieces, supports, n, rng):
+    """A random nonzero point of the hyperplane sum a_i = 0 in Q^n in none
+    of the pieces: n - 1 entries in -9..9, and the last minus their sum.
+    A piece holds the point only if its support (a bitmask, bit k for
+    coordinate k+1) covers the point's, so only those pieces are tested."""
     while True:
-        v = tuple(rng.randint(-9, 9) for _ in range(arrangement.n))
-        if sum(v) or (any(v) and not arrangement.contains_vector(v)):
+        head = [rng.randint(-9, 9) for _ in range(n - 1)]
+        v = (*head, -sum(head))
+        support = sum(1 << k for k, x in enumerate(v) if x)
+        if support and not any(
+            s & support == support and p.contains_vector(v)
+            for p, s in zip(pieces, supports)
+        ):
             return v
 
 

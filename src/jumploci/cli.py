@@ -84,48 +84,43 @@ def _error_object(kind, message):
 
 
 # ---------------------------------------------------------------------------
-# handlers: each imports the modules it uses, so a run loads only those
+# handlers: each imports the modules it uses, so a run loads only those, and
+# takes its decoded input files after `args`, in the order of its arguments
 # ---------------------------------------------------------------------------
 
 
-def _cmd_toric_res(args):
+def _cmd_toric_res(args, k):
     from .toric import toric_resonance
 
-    k = _read(args.complex, codec.read_complex, "simplicial complex")
     arr = codec.coordinate_arrangement(toric_resonance(k, args.degree, args.depth))
     return {"degree": args.degree, "depth": args.depth, "resonance": arr}
 
 
-def _cmd_toric_cv(args):
+def _cmd_toric_cv(args, k):
     from .toric import toric_cv
 
-    k = _read(args.complex, codec.read_complex, "simplicial complex")
     arr = codec.coordinate_arrangement(toric_cv(k, args.degree, args.depth))
     return {"degree": args.degree, "depth": args.depth, "cv": arr}
 
 
-def _cmd_toric_omega(args):
+def _cmd_toric_omega(args, k, plane):
     from .toric import toric_omega_member
 
-    k = _read(args.complex, codec.read_complex, "simplicial complex")
-    plane = _read(args.plane, codec.read_subspace, "plane")
     member = toric_omega_member(k, args.degree, args.r, plane)
     return {"degree": args.degree, "r": args.r, "member": member}
 
 
-def _cmd_tcone(args):
+def _cmd_tcone(args, polys):
     from .laurent import compare_tangent_cones, exp_tangent_cone
 
-    polys = _read(args.poly, codec.read_polynomials, "polynomial")
     if len(polys) == 1:
         return codec.tangent_cones(compare_tangent_cones(polys[0]))
     return {"tau1": codec.arrangement(exp_tangent_cone(polys))}
 
 
-def _cmd_linkcv(args):
+def _cmd_linkcv(args, delta):
     from .laurent import link_cv1
 
-    delta = _read(args.poly, codec.read_polynomial, "polynomial")
     link = link_cv1(delta)
     report = codec.link(link)
     report["hypersurface_contains_identity"] = link.hypersurface_contains_identity()
@@ -138,10 +133,9 @@ def _cmd_linkcv(args):
     return report
 
 
-def _cmd_cvchain(args):
+def _cmd_cvchain(args, chain):
     from .laurent import cv_rank1_chain
 
-    chain = _read(args.chain, codec.read_chain, "chain complex")
     w = cv_rank1_chain(chain, args.degree, args.depth)
     return {
         "degree": args.degree,
@@ -150,42 +144,36 @@ def _cmd_cvchain(args):
     }
 
 
-def _cmd_cv_classify(args):
+def _cmd_cv_classify(args, classification):
     from .cvmodel import classify_straightness
 
-    models, res = _read(args.model, codec.read_classification, "classification input")
-    return classify_straightness(models, res)
+    return classify_straightness(*classification)
 
 
-def _cmd_cv_omega(args):
+def _cmd_cv_omega(args, model, plane):
     from .cvmodel import omega_member
 
-    model = _read(args.model, codec.read_model, "model")
-    plane = _read(args.plane, codec.read_subspace, "plane")
     return {"member": omega_member(model, plane)}
 
 
-def _cmd_cv_witness(args):
+def _cmd_cv_witness(args, witness_input):
     from .cvmodel import strictness_witness
 
-    component, res = _read(args.model, codec.read_witness_input, "witness input")
-    witness = strictness_witness(component, res, args.bound)
+    witness = strictness_witness(*witness_input, args.bound)
     if witness is None:
         return {"witness": None, "reason": "search exhausted within bound"}
     return {"witness": codec.subspace(witness)}
 
 
-def _cmd_arr_points(args):
+def _cmd_arr_points(args, arr):
     from .arrangements import multiple_points
 
-    arr = _read(args.forms, codec.read_forms, "forms")
     return {"points": [codec.multiple_point(p) for p in multiple_points(arr)]}
 
 
-def _cmd_arr_res1(args):
+def _cmd_arr_res1(args, arr):
     from .arrangements import r1_arrangement, r1_completeness_note
 
-    arr = _read(args.forms, codec.read_forms, "forms")
     res = r1_arrangement(arr, seed=args.seed)
     report = codec.arrangement(res)
     report["codim"] = res.codim()
@@ -193,26 +181,21 @@ def _cmd_arr_res1(args):
     return report
 
 
-def _cmd_arr_omega(args):
+def _cmd_arr_omega(args, arr):
     from .arrangements import omega_bounds
 
-    arr = _read(args.forms, codec.read_forms, "forms")
     return {"r": args.r, "answer": omega_bounds(arr, args.r)}
 
 
-def _cmd_aomoto_betti(args):
+def _cmd_aomoto_betti(args, alg, a):
     from .aomoto import aomoto_betti
 
-    alg = _read(args.algebra, codec.read_algebra, "algebra")
-    a = _read(args.point, codec.read_point, "point")
     return {"degree": args.degree, "betti": aomoto_betti(alg, a, args.degree)}
 
 
-def _cmd_aomoto_member(args):
+def _cmd_aomoto_member(args, alg, a):
     from .aomoto import resonance_member
 
-    alg = _read(args.algebra, codec.read_algebra, "algebra")
-    a = _read(args.point, codec.read_point, "point")
     member = resonance_member(alg, a, args.degree, args.depth)
     return {"degree": args.degree, "depth": args.depth, "member": member}
 
@@ -244,127 +227,59 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _common(sub):
-    sub.add_argument("--format", choices=("json", "tsv"), default="json")
-    sub.add_argument("--seed", type=int, default=0)
+# An argument is (flag, argparse options, (decoder, what) or None): a flag
+# with a decoder names an input file, decoded by `_read` before the handler
+# runs and reported as "bad <what>" when malformed.
+_REQUIRED = {"required": True}
+_DEGREE = ("--degree", {"type": int, "default": 1}, None)
+_DEPTH = ("--depth", {"type": int, "default": 1}, None)
+_R = ("--r", {"type": int, "required": True}, None)
+_COMPLEX = ("--complex", _REQUIRED, (codec.read_complex, "simplicial complex"))
+_PLANE = ("--plane", _REQUIRED, (codec.read_subspace, "plane"))
+_FORMS = ("--forms", _REQUIRED, (codec.read_forms, "forms"))
+_ALGEBRA = ("--algebra", _REQUIRED, (codec.read_algebra, "algebra"))
+_POINT = ("--point", _REQUIRED, (codec.read_point, "point"))
 
-
-def _toric_parser(toric):
-    tsub = toric.add_subparsers(dest="subcommand", required=True)
-    p = tsub.add_parser("res", help="resonance arrangement")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--depth", type=int, default=1)
-    _common(p)
-    p.set_defaults(handler=_cmd_toric_res)
-    p = tsub.add_parser("cv", help="character-torus locus")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--depth", type=int, default=1)
-    _common(p)
-    p.set_defaults(handler=_cmd_toric_cv)
-    p = tsub.add_parser("omega", help="finite-cover membership for a plane")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--plane", required=True)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--r", type=int, required=True)
-    _common(p)
-    p.set_defaults(handler=_cmd_toric_omega)
-
-
-def _tcone_parser(p):
-    p.add_argument("--poly", required=True)
-    _common(p)
-    p.set_defaults(handler=_cmd_tcone)
-
-
-def _linkcv_parser(p):
-    p.add_argument("--poly", required=True)
-    _common(p)
-    p.set_defaults(handler=_cmd_linkcv)
-
-
-def _cvchain_parser(p):
-    p.add_argument("--chain", required=True)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--depth", type=int, default=1)
-    _common(p)
-    p.set_defaults(handler=_cmd_cvchain)
-
-
-def _cv_parser(cv):
-    csub = cv.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("classify", help="straightness conditions per degree")
-    p.add_argument("--model", required=True)
-    _common(p)
-    p.set_defaults(handler=_cmd_cv_classify)
-    p = csub.add_parser("omega", help="finite-intersection test for a plane")
-    p.add_argument("--model", required=True)
-    p.add_argument("--plane", required=True)
-    _common(p)
-    p.set_defaults(handler=_cmd_cv_omega)
-    p = csub.add_parser("witness", help="search for a strictness witness plane")
-    p.add_argument("--model", required=True)
-    p.add_argument("--bound", type=int, default=3)
-    _common(p)
-    p.set_defaults(handler=_cmd_cv_witness)
-
-
-def _arr_parser(arr):
-    asub = arr.add_subparsers(dest="subcommand", required=True)
-    p = asub.add_parser("points", help="intersection points with multiplicities")
-    p.add_argument("--forms", required=True)
-    _common(p)
-    p.set_defaults(handler=_cmd_arr_points)
-    p = asub.add_parser("res1", help="degree-1 resonance components")
-    p.add_argument("--forms", required=True)
-    _common(p)
-    p.set_defaults(handler=_cmd_arr_res1)
-    p = asub.add_parser("omega", help="coarse cover-invariant bounds")
-    p.add_argument("--forms", required=True)
-    p.add_argument("--r", type=int, required=True)
-    _common(p)
-    p.set_defaults(handler=_cmd_arr_omega)
-
-
-def _aomoto_parser(aom):
-    osub = aom.add_subparsers(dest="subcommand", required=True)
-    p = osub.add_parser("betti", help="cohomology rank at a point")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--degree", type=int, default=1)
-    _common(p)
-    p.set_defaults(handler=_cmd_aomoto_betti)
-    p = osub.add_parser("member", help="depth-d jump test at a point")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--depth", type=int, default=1)
-    _common(p)
-    p.set_defaults(handler=_cmd_aomoto_member)
-
-
-def _fixtures_parser(fix):
-    fsub = fix.add_subparsers(dest="subcommand", required=True)
-    p = fsub.add_parser("list", help="names and descriptions")
-    _common(p)
-    p.set_defaults(handler=_cmd_fixtures_list)
-    p = fsub.add_parser("run", help="run one example by name")
-    p.add_argument("name")
-    _common(p)
-    p.set_defaults(handler=_cmd_fixtures_run)
-
-
-# Top-level commands: name -> (help, function adding the command's arguments).
+# Each command: name -> (help, leaf) or (help, {subcommand: (help, *leaf)}),
+# a leaf being (handler, arguments).  `--format` and `--seed` follow the
+# arguments of every leaf.
 _COMMANDS = {
-    "toric": ("toric-complex jump loci", _toric_parser),
-    "tcone": ("tangent cones of a hypersurface in the torus", _tcone_parser),
-    "linkcv": ("degree-1 locus from a link polynomial", _linkcv_parser),
-    "cvchain": ("order polynomial of a rank-1 chain complex", _cvchain_parser),
-    "cv": ("presented locus models", _cv_parser),
-    "arr": ("line arrangements", _arr_parser),
-    "aomoto": ("rank tests on a presented algebra", _aomoto_parser),
-    "fixtures": ("built-in worked examples", _fixtures_parser),
+    "toric": ("toric-complex jump loci", {
+        "res": ("resonance arrangement", _cmd_toric_res, (_COMPLEX, _DEGREE, _DEPTH)),
+        "cv": ("character-torus locus", _cmd_toric_cv, (_COMPLEX, _DEGREE, _DEPTH)),
+        "omega": ("finite-cover membership for a plane", _cmd_toric_omega,
+                  (_COMPLEX, _PLANE, _DEGREE, _R)),
+    }),
+    "tcone": ("tangent cones of a hypersurface in the torus", (
+        _cmd_tcone, (("--poly", _REQUIRED, (codec.read_polynomials, "polynomial")),))),
+    "linkcv": ("degree-1 locus from a link polynomial", (
+        _cmd_linkcv, (("--poly", _REQUIRED, (codec.read_polynomial, "polynomial")),))),
+    "cvchain": ("order polynomial of a rank-1 chain complex", (_cmd_cvchain, (
+        ("--chain", _REQUIRED, (codec.read_chain, "chain complex")), _DEGREE, _DEPTH))),
+    "cv": ("presented locus models", {
+        "classify": ("straightness conditions per degree", _cmd_cv_classify, (
+            ("--model", _REQUIRED, (codec.read_classification, "classification input")),)),
+        "omega": ("finite-intersection test for a plane", _cmd_cv_omega, (
+            ("--model", _REQUIRED, (codec.read_model, "model")), _PLANE)),
+        "witness": ("search for a strictness witness plane", _cmd_cv_witness, (
+            ("--model", _REQUIRED, (codec.read_witness_input, "witness input")),
+            ("--bound", {"type": int, "default": 3}, None))),
+    }),
+    "arr": ("line arrangements", {
+        "points": ("intersection points with multiplicities", _cmd_arr_points, (_FORMS,)),
+        "res1": ("degree-1 resonance components", _cmd_arr_res1, (_FORMS,)),
+        "omega": ("coarse cover-invariant bounds", _cmd_arr_omega, (_FORMS, _R)),
+    }),
+    "aomoto": ("rank tests on a presented algebra", {
+        "betti": ("cohomology rank at a point", _cmd_aomoto_betti,
+                  (_ALGEBRA, _POINT, _DEGREE)),
+        "member": ("depth-d jump test at a point", _cmd_aomoto_member,
+                   (_ALGEBRA, _POINT, _DEGREE, _DEPTH)),
+    }),
+    "fixtures": ("built-in worked examples", {
+        "list": ("names and descriptions", _cmd_fixtures_list, ()),
+        "run": ("run one example by name", _cmd_fixtures_run, (("name", {}, None),)),
+    }),
 }
 
 
@@ -377,10 +292,23 @@ def build_parser(command=None):
     """
     parser = _Parser(prog="jumploci", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, fill) in _COMMANDS.items():
+    for name, (help_text, body) in _COMMANDS.items():
         sub = top.add_parser(name, help=help_text)
-        if command in (None, name):
-            fill(sub)
+        if command not in (None, name):
+            continue
+        if isinstance(body, dict):
+            subs = sub.add_subparsers(dest="subcommand", required=True)
+            leaves = [
+                (subs.add_parser(s, help=h), *leaf) for s, (h, *leaf) in body.items()
+            ]
+        else:
+            leaves = [(sub, *body)]
+        for p, handler, arguments in leaves:
+            for flag, options, _ in arguments:
+                p.add_argument(flag, **options)
+            p.add_argument("--format", choices=("json", "tsv"), default="json")
+            p.add_argument("--seed", type=int, default=0)
+            p.set_defaults(handler=handler, arguments=arguments)
     return parser
 
 
@@ -389,7 +317,12 @@ def main(argv=None):
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        report = args.handler(args)
+        inputs = [
+            _read(getattr(args, flag.lstrip("-")), *decode)
+            for flag, _, decode in args.arguments
+            if decode
+        ]
+        report = args.handler(args, *inputs)
     except CliParseError as e:
         sys.stdout.write(
             json.dumps(_error_object("parse", e), sort_keys=True) + "\n"

@@ -22,6 +22,7 @@ from itertools import product
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
+    _check_size,
     coset_in_subspace_mod_lattice,
     intersection_dim,
     meets_nontrivially,
@@ -98,8 +99,7 @@ class CVModel:
 
     def __post_init__(self):
         n = self.n
-        if n < 0:
-            raise ValueError("ambient dimension must be >= 0")
+        _check_size(n, "ambient dimension")
         components = tuple(self.components)
         for c in components:
             if not isinstance(c, TranslatedTorus):
@@ -210,16 +210,6 @@ def omega_member(model: CVModel, plane: RationalSubspace) -> bool:
 def sigma_member(res: SubspaceArrangement, plane: RationalSubspace) -> bool:
     """Does the plane meet some resonance component in dimension >= 1?"""
     return meets_nontrivially(plane, res)
-
-
-def omega_exact_straight(res: SubspaceArrangement, plane: RationalSubspace) -> bool:
-    """Membership computed from resonance alone.
-
-    Valid as an exact answer only when the underlying space has been
-    classified straight in the relevant degrees; the caller owns that
-    contract.
-    """
-    return not sigma_member(res, plane)
 
 
 def omega_upper_bound(res: SubspaceArrangement, plane: RationalSubspace) -> bool:

@@ -52,6 +52,7 @@ from math import comb, gcd, lcm, prod
 from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
+    _check_size,
     _primitive,
     primitive_integer_vector,
     qscalar,
@@ -88,8 +89,7 @@ class LaurentPolynomial:
     terms: dict = ()
 
     def __post_init__(self):
-        if self.n_vars < 0:
-            raise ValueError("number of variables must be >= 0")
+        _check_size(self.n_vars, "number of variables")
         clean = {}
         terms = self.terms
         items = terms.items() if isinstance(terms, dict) else terms

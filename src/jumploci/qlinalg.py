@@ -62,6 +62,15 @@ def qvector(seq) -> tuple[Fraction, ...]:
     return tuple(qscalar(x) for x in seq)
 
 
+def _check_size(n, what):
+    """Refuse a size that is not a plain int (floats and bools included)
+    or is negative."""
+    if type(n) is not int:
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0")
+
+
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -250,8 +259,7 @@ class RationalSubspace:
     _equations: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ambient dimension must be >= 0")
+        _check_size(self.n, "ambient dimension")
         rows = _reduced(_primitive_rows(self.rows, self.n))[0]
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dim", len(rows))
@@ -288,11 +296,13 @@ class RationalSubspace:
 
     @classmethod
     def full(cls, n):
+        _check_size(n, "ambient dimension")
         return cls(n, [[int(i == j) for i in range(n)] for j in range(n)])
 
     @classmethod
     def from_equations(cls, n, eqs):
         """Solution space of the homogeneous system eqs . x = 0."""
+        _check_size(n, "ambient dimension")
         mat, pivots = _reduced(_primitive_rows(eqs, n))
         return cls(n, _dense(n, _kernel(mat, pivots, n)))
 
@@ -379,8 +389,7 @@ class SubspaceArrangement:
     components: tuple = ()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ambient dimension must be >= 0")
+        _check_size(self.n, "ambient dimension")
         comps = []
         for c in self.components:
             if not isinstance(c, RationalSubspace):

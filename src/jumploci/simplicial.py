@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .qlinalg import rank_int
+from .qlinalg import _check_size, rank_int
 
 # Largest sum of 2^|F| over the maximal facets F, a bound on the number of
 # faces, which are all built on construction: the full simplex on 18
@@ -52,9 +52,8 @@ class SimplicialComplex:
         n = self.n
         if n is None:
             n = max((max(f) for f in fs if f), default=0)
-        elif n < 0:
-            raise ValueError("vertex count must be >= 0")
         else:
+            _check_size(n, "vertex count")
             for f in fs:
                 if f and max(f) > n:
                     raise ValueError(f"facet {sorted(f)} exceeds vertex universe 1..{n}")

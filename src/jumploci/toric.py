@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 
-from .qlinalg import RationalSubspace, rank_int
+from .qlinalg import RationalSubspace, _check_size, rank_int
 from .simplicial import (
     SimplicialComplex,
     count_components,
@@ -82,8 +82,7 @@ class CoordinateArrangement:
     _columns: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ambient dimension must be >= 0")
+        _check_size(self.n, "ambient dimension")
         masks = set()
         for w in self.subsets:
             w = tuple(sorted(set(w)))
@@ -157,8 +156,7 @@ class Graph:
 
     def __post_init__(self):
         n = self.n
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
+        _check_size(n, "vertex count")
         seen = set()
         for e in self.edges:
             a, b = e

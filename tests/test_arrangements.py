@@ -430,12 +430,12 @@ def test_non_isotropic_component_is_refused(monkeypatch):
 
 
 def test_a_jump_off_the_union_names_the_sampled_integer_point(monkeypatch):
-    # the sampled points are plain ints, drawn by the same rng calls as
-    # when they were Fractions, so the message prints them as integers
+    # the sampled points are plain ints on the sum-zero hyperplane, so the
+    # message prints them as integers
     monkeypatch.setattr(arrangements, "aomoto_betti", lambda alg, a, i: 1)
     with pytest.raises(OracleError) as err:
         r1_arrangement(ProjLineArrangement(BRAID), seed=0)
-    assert str(err.value) == "rank oracle sees a jump off the union at (3, 4, -8, -1, 7, 6)"
+    assert str(err.value) == "rank oracle sees a jump off the union at (3, 4, -8, -1, 7, -5)"
 
 
 def _lines(subspace):
@@ -600,28 +600,29 @@ def test_a_component_off_the_sum_zero_hyperplane_is_refused(monkeypatch):
     assert betti == []
 
 
-def test_only_draws_on_the_sum_zero_hyperplane_are_tested_for_membership(monkeypatch):
-    # a draw off the hyperplane lies in no component, so skipping its
-    # membership test keeps every accept/reject decision and every rng call
-    tested = []
-    real = SubspaceArrangement.contains_vector
+def test_sampled_draws_lie_on_the_sum_zero_hyperplane_off_the_union(monkeypatch):
+    # off the hyperplane H^1(A, a) = 0 (Yuzvinsky), so only draws on it test
+    # anything; a pencil's one component is the whole hyperplane, and with
+    # fewer than two lines the hyperplane is 0, so neither draws a point
+    drawn = []
+    real = arrangements.aomoto_betti
     monkeypatch.setattr(
-        SubspaceArrangement, "contains_vector", lambda self, v: tested.append(v) or real(self, v)
+        arrangements, "aomoto_betti", lambda alg, a, i: drawn.append(a) or real(alg, a, i)
     )
-    rejected = 0
-    for forms in (BRAID, DELETED_B3, FULL_B3, PENCIL, NEAR_PENCIL):
-        union = r1_arrangement(ProjLineArrangement(forms))
+    for forms in (BRAID, DELETED_B3, FULL_B3, NEAR_PENCIL, PENCIL, ((1, 0, 0),), ()):
         for seed in range(20):
-            rng, twin = random.Random(seed), random.Random(seed)
-            for _ in range(10):
-                while True:
-                    v = tuple(twin.randint(-9, 9) for _ in range(union.n))
-                    if any(v) and not any(c.contains_vector(v) for c in union.components):
-                        break
-                    rejected += 1
-                assert arrangements._random_off_union(union, rng) == v
-    # the pencil's one component is the whole hyperplane
-    assert rejected and len(tested) > rejected and not any(sum(v) for v in tested)
+            drawn.clear()
+            union = r1_arrangement(ProjLineArrangement(forms), seed=seed)
+            n = len(forms)
+            assert len(drawn) == (10 if n >= 2 and forms != PENCIL else 0)
+            for a in drawn:
+                assert len(a) == n and any(a) and sum(a) == 0
+                assert all(type(x) is int and -9 <= x <= 9 for x in a[:-1])
+                # independent of contains_vector: adding a to the rows of a
+                # component raises its dimension
+                assert all(
+                    RationalSubspace(n, c.rows + (a,)).dim > c.dim for c in union.components
+                )
 
 
 def test_planted_overlapping_component_is_refused(monkeypatch):

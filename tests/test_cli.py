@@ -487,6 +487,21 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "parse"
 
 
+def test_the_first_bad_input_file_in_flag_order_is_reported(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    missing = tmp_path / "missing.json"
+    for argv, flag in [
+        (["toric", "omega", "--r", "1", "--plane", broken, "--complex", missing], "--complex"),
+        (["cv", "omega", "--plane", missing, "--model", broken], "--model"),
+        (["aomoto", "betti", "--point", missing, "--algebra", broken], "--algebra"),
+    ]:
+        code, out = run_cli(capsys, *map(str, argv))
+        assert code == 3
+        path = argv[argv.index(flag) + 1]
+        assert str(path) in json.loads(out)["error"]["message"]
+
+
 _COMPLEX = {"n": 3, "facets": [[1, 2], [2, 3]]}
 _ALGEBRA = {
     "dims": [1, 2, 1],

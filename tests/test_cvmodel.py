@@ -13,7 +13,6 @@ from jumploci.cvmodel import (
     TranslatedTorus,
     classify_straightness,
     model_tau1,
-    omega_exact_straight,
     omega_member,
     omega_upper_bound,
     plucker2,
@@ -90,7 +89,6 @@ def test_strict_inclusion_of_cover_invariant_in_the_bound():
     # full plane's torus, even though the resonance bound sees nothing
     assert omega_member(model, full) is False
     assert omega_upper_bound(res, full) is True
-    assert omega_exact_straight(res, full) is True
     assert sigma_member(res, full) is False
 
 

@@ -188,3 +188,39 @@ def test_non_integer_sizes_are_refused():
     assert GradedAlgebraPresentation((1, 2, 1), [zero]).dims == (1, 2, 1)
     assert LaurentPolynomial(1, {(2,): 1, (-1,): 3}).terms == {(-1,): 3, (2,): 1}
     assert EquivariantChainComplex1((1, 1), ([[t]],)).ranks == (1, 1)
+
+
+def test_float_and_bool_sizes_are_refused():
+    refused = {
+        "ambient dimension must be an integer, got 2.0": [
+            lambda: RationalSubspace(2.0, [(1, 0)]),
+            lambda: RationalSubspace.span(2.0, [(1, 0)]),
+            lambda: RationalSubspace.from_equations(2.0, [(1, 0)]),
+            lambda: RationalSubspace.full(2.0),
+            lambda: SubspaceArrangement(2.0, ()),
+            lambda: CoordinateArrangement(2.0, ()),
+            lambda: CVModel(2.0),
+        ],
+        "ambient dimension must be an integer, got True": [
+            lambda: RationalSubspace(True, [(1,)]),
+        ],
+        "number of variables must be an integer, got 1.0": [
+            lambda: LaurentPolynomial(1.0, {(1,): 1}),
+        ],
+        "number of variables must be an integer, got True": [
+            lambda: LaurentPolynomial(True, {(1,): 1}),
+        ],
+        "vertex count must be an integer, got 2.0": [
+            lambda: SimplicialComplex([(1, 2)], n=2.0),
+            lambda: Graph(2.0, [(1, 2)]),
+        ],
+    }
+    for message, builds in refused.items():
+        for build in builds:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+    # plain ints are stored as they are
+    assert RationalSubspace.span(2, [(1, 0)]).n == 2
+    assert LaurentPolynomial(1, {(1,): 1}).n_vars == 1
+    assert SimplicialComplex([(1, 2)], n=2).n == 2
