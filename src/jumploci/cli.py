@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 2 when a precondition is violated (the error
 is printed as a machine-readable JSON object), 3 on parse errors —
-malformed command lines or malformed input files.  Each handler reads
-its input files through one decoder of `codec` and builds its report
-from `codec` encoders, so the wire format lives there: rationals go out
-as "p/q" strings and come in as such strings or JSON integers, never as
+malformed command lines or malformed input files.  `main` decodes the
+input files in table order through `codec`, whose encoders build each
+handler's report, so the wire format lives there: rationals go out as
+"p/q" strings and come in as such strings or JSON integers, never as
 floats.  Reports are byte-reproducible for a fixed command line and seed.
 """
 

@@ -23,6 +23,7 @@ from .qlinalg import (
     RationalSubspace,
     SubspaceArrangement,
     _check_size,
+    _order_key,
     coset_in_subspace_mod_lattice,
     intersection_dim,
     meets_nontrivially,
@@ -108,9 +109,7 @@ class CVModel:
                 raise ValueError("component ambient dimension mismatch")
             if c.dim == 0:
                 raise ValueError("zero-dimensional pieces belong in isolated_points")
-        components = tuple(
-            sorted(components, key=lambda c: (-c.dim, c.direction.basis, c.q))
-        )
+        components = tuple(sorted(components, key=lambda c: (_order_key(c.direction), c.q)))
         points = sorted({_reduce_mod_lattice(p) for p in self.isolated_points})
         for p in points:
             if len(p) != n:

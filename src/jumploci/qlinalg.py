@@ -3,7 +3,9 @@
 Everything downstream leans on this module: matrices with Fraction entries,
 linear subspaces of Q^n held in one canonical integer form, finite unions
 of such subspaces, and the integer-lattice coset test that decides whether
-a rational translation vector lands back in a subspace modulo Z^n.
+a rational translation vector lands back in a subspace modulo Z^n.  Every
+family is put in canonical form by two routines here: `_maximal` keeps the
+maximal members of any family, and `_order_key` orders subspaces exactly.
 
 No floats anywhere.  A subspace is stored once, as the rows of its reduced
 row-echelon form scaled to coprime integers with a positive pivot.  That
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import chain, groupby
 from math import gcd, lcm
 from operator import attrgetter
@@ -382,7 +383,7 @@ class SubspaceArrangement:
     Zero-dimensional components are dropped on construction: in every context
     here the origin belongs to the union whenever it is nonempty, so {0} adds
     nothing, and an empty component list stands for the trivial locus.
-    Components contained in other components are pruned; order is canonical.
+    Components inside others are pruned by `_maximal`, sorted by `_order_key`.
     """
 
     n: int
@@ -398,8 +399,9 @@ class SubspaceArrangement:
                 raise ValueError("component ambient dimension mismatch")
             if c.dim > 0:
                 comps.append(c)
-        comps = _prune_maximal(comps)
-        comps.sort(key=cmp_to_key(_basis_order))
+        support = lambda c: [k for k, column in enumerate(zip(*c.rows)) if any(column)]
+        comps = _maximal(comps, attrgetter("dim"), support, RationalSubspace.contains_subspace)
+        comps.sort(key=_order_key)
         object.__setattr__(self, "components", tuple(comps))
 
     def is_trivial(self) -> bool:
@@ -435,49 +437,51 @@ class SubspaceArrangement:
         return len(self.components)
 
 
-def _basis_order(u, v):
-    """Compare two subspaces by (-dim, basis) without building Fractions.
-    A basis row is an integer row over its positive pivot, so two entries
-    x / d and y / e compare as x * e and y * d."""
-    if u.dim != v.dim:
-        return v.dim - u.dim
-    for a, b in zip(u.rows, v.rows):
-        d = next(x for x in a if x)
-        e = next(y for y in b if y)
-        for x, y in zip(a, b):
-            diff = x * e - y * d
-            if diff:
-                return diff
-    return 0
+def _order_key(u):
+    """The canonical order of subspaces, (-dim, basis), as an exact key: a
+    row with pivot 1 stands as it is, any other becomes Fractions over its
+    pivot, and tuples of ints and Fractions compare exactly."""
+    pivoted = [(r, next(x for x in r if x)) for r in u.rows]
+    return -u.dim, tuple(r if d == 1 else tuple(Q(x, d) for x in r) for r, d in pivoted)
 
 
-def _prune_maximal(comps):
-    """The distinct members not contained in another member, largest
-    dimension first.
+def _maximal(members, size, support, contains):
+    """The distinct members lying in no other member, largest size first.
 
-    The members are taken one dimension at a time, from the largest down,
-    and each is tested only against the members already kept, all of
-    larger dimension, whose support covers its own; only then is
-    `contains_subspace` called.  Two distinct subspaces of one dimension
-    never contain each other, U in V forces supp U in supp V, and a member
-    inside a dropped one is inside the kept member that holds that one.
+    Members are taken by size, largest first, so two of one size (which
+    hold each other only when equal) are never compared.  Every member
+    containing m holds the elements of `support(m)`, a collection read
+    twice: a subspace's nonzero coordinates, a set's vertices.  So
+    `contains(k, m)` is called, in kept order, only on the kept k holding
+    all of them, found by AND in an index from each element to a bitmask
+    of the kept members; each size's bits are set in one pass over bytes.
     """
-    kept = []  # (support, member) of each member kept so far
-    by_dim = sorted(dict.fromkeys(comps), key=attrgetter("dim"), reverse=True)
-    for _, group in groupby(by_dim, attrgetter("dim")):
-        maximal = []
-        for c in group:
-            s = _support(c.rows)
-            if not any(t & s == s and d.contains_subspace(c) for t, d in kept):
-                maximal.append((s, c))
-        kept.extend(maximal)
-    return [c for _, c in kept]
-
-
-def _support(rows):
-    """The coordinates where some row is nonzero, as a bitmask (bit k for
-    coordinate k+1)."""
-    return sum(1 << k for k, column in enumerate(zip(*rows)) if any(column))
+    kept = []
+    holders = {}  # element -> bitmask over `kept` of the members holding it
+    by_size = sorted(dict.fromkeys(members), key=size, reverse=True)
+    for _, group in groupby(by_size, size):
+        older = (1 << len(kept)) - 1
+        fresh = {}  # element -> positions in `kept` of the group's members holding it
+        for m in group:
+            s = support(m)
+            cand = older
+            for x in s:
+                cand &= holders.get(x, 0)
+            while cand:
+                low = cand & -cand
+                if contains(kept[low.bit_length() - 1], m):
+                    break
+                cand ^= low
+            else:
+                for x in s:
+                    fresh.setdefault(x, []).append(len(kept))
+                kept.append(m)
+        for x, positions in fresh.items():
+            buf = bytearray(len(kept) // 8 + 1)
+            for i in positions:
+                buf[i >> 3] |= 1 << (i & 7)
+            holders[x] = holders.get(x, 0) | int.from_bytes(buf, "little")
+    return kept
 
 
 def meets_nontrivially(p: RationalSubspace, arr: SubspaceArrangement) -> bool:

@@ -1,8 +1,8 @@
 """Finite simplicial complexes on vertex sets {1..n}, with exact homology.
 
-A complex is stored by its facets (maximal faces); the face set is the
-downward closure and always contains the empty face.  The complex with no
-facets is the empty complex {∅}: its reduced Betti number in degree -1 is 1.
+A complex is stored by its facets, the maximal faces `qlinalg._maximal`
+keeps; the face set is the downward closure, with the empty face.  With
+no facets it is the empty complex {∅}, of reduced Betti 1 in degree -1.
 Reduced Betti numbers come from the ranks of the augmented boundary maps on
 faces encoded as vertex bitmasks (bit v-1 for vertex v).  The two lowest
 ranks are combinatorial: the augmentation has rank 1 when there is a vertex,
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .qlinalg import _check_size, rank_int
+from .qlinalg import _check_size, _maximal, rank_int
 
 # Largest sum of 2^|F| over the maximal facets F, a bound on the number of
 # faces, which are all built on construction: the full simplex on 18
@@ -57,15 +57,15 @@ class SimplicialComplex:
             for f in fs:
                 if f and max(f) > n:
                     raise ValueError(f"facet {sorted(f)} exceeds vertex universe 1..{n}")
-        # keep only maximal faces, canonically ordered
-        maximal = [f for f in fs if not any(f < g for g in fs)]
-        uniq = sorted(set(maximal) - {frozenset()}, key=lambda f: (len(f), sorted(f)))
-        bound = sum(1 << len(f) for f in uniq)
+        # keep only maximal faces, ordered canonically once they fit
+        maximal = list(filter(None, _maximal(fs, len, frozenset, frozenset.issuperset)))
+        bound = sum(1 << len(f) for f in maximal)
         if bound > FACE_LIMIT:
             raise ComplexTooLarge(
                 f"complex too large: its facets have {bound} subsets in all, "
                 f"above the limit of {FACE_LIMIT}"
             )
+        uniq = sorted(maximal, key=lambda f: (len(f), sorted(f)))
         faces = {frozenset()}
         for f in uniq:
             for k in range(1, len(f) + 1):

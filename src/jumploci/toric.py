@@ -39,19 +39,20 @@ instead, so it is never refused.
 The translated-torus invariant of degree i reads off the depth-1 loci of
 all degrees j <= i at once.  Toric complexes are straight (Papadima-Suciu,
 Adv. Math. 2009), so a cover query tests a plane against one coordinate
-arrangement: the union of those loci, pruned to its maximal pieces and
-cached per (K, min(i, dim K + 1)).  T_K has no cells above dimension
-dim K + 1, so the loci of higher degrees are empty and a larger i asks
-nothing more.
+arrangement: the union of those loci, pruned to its maximal pieces by
+`qlinalg._maximal` and cached per (K, min(i, dim K + 1)).  T_K has no
+cells above dimension dim K + 1, so the loci of higher degrees are empty
+and a larger i asks nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from operator import itemgetter
 
-from .qlinalg import RationalSubspace, _check_size, rank_int
+from .qlinalg import RationalSubspace, _check_size, _maximal, rank_int
 from .simplicial import (
     SimplicialComplex,
     count_components,
@@ -68,7 +69,7 @@ from .simplicial import (
 class CoordinateArrangement:
     """A union of coordinate subspaces of Q^n, stored as maximal vertex sets.
 
-    `subsets` holds only nonempty maximal W (lexicographically sorted);
+    `subsets` holds the nonempty W `qlinalg._maximal` keeps, sorted;
     whether the origin itself belongs to the locus is a separate flag, since
     the empty subset would otherwise be invisible.  `_columns` holds, per
     piece, the number of columns outside W and a getter that reads them off
@@ -83,21 +84,12 @@ class CoordinateArrangement:
 
     def __post_init__(self):
         _check_size(self.n, "ambient dimension")
-        masks = set()
-        for w in self.subsets:
-            w = tuple(sorted(set(w)))
-            if not w:
-                continue
-            if w[0] < 1 or w[-1] > self.n:
-                raise ValueError(f"subset {w} out of vertex range 1..{self.n}")
-            masks.add(sum(1 << (v - 1) for v in w))
-        # Largest sets first: a set is maximal when no maximal set kept so
-        # far contains it (w & ~v == 0); a set of equal size cannot.
-        maximal = []
-        for w in sorted(masks, key=int.bit_count, reverse=True):
-            if all(w & ~v for v in maximal):
-                maximal.append(w)
-        object.__setattr__(self, "subsets", tuple(sorted(map(_mask_to_subset, maximal))))
+        sets = [frozenset(w) for w in self.subsets]
+        for w in sets:
+            if w and (min(w) < 1 or max(w) > self.n):
+                raise ValueError(f"subset {tuple(sorted(w))} out of vertex range 1..{self.n}")
+        maximal = _maximal(sets, len, frozenset, frozenset.issuperset)
+        object.__setattr__(self, "subsets", tuple(sorted(tuple(sorted(w)) for w in maximal if w)))
         object.__setattr__(self, "contains_origin", bool(self.contains_origin))
 
     def meets_subspace(self, p: RationalSubspace) -> bool:
@@ -275,11 +267,14 @@ def omega_vanishing_bound(g: Graph, r: int) -> bool:
 
 
 def _require_toric(k: SimplicialComplex):
+    """Refuse a vertex of 1..n that is no face, naming ten at most, from 1 up."""
     have = set(v for f in k.facets for v in f)
-    missing = [v for v in range(1, k.n + 1) if v not in have]
-    if missing:
+    absent = k.n - len(have)
+    if absent:
+        missing = list(islice((v for v in range(1, k.n + 1) if v not in have), min(absent, 10)))
+        more = f" and {absent - 10} more" if absent > 10 else ""
         raise ValueError(
-            f"vertices {missing} are not faces; the ambient torus needs every "
+            f"vertices {missing}{more} are not faces; the ambient torus needs every "
             "vertex of 1..n to be a cell"
         )
 

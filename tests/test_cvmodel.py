@@ -61,6 +61,31 @@ def test_model_canonical_order_and_dedup():
     assert m.isolated_points == ((Q(0), Q(0)), (Q(1, 2), Q(0)))
 
 
+def test_model_orders_components_of_one_dimension_by_basis():
+    # few distinct entries, so that bases often agree in a prefix, and
+    # pivots other than 1, so that the basis order is not the row order
+    rng = random.Random(61)
+    orders = set()
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        dim = rng.randint(1, n - 1)
+        comps = []
+        for _ in range(rng.randint(2, 6)):
+            rows = [[rng.choice((-2, 0, 1, 3)) for _ in range(n)] for _ in range(dim)]
+            direction = RationalSubspace.span(n, rows)
+            if direction.dim:
+                q = [Q(rng.randint(0, 2), rng.choice((2, 3))) for _ in range(n)]
+                comps.append(TranslatedTorus(direction, q))
+        m = CVModel(n, components=comps)
+        assert m.components == tuple(
+            sorted(comps, key=lambda c: (-c.dim, c.direction.basis, c.q))
+        )
+        orders.add(m.components == tuple(
+            sorted(comps, key=lambda c: (-c.dim, c.direction.rows, c.q))
+        ))
+    assert orders == {True, False}
+
+
 def test_model_tau1_keeps_only_through_origin_directions():
     line_off = TranslatedTorus(
         RationalSubspace.span(2, [(0, 1)]), (Q(1, 2), Q(0))

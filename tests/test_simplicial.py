@@ -176,3 +176,14 @@ def test_complexes_with_too_many_faces_are_refused_before_building(monkeypatch):
     assert len(SimplicialComplex(facets).facets) == 2
     with pytest.raises(ComplexTooLarge, match="66 subsets"):
         SimplicialComplex(facets + [(11,)])
+
+
+def test_a_large_edge_list_is_refused_at_once():
+    # K_363: 65,703 edges of 4 subsets each.  The facets are pruned before
+    # the bound is summed, and no two edges are compared, where comparing
+    # every pair is quadratic in the edges
+    edges = list(itertools.combinations(range(1, 364), 2))
+    start = time.perf_counter()
+    with pytest.raises(ComplexTooLarge, match="262812 subsets"):
+        SimplicialComplex(edges)
+    assert time.perf_counter() - start < 2

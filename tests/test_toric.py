@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from jumploci import toric
-from jumploci.qlinalg import RationalSubspace
+from jumploci.qlinalg import RationalSubspace, _maximal
 from jumploci.simplicial import SimplicialComplex, full_simplex, induced, reduced_betti
 from jumploci.toric import (
     CoordinateArrangement,
@@ -244,6 +244,58 @@ def test_validation():
         assert False, "ambient vertex missing from the complex must raise"
     except ValueError:
         pass
+
+
+def test_missing_vertices_are_named_ten_at_most_at_once():
+    # ten or fewer missing vertices are all named
+    with pytest.raises(
+        ValueError,
+        match=r"^vertices \[2, 4\] are not faces; the ambient torus needs every "
+        r"vertex of 1\.\.n to be a cell$",
+    ):
+        toric_resonance(SimplicialComplex([(1,), (3,)], 4), 1, 1)
+    # beyond ten, the first ten and a count; the count costs no walk to n
+    start = time.perf_counter()
+    with pytest.raises(
+        ValueError,
+        match=r"^vertices \[2, 3, 4, 5, 6, 7, 8, 9, 10, 11\] and 999999999989 more "
+        "are not faces",
+    ):
+        toric_resonance(SimplicialComplex([(1,)], 10**12), 1, 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_facets_and_pieces_are_the_all_pairs_maximal_sets():
+    rng = random.Random(31)
+    pruned = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        fs = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(rng.randint(1, 8))]
+        # nested members, duplicates and the empty set
+        fs += [frozenset(rng.sample(sorted(f), rng.randint(0, len(f)))) for f in fs]
+        fs += rng.sample(fs, rng.randint(0, len(fs))) + [frozenset()] * rng.randint(0, 2)
+        rng.shuffle(fs)
+        oracle = [f for f in fs if not any(f < g for g in fs)]
+        calls = []
+
+        def contains(k, m):
+            calls.append((k, m))
+            return k >= m
+
+        got = _maximal(fs, len, frozenset, contains)
+        assert len(got) == len(set(got)) and set(got) == set(oracle)
+        assert [len(f) for f in got] == sorted(map(len, got), reverse=True)
+        # a set's support is itself, so the index finds only holders: each
+        # dropped set is tested once, against a larger one, and no kept set is
+        assert all(len(k) > len(m) and k >= m for k, m in calls)
+        assert len(calls) == len(set(fs)) - len(got)
+        maximal = set(oracle) - {frozenset()}
+        k = SimplicialComplex([sorted(f) for f in fs], n)
+        assert k.facets == tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
+        arr = CoordinateArrangement(n, [sorted(f) for f in fs])
+        assert arr.subsets == tuple(sorted(tuple(sorted(f)) for f in maximal))
+        pruned += len(calls)
+    assert pruned > 300
 
 
 def _agrees_with_sweep(k, i, d):
